@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gains import GainSchedule, validate_schedule
+from .gains import GainSchedule
 from .objectives import (
     ASSIGNMENT,
     COVERAGE,
@@ -113,20 +113,21 @@ class ExperimentConfig:
             out.append(f"formation_radius must be positive, got {self.formation_radius}")
         if self.formation_count < 1:
             out.append(f"formation_count must be >= 1, got {self.formation_count}")
-        out.extend(validate_schedule(self.schedule()))
+        out.extend(self.schedule().violations())
         if not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
         if self.smooth_min_eps is not None and not self.smooth_min_eps < 0:
             out.append(f"smooth_min_eps must be negative, got {self.smooth_min_eps}")
-        if self.x0 is not None and len(self.x0) != self.n * self.N:
-            out.append(
-                f"x0 must hold n*N = {self.n * self.N} values, got {len(self.x0)}"
-            )
-        if self.targets is not None and len(self.targets) != self.n * self.N:
-            out.append(
-                f"targets must hold n*N = {self.n * self.N} values, "
-                f"got {len(self.targets)}"
-            )
+        for name in ("x0", "targets"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if len(values) != self.n * self.N:
+                out.append(
+                    f"{name} must hold n*N = {self.n * self.N} values, got {len(values)}"
+                )
+            if not all(math.isfinite(v) for v in values):
+                out.append(f"{name} must be finite")
         if self.task == RENDEZVOUS and self.n != 2:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:

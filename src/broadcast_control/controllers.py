@@ -24,17 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import GainSchedule, bc_gains_at, gain_a, gain_c
-from .state import CollectiveState, PerturbationBlock, apply_input
-
-
-class NonFiniteObjectiveError(ValueError):
-    """Objective returned NaN or infinity."""
+from .state import CollectiveState, NonFiniteError, PerturbationBlock, apply_input
 
 
 def _checked_j(J, values: np.ndarray) -> float:
     v = float(J(values))
     if not np.isfinite(v):
-        raise NonFiniteObjectiveError(f"objective evaluated to {v!r}")
+        raise NonFiniteError(f"objective evaluated to {v!r}")
     return v
 
 
@@ -100,33 +96,15 @@ def bc_step(
     return apply_input(x, u), local2, u
 
 
-@dataclass
-class PbcBroadcast:
-    """The broadcast payload: one objective difference per virtual probe."""
-
-    nu: np.ndarray
-
-    def __post_init__(self) -> None:
-        nu = np.asarray(self.nu, dtype=np.float64)
-        if nu.ndim != 1:
-            raise ValueError("broadcast payload must be a flat vector")
-        if not np.all(np.isfinite(nu)):
-            raise NonFiniteObjectiveError("broadcast contains non-finite entries")
-        self.nu = nu
-
-    @property
-    def K(self) -> int:
-        return self.nu.shape[0]
-
-
 def pbc_broadcast(
     x: CollectiveState,
     block: PerturbationBlock,
     c: float,
     J,
     j_x: float | None = None,
-) -> PbcBroadcast:
-    """Evaluate the K virtual probes: ``nu[k] = J(x + c*sigma_k) - J(x)``.
+) -> np.ndarray:
+    """Evaluate the K virtual probes: the broadcast ``(K,)`` array
+    ``nu[k] = J(x + c*sigma_k) - J(x)``.
 
     Exactly ``K + 1`` objective evaluations (``K`` when ``j_x`` is supplied).
     The virtual states are local temporaries; agents never visit them.
@@ -138,11 +116,11 @@ def pbc_broadcast(
     for k in range(block.K):
         u_hat = c * block.signs[k]
         nu[k] = _checked_j(J, x.values + u_hat) - base
-    return PbcBroadcast(nu=nu)
+    return nu
 
 
 def pbc_local_input(
-    nu: PbcBroadcast, block: PerturbationBlock, a: float, c: float
+    nu: np.ndarray, block: PerturbationBlock, a: float, c: float
 ) -> np.ndarray:
     """Combine the broadcast with the agent's own signs:
 
@@ -150,11 +128,11 @@ def pbc_local_input(
     """
     if not (a > 0 and c > 0):
         raise ValueError(f"gains must be positive, got a={a}, c={c}")
-    if nu.K != block.K:
-        raise ValueError(f"broadcast K={nu.K} does not match block K={block.K}")
-    acc = _estimate_term(a, nu.nu[0], c, block.signs[0])
+    if nu.shape != (block.K,):
+        raise ValueError(f"broadcast shape {nu.shape} does not match block K={block.K}")
+    acc = _estimate_term(a, nu[0], c, block.signs[0])
     for k in range(1, block.K):
-        acc += _estimate_term(a, nu.nu[k], c, block.signs[k])
+        acc += _estimate_term(a, nu[k], c, block.signs[k])
     return acc / block.K
 
 

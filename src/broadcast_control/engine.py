@@ -8,7 +8,8 @@ and serial runs emit identical bytes.
 Divergence (non-finite state or objective) excludes the trial from the
 aggregate and is reported, rather than aborting the whole run: the barrier
 objective makes divergence pathological, but a misconfigured run must not
-poison the statistics silently.
+poison the statistics silently.  Any other exception is a programming or
+input error and propagates.
 """
 
 from __future__ import annotations
@@ -16,20 +17,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig
-from .controllers import (
-    BcLocalState,
-    NonFiniteObjectiveError,
-    bc_step,
-    pbc_step,
-)
+from .controllers import BcLocalState, _checked_j, bc_step, pbc_step
 from .objectives import make_objective_fn
-from .state import SIGN_GENERATOR_ID, draw_block
+from .state import SIGN_GENERATOR_ID, NonFiniteError, draw_block
 
 LAW_BC = "bc"
 LAW_PBC = "pbc"
@@ -86,9 +82,6 @@ class MonteCarloResult:
     excluded: list  # (trial_index, reason) pairs
 
 
-SignStream = Callable[[int, int, int], "PerturbationBlock"]  # noqa: F821
-
-
 def moving_distance(inputs: np.ndarray, n: int) -> np.ndarray:
     """Cumulative total path length: ``D(t) = sum_{s<t} sum_i |u_i(s)|``.
 
@@ -105,13 +98,6 @@ def moving_distance(inputs: np.ndarray, n: int) -> np.ndarray:
     return d
 
 
-def _default_sign_stream(config: ExperimentConfig) -> SignStream:
-    def stream(trial: int, t: int, K: int):
-        return draw_block(config.master_seed, trial, t, config.n, config.N, K)
-
-    return stream
-
-
 def _horizon(config: ExperimentConfig, law: str) -> int:
     if law == LAW_BC and config.mode == "theorem":
         return 2 * config.steps
@@ -123,13 +109,11 @@ def _simulate(
     law: str,
     steps: int,
     trial_index: int,
-    sign_stream: Optional[SignStream],
 ) -> TrialRecord:
     spec = config.objective_spec()
     J = make_objective_fn(spec)
     sched = config.schedule()
     x = config.initial_state()
-    stream = sign_stream or _default_sign_stream(config)
     nN = x.nN
 
     states = np.empty((steps + 1, nN))
@@ -138,26 +122,27 @@ def _simulate(
     states[0] = x.values
 
     local = BcLocalState.initial(nN)
+    key = (config.master_seed, trial_index)
     t = 0
+    # overflow shows up as a non-finite state or objective value, which is
+    # caught here and reported as the divergence, so numpy need not warn
     try:
-        for t in range(steps):
-            jx = float(J(x.values))
-            if not np.isfinite(jx):
-                raise NonFiniteObjectiveError(f"objective evaluated to {jx!r}")
-            j_trace[t] = jx
-            if law == LAW_BC:
-                block = stream(trial_index, t // 2, 1) if t % 2 == 0 else None
-                x, local, u = bc_step(x, local, t, sched, block, J, j_x=jx)
-            else:
-                block = stream(trial_index, t, config.K)
-                x, u = pbc_step(x, t, sched, block, J, j_x=jx)
-            inputs[t] = u
-            states[t + 1] = x.values
-        j_final = float(J(x.values))
-        if not np.isfinite(j_final):
-            raise NonFiniteObjectiveError(f"objective evaluated to {j_final!r}")
-        j_trace[steps] = j_final
-    except (NonFiniteObjectiveError, ValueError) as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(steps):
+                jx = _checked_j(J, x.values)
+                j_trace[t] = jx
+                if law == LAW_BC:
+                    block = None
+                    if t % 2 == 0:
+                        block = draw_block(*key, t // 2, config.n, config.N, 1)
+                    x, local, u = bc_step(x, local, t, sched, block, J, j_x=jx)
+                else:
+                    block = draw_block(*key, t, config.n, config.N, config.K)
+                    x, u = pbc_step(x, t, sched, block, J, j_x=jx)
+                inputs[t] = u
+                states[t + 1] = x.values
+            j_trace[steps] = _checked_j(J, x.values)
+    except NonFiniteError as err:
         raise DivergenceError(trial_index, t, str(err)) from err
 
     return TrialRecord(
@@ -174,11 +159,7 @@ def _simulate(
     )
 
 
-def run_trial(
-    config: ExperimentConfig,
-    trial_index: int,
-    sign_stream: Optional[SignStream] = None,
-) -> TrialRecord:
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one seeded trial of the configured law.
 
     Deterministic in ``(config, trial_index)``.  Raises ``DivergenceError``
@@ -187,9 +168,7 @@ def run_trial(
     config.validate()
     if config.law == LAW_PAIRED:
         raise ValueError("run_trial runs a single law; use run_paired for pairs")
-    return _simulate(
-        config, config.law, _horizon(config, config.law), trial_index, sign_stream
-    )
+    return _simulate(config, config.law, _horizon(config, config.law), trial_index)
 
 
 def run_paired(config: ExperimentConfig, trial_index: int = 0):
@@ -206,8 +185,8 @@ def run_paired(config: ExperimentConfig, trial_index: int = 0):
     if config.K != 1:
         raise ValueError(f"paired runs require K = 1, got K = {config.K}")
     bc_steps = 2 * config.steps if config.mode == "theorem" else config.steps
-    rec_bc = _simulate(config, LAW_BC, bc_steps, trial_index, None)
-    rec_pbc = _simulate(config, LAW_PBC, config.steps, trial_index, None)
+    rec_bc = _simulate(config, LAW_BC, bc_steps, trial_index)
+    rec_pbc = _simulate(config, LAW_PBC, config.steps, trial_index)
     return rec_bc, rec_pbc
 
 
@@ -232,17 +211,38 @@ def _aggregate(records: list) -> Optional[SummaryStats]:
 
 
 def _trial_job(args):
-    config, trial_index = args
+    job, config, trial_index = args
     try:
-        return trial_index, run_trial(config, trial_index), None
+        return job(config, trial_index), None
     except DivergenceError as err:
-        return trial_index, None, str(err)
+        return None, str(err)
+
+
+def _map_trials(job, config: ExperimentConfig, workers: int):
+    """Run ``job(config, i)`` for every trial index ``i``, in a process pool
+    when ``workers > 1``.
+
+    Returns the results of the finished trials in index order and the
+    ``(trial_index, reason)`` pairs of the diverged ones.
+    """
+    jobs = [(job, config, i) for i in range(config.trials)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_trial_job, jobs, chunksize=8))
+    else:
+        outcomes = map(_trial_job, jobs)
+    results: list = []
+    excluded: list = []
+    for i, (result, err) in enumerate(outcomes):
+        if err is None:
+            results.append(result)
+        else:
+            excluded.append((i, err))
+    return results, excluded
 
 
 def run_monte_carlo(
-    config: ExperimentConfig,
-    sign_stream: Optional[SignStream] = None,
-    workers: Optional[int] = None,
+    config: ExperimentConfig, workers: Optional[int] = None
 ) -> MonteCarloResult:
     """Run ``config.trials`` independent trials and aggregate their traces.
 
@@ -253,26 +253,7 @@ def run_monte_carlo(
     """
     config.validate()
     workers = config.workers if workers is None else workers
-    results: dict[int, TrialRecord] = {}
-    excluded: list = []
-
-    if workers > 1 and sign_stream is None:
-        jobs = [(config, i) for i in range(config.trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rec, err in pool.map(_trial_job, jobs, chunksize=8):
-                if rec is not None:
-                    results[idx] = rec
-                else:
-                    excluded.append((idx, err))
-    else:
-        for i in range(config.trials):
-            try:
-                results[i] = run_trial(config, i, sign_stream)
-            except DivergenceError as err:
-                excluded.append((i, str(err)))
-
-    records = [results[i] for i in sorted(results)]
-    excluded.sort(key=lambda pair: pair[0])
+    records, excluded = _map_trials(run_trial, config, workers)
     return MonteCarloResult(
         stats=_aggregate(records), records=records, excluded=excluded
     )
@@ -346,6 +327,20 @@ def _should_retain(config: ExperimentConfig) -> bool:
     return config.trials <= 10
 
 
+def _write_set(
+    out: str, tag: str, stats: Optional[SummaryStats], records: list, retain: bool
+) -> int:
+    """Write ``summary<tag>.csv`` and, when retained, ``trajectory<tag>_<trial>.csv``
+    for each record.  Returns the number of trajectories written."""
+    if stats is not None:
+        write_summary_csv(os.path.join(out, f"summary{tag}.csv"), stats)
+    if not retain:
+        return 0
+    for rec in records:
+        write_trajectory_csv(os.path.join(out, f"trajectory{tag}_{rec.trial}.csv"), rec)
+    return len(records)
+
+
 def run_and_write(config: ExperimentConfig) -> MonteCarloResult:
     """Execute ``config`` and emit ``summary.csv``, retained trajectories,
     and the ``manifest`` into ``config.out_dir``.
@@ -357,47 +352,15 @@ def run_and_write(config: ExperimentConfig) -> MonteCarloResult:
     os.makedirs(out, exist_ok=True)
     retain = _should_retain(config)
 
-    if config.law == LAW_PAIRED:
-        recs_bc = []
-        recs_pbc = []
-        excluded: list = []
-        for i in range(config.trials):
-            try:
-                rb, rp = run_paired(config, i)
-                recs_bc.append(rb)
-                recs_pbc.append(rp)
-            except DivergenceError as err:
-                excluded.append((i, str(err)))
-        stats = _aggregate(recs_pbc)
-        if stats is not None:
-            write_summary_csv(os.path.join(out, "summary.csv"), stats)
-        stats_bc = _aggregate(recs_bc)
-        if stats_bc is not None:
-            write_summary_csv(os.path.join(out, "summary_bc.csv"), stats_bc)
-        written = 0
-        if retain:
-            for rec in recs_pbc:
-                write_trajectory_csv(
-                    os.path.join(out, f"trajectory_{rec.trial}.csv"), rec
-                )
-                written += 1
-            for rec in recs_bc:
-                write_trajectory_csv(
-                    os.path.join(out, f"trajectory_bc_{rec.trial}.csv"), rec
-                )
-                written += 1
-        write_manifest(
-            os.path.join(out, "manifest"), config, excluded, written
-        )
-        return MonteCarloResult(stats=stats, records=recs_pbc, excluded=excluded)
-
-    result = run_monte_carlo(config)
-    if result.stats is not None:
-        write_summary_csv(os.path.join(out, "summary.csv"), result.stats)
     written = 0
-    if retain:
-        for rec in result.records:
-            write_trajectory_csv(os.path.join(out, f"trajectory_{rec.trial}.csv"), rec)
-            written += 1
+    if config.law == LAW_PAIRED:
+        pairs, excluded = _map_trials(run_paired, config, config.workers)
+        recs_bc = [rb for rb, _ in pairs]
+        written += _write_set(out, "_bc", _aggregate(recs_bc), recs_bc, retain)
+        recs_pbc = [rp for _, rp in pairs]
+        result = MonteCarloResult(_aggregate(recs_pbc), recs_pbc, excluded)
+    else:
+        result = run_monte_carlo(config)
+    written += _write_set(out, "", result.stats, result.records, retain)
     write_manifest(os.path.join(out, "manifest"), config, result.excluded, written)
     return result

@@ -66,11 +66,6 @@ class GainSchedule:
             raise InvalidScheduleError("; ".join(bad))
 
 
-def validate_schedule(sched: GainSchedule) -> list[str]:
-    """Diagnostic form of the validity check: list of violated conditions."""
-    return sched.violations()
-
-
 def gain_a(sched: GainSchedule, t: int) -> float:
     """Step size at step ``t``: strictly positive, strictly decreasing."""
     sched._require_valid()

@@ -29,6 +29,10 @@ _S31 = np.uint64(31)
 _S63 = np.uint64(63)
 
 
+class NonFiniteError(ValueError):
+    """A state or objective value is NaN or infinite: the trial diverged."""
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, a bijection on uint64."""
     z = (z ^ (z >> _S30)) * _M1
@@ -102,7 +106,7 @@ class CollectiveState:
                 f"state length {vals.shape} does not match n*N = {self.n * self.N}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("collective state contains non-finite entries")
+            raise NonFiniteError("collective state contains non-finite entries")
         self.values = vals
 
     @property
@@ -159,10 +163,11 @@ def draw_block(
 
 
 def apply_input(x: CollectiveState, u: np.ndarray) -> CollectiveState:
-    """Advance the integrator dynamics by one step: every agent adds its input."""
+    """Advance the integrator dynamics by one step: every agent adds its input.
+
+    A non-finite input makes ``x + u`` non-finite, which the new state rejects.
+    """
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (x.nN,):
         raise ValueError(f"input shape {u.shape} does not match state length {x.nN}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("control input contains non-finite entries")
     return CollectiveState(x.n, x.N, x.values + u)

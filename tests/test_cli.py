@@ -51,11 +51,30 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
-    cfg = _write_config(tmp_path, BASE + "trials = 5\n".replace("trials", "workers"))
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["run", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2), "--workers", "3"]) == 0
-    assert _read(out1 / "summary.csv") == _read(out2 / "summary.csv")
+    # every output file, the paired law's summary_bc.csv and both trajectory
+    # sets included, is identical up to the manifest's workers and out_dir lines
+    for law in ("pbc", "paired"):
+        cfg = _write_config(tmp_path, BASE + f"workers = 5\nlaw = {law}\nmode = theorem\n")
+        out1, out2 = tmp_path / f"{law}1", tmp_path / f"{law}2"
+        assert main(["run", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert "summary.csv" in names and "trajectory_1.csv" in names
+        if law == "paired":
+            assert "summary_bc.csv" in names and "trajectory_bc_1.csv" in names
+        for name in names:
+            a, b = _read(out1 / name), _read(out2 / name)
+            if name == "manifest":
+                a, b = _without_paths_and_workers(a), _without_paths_and_workers(b)
+            assert a == b, name
+
+
+def _without_paths_and_workers(manifest: bytes) -> list:
+    return [
+        line for line in manifest.split(b"\n")
+        if not line.startswith((b"workers = ", b"out_dir = "))
+    ]
 
 
 def test_flags_override_config(tmp_path):
@@ -73,11 +92,17 @@ def test_flags_override_config(tmp_path):
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "law = paired\nK = 3\na_p = 0.4\n")
-    assert main(["run", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "paired" in err
-    assert "2*a_p" in err
+    cases = [
+        ("law = paired\nK = 3\na_p = 0.4\n", ("paired", "2*a_p")),
+        ("task = quadratic\nN = 2\nx0 = 1 nan 0 0\n", ("x0 must be finite",)),
+        ("task = assignment\nN = 2\ntargets = 1 0 inf 0\n", ("targets must be finite",)),
+    ]
+    for text, fragments in cases:
+        cfg = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err
 
 
 def test_retention_policy(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,11 +140,14 @@ def test_single_trial_sd_zero():
     assert res.stats.trials == 1
 
 
-def test_forced_identical_randomness_gives_sd_zero():
-    # a sign stream that ignores the trial index makes trials degenerate
-    config = small_config(trials=2)
-    stream = lambda trial, t, K: draw_block(99, 0, t, config.n, config.N, K)
-    res = run_monte_carlo(config, sign_stream=stream)
+def test_forced_identical_randomness_gives_sd_zero(monkeypatch):
+    # signs that ignore the trial index make trials degenerate
+    monkeypatch.setattr(
+        engine_mod,
+        "draw_block",
+        lambda seed, trial, t, n, N, K: draw_block(99, 0, t, n, N, K),
+    )
+    res = run_monte_carlo(small_config(trials=2))
     assert np.allclose(res.stats.j_sd, 0.0, atol=0.0)
     assert np.allclose(res.stats.d_sd, 0.0, atol=0.0)
 
@@ -167,6 +171,47 @@ def test_divergent_trial_excluded_not_fatal():
     assert res.stats is None
     for idx, reason in res.excluded:
         assert "diverged" in reason
+
+
+def _objective_from_values(monkeypatch, values):
+    """Make every trial's objective return ``values`` call by call, then 1.0."""
+
+    def make(spec):
+        calls = iter(values)
+        return lambda x: next(calls, 1.0)
+
+    monkeypatch.setattr(engine_mod, "make_objective_fn", make)
+
+
+def test_divergence_reported_at_first_non_finite_step(monkeypatch):
+    # PBC K=1 evaluates J twice a step (base, then probe), so calls 6 and 7
+    # are step 3.  A NaN objective ends the trial there; so does a finite
+    # pair whose difference overflows, making the input and state infinite.
+    config = small_config(trials=1, steps=10)
+    _objective_from_values(monkeypatch, [1.0] * 6 + [float("nan")])
+    (idx, reason), = run_monte_carlo(config).excluded
+    assert idx == 0
+    assert reason == "trial 0 diverged at step 3: objective evaluated to nan"
+
+    _objective_from_values(monkeypatch, [1.0] * 6 + [-1e308, 1e308])
+    res = run_monte_carlo(config)
+    assert res.records == []
+    assert res.excluded == [
+        (0, "trial 0 diverged at step 3: collective state contains non-finite entries")
+    ]
+
+
+def test_objective_error_propagates_instead_of_excluding(monkeypatch):
+    # an objective built for the wrong agent count is a programming error,
+    # not a diverged trial
+    original = engine_mod.make_objective_fn
+
+    def wrong_shape(spec):
+        return original(dataclasses.replace(spec, N=spec.N + 1))
+
+    monkeypatch.setattr(engine_mod, "make_objective_fn", wrong_shape)
+    with pytest.raises(ValueError, match="does not match objective layout"):
+        run_monte_carlo(small_config(trials=2))
 
 
 def test_workers_do_not_change_results():

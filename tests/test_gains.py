@@ -9,7 +9,6 @@ from broadcast_control import (
     bc_gains_at,
     gain_a,
     gain_c,
-    validate_schedule,
 )
 
 STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
@@ -47,20 +46,20 @@ def test_gain_c_unit_and_decay():
 
 def test_validate_standard_is_valid():
     # 2*0.7 - 2*0.16 = 1.08 > 1 and 0.7 + 0.32 = 1.02 > 1
-    assert validate_schedule(STANDARD) == []
+    assert STANDARD.violations() == []
 
 
 def test_validate_reports_each_condition():
     # a_p = 0.5 breaks 2*a_p - 2*c_p > 1 (0.68) and drags a_p + 2*c_p under too
     bad = GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
-    out = validate_schedule(bad)
+    out = bad.violations()
     assert any("2*a_p - 2*c_p" in v and "0.68" in v for v in out)
 
     bad2 = GainSchedule(2.0, 0.7, 0.003, 0.16, 0.0)
-    assert any("t_v" in v for v in validate_schedule(bad2))
+    assert any("t_v" in v for v in bad2.violations())
 
     bad3 = GainSchedule(-1.0, 1.5, -0.1, -0.2, -3.0)
-    names = "\n".join(validate_schedule(bad3))
+    names = "\n".join(bad3.violations())
     for frag in ("t_v", "a_p", "c_p", "a0", "c0"):
         assert frag in names
 
@@ -117,7 +116,7 @@ def test_ratio_square_sum_converges():
     assert all(nxt < 0.95 * cur for cur, nxt in zip(decades, decades[1:]))
 
     fast = GainSchedule(a0=2.0, a_p=1.0, c0=0.003, c_p=0.01, t_v=20.0)
-    assert validate_schedule(fast) == []
+    assert fast.violations() == []
     a, c = _series(fast)
     ratio_sq = (a / c) ** 2
     assert ratio_sq[10**5 :].sum() < 1e-3 * ratio_sq.sum()
