@@ -110,8 +110,6 @@ def _simulate(
     steps: int,
     trial_index: int,
 ) -> TrialRecord:
-    spec = config.objective_spec()
-    J = make_objective_fn(spec)
     sched = config.schedule()
     x = config.initial_state()
     nN = x.nN
@@ -122,22 +120,27 @@ def _simulate(
     states[0] = x.values
 
     local = BcLocalState.initial(nN)
-    key = (config.master_seed, trial_index)
     t = 0
-    # overflow shows up as a non-finite state or objective value, which is
-    # caught here and reported as the divergence, so numpy need not warn
+    # overflow shows up as a non-finite state, objective value or assignment
+    # cost, which is caught here and reported as the divergence, so numpy need
+    # not warn; the once-at-start pairing is solved from x0 inside the guard
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            J = make_objective_fn(config.objective_spec())
             for t in range(steps):
                 jx = _checked_j(J, x.values)
                 j_trace[t] = jx
                 if law == LAW_BC:
                     block = None
                     if t % 2 == 0:
-                        block = draw_block(*key, t // 2, config.n, config.N, 1)
+                        block = draw_block(
+                            config.master_seed, trial_index, t // 2, config.n, config.N, 1
+                        )
                     x, local, u = bc_step(x, local, t, sched, block, J, j_x=jx)
                 else:
-                    block = draw_block(*key, t, config.n, config.N, config.K)
+                    block = draw_block(
+                        config.master_seed, trial_index, t, config.n, config.N, config.K
+                    )
                     x, u = pbc_step(x, t, sched, block, J, j_x=jx)
                 inputs[t] = u
                 states[t + 1] = x.values

@@ -25,6 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .state import NonFiniteError
+
 EVERY_STEP = "every-step"
 ONCE_AT_START = "once-at-start"
 
@@ -272,7 +274,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix contains non-finite entries")
+        raise NonFiniteError("cost matrix contains non-finite entries")
     N = C.shape[0]
     rows, cols = linear_sum_assignment(C)
     best = float(C[rows, cols].sum())

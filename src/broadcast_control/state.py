@@ -30,7 +30,8 @@ _S63 = np.uint64(63)
 
 
 class NonFiniteError(ValueError):
-    """A state or objective value is NaN or infinite: the trial diverged."""
+    """A state, objective value or assignment cost is NaN or infinite: the
+    trial diverged."""
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

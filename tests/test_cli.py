@@ -52,17 +52,19 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_worker_count_does_not_change_bytes(tmp_path):
     # every output file, the paired law's summary_bc.csv and both trajectory
-    # sets included, is identical up to the manifest's workers and out_dir lines
+    # sets included, is identical up to the manifest's workers and out_dir
+    # lines; 10 trials exceed one pool chunk, so two workers both get trials
+    text = BASE.replace("trials = 2", "trials = 10") + "retain_trajectories = true\n"
     for law in ("pbc", "paired"):
-        cfg = _write_config(tmp_path, BASE + f"workers = 5\nlaw = {law}\nmode = theorem\n")
+        cfg = _write_config(tmp_path, text + f"workers = 5\nlaw = {law}\nmode = theorem\n")
         out1, out2 = tmp_path / f"{law}1", tmp_path / f"{law}2"
         assert main(["run", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
         assert main(["run", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
         names = sorted(p.name for p in out1.iterdir())
         assert names == sorted(p.name for p in out2.iterdir())
-        assert "summary.csv" in names and "trajectory_1.csv" in names
+        assert "summary.csv" in names and "trajectory_9.csv" in names
         if law == "paired":
-            assert "summary_bc.csv" in names and "trajectory_bc_1.csv" in names
+            assert "summary_bc.csv" in names and "trajectory_bc_9.csv" in names
         for name in names:
             a, b = _read(out1 / name), _read(out2 / name)
             if name == "manifest":

@@ -160,17 +160,24 @@ def test_sd_uses_unbiased_denominator():
 
 
 def test_divergent_trial_excluded_not_fatal():
-    # a state far outside the float-safe range overflows the quadratic
-    # objective to infinity on the first evaluation
-    config = ExperimentConfig(
-        task="quadratic", law="pbc", N=4, n=2, steps=5, trials=2,
-        master_seed=3, x0=(1e200,) * 8,
-    ).validate()
-    res = run_monte_carlo(config)
-    assert len(res.excluded) == 2
-    assert res.stats is None
-    for idx, reason in res.excluded:
-        assert "diverged" in reason
+    # a state or target far outside the float-safe range overflows the
+    # quadratic objective, or the assignment cost matrix, to infinity on the
+    # first evaluation; once-at-start solves its pairing from x0 at step 0
+    cases = [
+        dict(task="quadratic", N=4, x0=(1e200,) * 8),
+        dict(task="assignment", N=2, x0=(1e200,) * 4),
+        dict(task="assignment", N=2, targets=(1e200,) * 4),
+        dict(task="assignment", N=2, x0=(1e200,) * 4, reassignment="once-at-start"),
+    ]
+    for fields in cases:
+        config = ExperimentConfig(
+            law="pbc", n=2, steps=5, trials=2, master_seed=3, **fields
+        ).validate()
+        res = run_monte_carlo(config)
+        assert res.stats is None
+        assert [idx for idx, _ in res.excluded] == [0, 1]
+        for idx, reason in res.excluded:
+            assert reason.startswith(f"trial {idx} diverged at step 0: ")
 
 
 def _objective_from_values(monkeypatch, values):
