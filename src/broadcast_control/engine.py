@@ -230,8 +230,11 @@ def _map_trials(job, config: ExperimentConfig, workers: int):
     """
     jobs = [(job, config, i) for i in range(config.trials)]
     if workers > 1:
+        # about four chunks per worker: every worker gets work even when
+        # trials are few, and large runs still ship trials in batches
+        chunksize = max(1, config.trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_job, jobs, chunksize=8))
+            outcomes = list(pool.map(_trial_job, jobs, chunksize=chunksize))
     else:
         outcomes = map(_trial_job, jobs)
     results: list = []

@@ -17,6 +17,7 @@ stair-stepped: steps ``2t`` and ``2t+1`` both use the single-stage gains at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class InvalidScheduleError(ValueError):
@@ -60,10 +61,14 @@ class GainSchedule:
     def is_valid(self) -> bool:
         return not self.violations()
 
+    @cached_property
+    def _violation_message(self) -> str:
+        # fields are frozen, so the conditions are checked once per instance
+        return "; ".join(self.violations())
+
     def _require_valid(self) -> None:
-        bad = self.violations()
-        if bad:
-            raise InvalidScheduleError("; ".join(bad))
+        if self._violation_message:
+            raise InvalidScheduleError(self._violation_message)
 
 
 def gain_a(sched: GainSchedule, t: int) -> float:

@@ -267,8 +267,15 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
     Returns the permutation ``perm`` (agent ``i`` takes column ``perm[i]``)
     minimizing ``sum(cost[i, perm[i]])``.  Ties are broken deterministically:
-    among all optimal assignments, the lexicographically smallest permutation
-    is returned.
+    every permutation whose cost is within ``1e-9 * max(1, |best|)`` of the
+    optimum ``best`` counts as optimal, and the lexicographically smallest of
+    those is returned.
+
+    Fast path: one solve gives an optimum, and the runner-up cost is the best
+    of the ``N`` solves that each forbid one edge of it (Murty's ranking).
+    When the runner-up is more than twice the tolerance worse (a margin the
+    refinement's rounding cannot cross), no other permutation is a tie and the
+    optimum is returned without refinement; otherwise the refinement runs.
     """
     C = np.asarray(cost, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -277,8 +284,12 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise NonFiniteError("cost matrix contains non-finite entries")
     N = C.shape[0]
     rows, cols = linear_sum_assignment(C)
+    if N <= 1:  # no runner-up; forbidding the only edge is infeasible
+        return cols
     best = float(C[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
+    if _runner_up_exceeds(C, cols, best + 2.0 * tol):
+        return cols
     # Fix rows in order to the smallest column that still allows an optimal
     # completion of the remaining subproblem.
     perm = np.empty(N, dtype=np.intp)
@@ -301,6 +312,23 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         else:  # pragma: no cover - unreachable for finite costs
             raise RuntimeError("assignment refinement failed to place a row")
     return perm
+
+
+def _runner_up_exceeds(C: np.ndarray, cols: np.ndarray, bound: float) -> bool:
+    """Whether every permutation other than ``cols`` costs more than ``bound``.
+
+    Each such permutation avoids at least one edge ``(i, cols[i])``, so the
+    runner-up is the best of the solves with one of those edges forbidden.
+    Works on a copy: ``C`` may be the caller's matrix.
+    """
+    D = C.copy()
+    for i, j in enumerate(cols):
+        D[i, j] = np.inf
+        r, c = linear_sum_assignment(D)
+        if float(D[r, c].sum()) <= bound:
+            return False
+        D[i, j] = C[i, j]
+    return True
 
 
 def assignment_objective(payload: AssignmentPayload, x: np.ndarray):

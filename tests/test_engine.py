@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +234,26 @@ def test_workers_do_not_change_results():
     assert np.array_equal(serial.stats.d_mean, parallel.stats.d_mean)
     for a, b in zip(serial.records, parallel.records):
         assert np.array_equal(a.states, b.states)
+
+
+def _pid_after_rendezvous(meeting_dir, config, trial_index):
+    # Record this process and wait (bounded) until another trial has
+    # recorded a different one, so a trial holds its worker while the other
+    # trial is dispatched.
+    (meeting_dir / f"{os.getpid()}-{trial_index}").touch()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if len({f.name.split("-")[0] for f in meeting_dir.iterdir()}) > 1:
+            break
+        time.sleep(0.01)
+    return os.getpid()
+
+
+def test_two_trials_use_both_workers(tmp_path):
+    job = functools.partial(_pid_after_rendezvous, tmp_path)
+    pids, excluded = engine_mod._map_trials(job, small_config(trials=2), workers=2)
+    assert excluded == []
+    assert len(set(pids)) == 2
 
 
 def test_run_trial_rejects_paired_and_invalid():

@@ -70,6 +70,25 @@ def test_invalid_schedule_fails_loudly():
         gain_a(bad, 0)
     with pytest.raises(InvalidScheduleError):
         gain_c(bad, 3)
+    with pytest.raises(InvalidScheduleError, match="2\\*a_p - 2\\*c_p"):
+        gain_a(bad, 1)
+
+
+def test_validity_checked_once_per_schedule(monkeypatch):
+    calls = []
+    violations = GainSchedule.violations
+
+    def counting(self):
+        calls.append(self)
+        return violations(self)
+
+    monkeypatch.setattr(GainSchedule, "violations", counting)
+    sched = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
+    for t in range(10):
+        gain_a(sched, t)
+        gain_c(sched, t)
+        bc_gains_at(sched, t)
+    assert len(calls) == 1
 
 
 def test_negative_t_rejected():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import broadcast_control.objectives as objectives_mod
 from broadcast_control import (
     AssignmentPayload,
     CoveragePayload,
@@ -309,6 +310,8 @@ def test_hungarian_examples():
     assert list(perm) == [0, 1]
     perm = hungarian(np.diag([0.0, 0.0, 0.0]) + 1.0 - np.eye(3))
     assert list(perm) == [0, 1, 2]
+    assert list(hungarian(np.array([[3.5]]))) == [0]
+    assert hungarian(np.zeros((0, 0))).size == 0
 
 
 def test_hungarian_lexicographic_tie_break():
@@ -317,6 +320,8 @@ def test_hungarian_lexicographic_tie_break():
     # two optimal assignments; [0, 1] beats [1, 0] lexicographically
     C = np.array([[1.0, 2.0], [2.0, 3.0]])  # both diagonals cost 4
     assert list(hungarian(C)) == [0, 1]
+    # [1, 0] costs 0 and [0, 1] costs 1e-12, inside the 1e-9 tolerance
+    assert list(hungarian(np.array([[0.0, 0.0], [0.0, 1e-12]]))) == [0, 1]
 
 
 def test_hungarian_matches_brute_force(rng):
@@ -327,6 +332,55 @@ def test_hungarian_matches_brute_force(rng):
             assert sorted(perm) == list(range(n))
             got = float(C[np.arange(n), perm].sum())
             assert got == _brute_force_cost(C)
+
+
+def _lexicographic_optimum(C):
+    # permutations() yields in lexicographic order; the first minimum wins
+    n = C.shape[0]
+    costs = [
+        (sum(C[i, p[i]] for i in range(n)), p)
+        for p in itertools.permutations(range(n))
+    ]
+    best = min(c for c, _ in costs)
+    return next(list(p) for c, p in costs if c == best)
+
+
+def test_hungarian_tie_oracle_small_integer_costs(rng):
+    # costs in {0, 1, 2} make many optimal permutations; integer sums are exact
+    for n in range(2, 7):
+        for _ in range(40):
+            C = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            assert list(hungarian(C)) == _lexicographic_optimum(C)
+
+
+def test_hungarian_does_not_mutate_input(rng):
+    for C in (
+        rng.uniform(size=(15, 15)),
+        rng.integers(0, 3, size=(6, 6)).astype(np.float64),
+        np.array([[0.0, 0.0], [0.0, 1e-12]]),
+    ):
+        before = C.copy()
+        hungarian(C)
+        assert np.array_equal(C, before)
+
+
+def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
+    # a generic squared-distance matrix has a unique optimum: one solve plus
+    # the N edge-forbidden solves of the runner-up check, no refinement
+    calls = []
+    lsa = objectives_mod.linear_sum_assignment
+
+    def counting(C):
+        calls.append(C.shape)
+        return lsa(C)
+
+    monkeypatch.setattr(objectives_mod, "linear_sum_assignment", counting)
+    N = 15
+    diff = rng.uniform(size=(N, 1, 2)) - rng.uniform(size=(1, N, 2))
+    C = np.einsum("ijd,ijd->ij", diff, diff)
+    perm = hungarian(C)
+    assert len(calls) <= N + 1
+    assert np.array_equal(perm, lsa(C)[1])
 
 
 def test_hungarian_rejects_bad_input():
