@@ -68,20 +68,15 @@ from .oracle import (
 )
 from .state import (
     SIGN_GENERATOR_ID,
-    CollectiveState,
     NonFiniteError,
-    PerturbationBlock,
-    StreamKey,
     apply_input,
     draw_block,
-    draw_sign,
 )
 
 __all__ = [
     "__version__",
     "AssignmentPayload",
     "BcLocalState",
-    "CollectiveState",
     "ConfigError",
     "CoveragePayload",
     "DivergenceError",
@@ -93,11 +88,9 @@ __all__ = [
     "MonteCarloResult",
     "NonFiniteError",
     "ObjectiveSpec",
-    "PerturbationBlock",
     "QuadraticPayload",
     "RendezvousPayload",
     "SIGN_GENERATOR_ID",
-    "StreamKey",
     "SummaryStats",
     "TrialRecord",
     "apply_input",
@@ -112,7 +105,6 @@ __all__ = [
     "coverage_objective",
     "descent_fraction",
     "draw_block",
-    "draw_sign",
     "enumerate_estimator_variance",
     "enumerate_expected_gradient",
     "evaluate",

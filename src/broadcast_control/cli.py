@@ -14,6 +14,14 @@ from .engine import run_and_write
 from .verify import VERIFY_CHECKS, run_verify
 
 
+def positive_int(text: str) -> int:
+    """Argument type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="broadcast-control",
@@ -57,14 +65,28 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use a concave instance for the probe-count ordering check",
     )
-    ver_p.add_argument("--seeds", type=int, default=3, help="paired seeds to test")
-    ver_p.add_argument("--trials", type=int, default=20, help="trials for empirical checks")
+    ver_p.add_argument(
+        "--seeds", type=positive_int, default=3, help="paired seeds to test"
+    )
+    ver_p.add_argument(
+        "--trials", type=positive_int, default=20, help="trials for empirical checks"
+    )
     ver_p.add_argument("--out", metavar="DIR", default=".", dest="out_dir")
 
     plot_p = sub.add_parser("plotdata", help="flatten a run directory to tidy CSV")
     plot_p.add_argument("run_dir", metavar="DIR")
     plot_p.add_argument("--out", metavar="PATH", help="default: DIR/plotdata.csv")
     return parser
+
+
+def _make_out_dir(path: str) -> bool:
+    """Create the output directory, or say on one line why it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        print(f"cannot create output directory {path}: {err.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -95,6 +117,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return 2
+    if not _make_out_dir(config.out_dir):
+        return 2
 
     result = run_and_write(config)
     done = len(result.records)
@@ -106,11 +130,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = args.check or sorted(VERIFY_CHECKS)
+    if not _make_out_dir(args.out_dir):
+        return 2
     report, all_ok = run_verify(
         names, concave=args.concave, seeds=args.seeds, trials=args.trials
     )
     print(report, end="")
-    os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "verify_report.txt")
     with open(path, "w", newline="\n") as fh:
         fh.write(report)

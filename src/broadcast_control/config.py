@@ -35,7 +35,6 @@ from .objectives import (
     freeze_assignment,
     unit_cube_grid,
 )
-from .state import CollectiveState
 
 TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
 LAWS = ("bc", "pbc", "paired")
@@ -145,9 +144,10 @@ class ExperimentConfig:
     def schedule(self) -> GainSchedule:
         return GainSchedule(self.a0, self.a_p, self.c0, self.c_p, self.t_v)
 
-    def initial_state(self) -> CollectiveState:
+    def initial_state(self) -> np.ndarray:
+        """The flat, agent-major start state of length ``n*N``."""
         if self.x0 is not None:
-            return CollectiveState(self.n, self.N, np.asarray(self.x0))
+            return np.asarray(self.x0, dtype=np.float64)
         idx = np.arange(1, self.N + 1)
         if self.task == COVERAGE:
             # ring of radius 0.2 around the workspace center
@@ -156,10 +156,10 @@ class ExperimentConfig:
             pts[:, 0] += 0.2 * np.cos(ang)
             if self.n >= 2:
                 pts[:, 1] += 0.2 * np.sin(ang)
-            return CollectiveState(self.n, self.N, pts.ravel())
+            return pts.ravel()
         # diagonal line: agent i at 0.9*(i/N) * ones
         pts = (0.9 * idx / self.N)[:, None] * np.ones(self.n)[None, :]
-        return CollectiveState(self.n, self.N, pts.ravel())
+        return pts.ravel()
 
     def objective_spec(self) -> ObjectiveSpec:
         if self.task == COVERAGE:
@@ -182,7 +182,7 @@ class ExperimentConfig:
                 )
             payload = AssignmentPayload(targets=targets, policy=self.reassignment)
             if self.reassignment == ONCE_AT_START:
-                payload = freeze_assignment(payload, self.initial_state().values)
+                payload = freeze_assignment(payload, self.initial_state())
         else:
             # dimension-normalized identity: keeps the standard gain schedule
             # stable at any nN (the per-step contraction depends on a * nN

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import GainSchedule, bc_gains_at, gain_a, gain_c
-from .state import CollectiveState, NonFiniteError, PerturbationBlock, apply_input
+from .state import NonFiniteError, apply_input
 
 
 def _checked_j(J, values: np.ndarray) -> float:
@@ -60,11 +60,11 @@ class BcLocalState:
 
 
 def bc_step(
-    x: CollectiveState,
+    x: np.ndarray,
     local: BcLocalState,
     t: int,
     sched: GainSchedule,
-    sigma_block: PerturbationBlock | None,
+    sigma_block: np.ndarray | None,
     J,
     j_x: float | None = None,
 ):
@@ -77,17 +77,17 @@ def bc_step(
 
         u = -c*phi1 - a * (J(x) - phi2)/c * phi1
 
-    ``j_x`` may carry a precomputed ``J(x.values)`` so a caller tracing the
+    ``j_x`` may carry a precomputed ``J(x)`` so a caller tracing the
     objective costs one evaluation per step.
     """
     if t % 2 != local.parity:
         raise ValueError(f"step {t} does not match controller parity {local.parity}")
     a, c = bc_gains_at(sched, t)
-    nu = _checked_j(J, x.values) if j_x is None else float(j_x)
+    nu = _checked_j(J, x) if j_x is None else float(j_x)
     if t % 2 == 0:
         if sigma_block is None:
             raise ValueError("even steps require a perturbation block")
-        sigma = sigma_block.signs[0]
+        sigma = sigma_block[0]
         u = c * sigma
         local2 = BcLocalState(phi1=sigma, phi2=nu, parity=1)
     else:
@@ -97,8 +97,8 @@ def bc_step(
 
 
 def pbc_broadcast(
-    x: CollectiveState,
-    block: PerturbationBlock,
+    x: np.ndarray,
+    block: np.ndarray,
     c: float,
     J,
     j_x: float | None = None,
@@ -111,16 +111,15 @@ def pbc_broadcast(
     """
     if not c > 0:
         raise ValueError(f"probe radius must be positive, got {c}")
-    base = _checked_j(J, x.values) if j_x is None else float(j_x)
-    nu = np.empty(block.K)
-    for k in range(block.K):
-        u_hat = c * block.signs[k]
-        nu[k] = _checked_j(J, x.values + u_hat) - base
+    base = _checked_j(J, x) if j_x is None else float(j_x)
+    nu = np.empty(block.shape[0])
+    for k, sigma in enumerate(block):
+        nu[k] = _checked_j(J, x + c * sigma) - base
     return nu
 
 
 def pbc_local_input(
-    nu: np.ndarray, block: PerturbationBlock, a: float, c: float
+    nu: np.ndarray, block: np.ndarray, a: float, c: float
 ) -> np.ndarray:
     """Combine the broadcast with the agent's own signs:
 
@@ -128,19 +127,20 @@ def pbc_local_input(
     """
     if not (a > 0 and c > 0):
         raise ValueError(f"gains must be positive, got a={a}, c={c}")
-    if nu.shape != (block.K,):
-        raise ValueError(f"broadcast shape {nu.shape} does not match block K={block.K}")
-    acc = _estimate_term(a, nu[0], c, block.signs[0])
-    for k in range(1, block.K):
-        acc += _estimate_term(a, nu[k], c, block.signs[k])
-    return acc / block.K
+    K = block.shape[0]
+    if nu.shape != (K,):
+        raise ValueError(f"broadcast shape {nu.shape} does not match block K={K}")
+    acc = _estimate_term(a, nu[0], c, block[0])
+    for k in range(1, K):
+        acc += _estimate_term(a, nu[k], c, block[k])
+    return acc / K
 
 
 def pbc_step(
-    x: CollectiveState,
+    x: np.ndarray,
     t: int,
     sched: GainSchedule,
-    block: PerturbationBlock,
+    block: np.ndarray,
     J,
     j_x: float | None = None,
 ):

@@ -112,12 +112,12 @@ def _simulate(
 ) -> TrialRecord:
     sched = config.schedule()
     x = config.initial_state()
-    nN = x.nN
+    nN = x.shape[0]
 
     states = np.empty((steps + 1, nN))
     inputs = np.empty((steps, nN))
     j_trace = np.empty(steps + 1)
-    states[0] = x.values
+    states[0] = x
 
     local = BcLocalState.initial(nN)
     t = 0
@@ -128,7 +128,7 @@ def _simulate(
         with np.errstate(over="ignore", invalid="ignore"):
             J = make_objective_fn(config.objective_spec())
             for t in range(steps):
-                jx = _checked_j(J, x.values)
+                jx = _checked_j(J, x)
                 j_trace[t] = jx
                 if law == LAW_BC:
                     block = None
@@ -143,8 +143,8 @@ def _simulate(
                     )
                     x, u = pbc_step(x, t, sched, block, J, j_x=jx)
                 inputs[t] = u
-                states[t + 1] = x.values
-            j_trace[steps] = _checked_j(J, x.values)
+                states[t + 1] = x
+            j_trace[steps] = _checked_j(J, x)
     except NonFiniteError as err:
         raise DivergenceError(trial_index, t, str(err)) from err
 

@@ -1,20 +1,19 @@
 """Collective-state layout and the keyed randomness contract.
 
-Every control law in this package consumes Bernoulli +-1 perturbation signs.
-Signs are produced by a counter-based keyed construction rather than a
-sequential generator: each sign is a pure function of a ``StreamKey``
-(master seed, trial, time step, agent, dimension, sample index).  This makes
-two runs share randomness whenever they share keys, independent of process,
-evaluation order, or worker count.  The generator identity string below is
-echoed into every run manifest.
+The collective state is a flat, agent-major ``float64`` array of length
+``n*N``: agent ``i`` occupies slots ``[i*n, (i+1)*n)``.  A perturbation
+block is a ``(K, n*N)`` array of +-1 signs in the same layout.
 
-The state vector is stored flat and agent-major: agent ``i`` occupies slots
-``[i*n, (i+1)*n)`` of a length ``n*N`` array.
+Every control law in this package consumes these Bernoulli +-1 signs.  They
+are produced by a counter-based keyed construction rather than a sequential
+generator: entry ``(k, agent, dim)`` of the block for ``(master_seed, trial,
+t)`` is a pure function of those six integers.  This makes two runs share
+randomness whenever they share keys, independent of process, evaluation
+order, or worker count.  The generator identity string below is echoed into
+every run manifest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,97 +58,19 @@ def _signs_from_hash(h: np.ndarray) -> np.ndarray:
     return np.where((h >> _S63).astype(bool), 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Address of a single sign draw.
-
-    ``k`` is the perturbation sample index; slice ``k=0`` doubles as the
-    physical perturbation of the two-stage law, which is what lets paired
-    runs share sample paths by key equality alone.
-    """
-
-    master_seed: int
-    trial: int
-    t: int
-    agent: int
-    dim: int
-    k: int = 0
-
-
-def draw_sign(key: StreamKey) -> float:
-    """Return the +-1 sign addressed by ``key``.
-
-    Deterministic: the same key always yields the same sign, in any process
-    and at any worker count.  Across keys the signs are i.i.d. fair coin
-    flips for all practical purposes (see the statistical tests).
-    """
-    h = _hash_key(key.master_seed, key.trial, key.t, key.agent, key.dim, key.k)
-    return float(_signs_from_hash(h))
-
-
-@dataclass
-class CollectiveState:
-    """Stacked agent state: ``N`` agents with ``n`` coordinates each.
-
-    ``values`` is flat and agent-major; all entries must be finite.
-    """
-
-    n: int
-    N: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.N < 1:
-            raise ValueError(f"n and N must be positive, got n={self.n}, N={self.N}")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.n * self.N,):
-            raise ValueError(
-                f"state length {vals.shape} does not match n*N = {self.n * self.N}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("collective state contains non-finite entries")
-        self.values = vals
-
-    @property
-    def nN(self) -> int:
-        return self.n * self.N
-
-    def agent(self, i: int) -> np.ndarray:
-        """View of agent ``i``'s coordinate slice."""
-        return self.values[i * self.n : (i + 1) * self.n]
-
-    def copy(self) -> "CollectiveState":
-        return CollectiveState(self.n, self.N, self.values.copy())
-
-
-@dataclass
-class PerturbationBlock:
-    """``K`` stacked sign vectors, each of length ``n*N`` with +-1 entries.
-
-    Because every entry is +-1, each sign vector is its own element-wise
-    inverse, which the control laws rely on.
-    """
-
-    K: int
-    signs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        signs = np.asarray(self.signs, dtype=np.float64)
-        if signs.ndim != 2 or signs.shape[0] != self.K:
-            raise ValueError(f"signs must have shape (K, nN), got {signs.shape}")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError("perturbation entries must be exactly -1 or +1")
-        self.signs = signs
-
-
 def draw_block(
     master_seed: int, trial: int, t: int, n: int, N: int, K: int
-) -> PerturbationBlock:
-    """Draw the perturbation block for one logical step of one trial.
+) -> np.ndarray:
+    """Draw the ``(K, n*N)`` perturbation block for one logical step of one
+    trial.
 
-    Entry ``(k, i, j)`` is ``draw_sign(StreamKey(master_seed, trial, t,
-    agent=i, dim=j, k=k))``, so the ``k=0`` slice of any block equals the
-    ``k=0`` slice of a ``K=1`` block for the same ``(seed, trial, t)``.
+    Entry ``[k, i*n + j]`` is the sign keyed by ``(master_seed, trial, t,
+    agent=i, dim=j, k)``, so the ``k=0`` row of any block equals the ``k=0``
+    row of a ``K=1`` block for the same ``(seed, trial, t)``; slice ``k=0``
+    doubles as the physical perturbation of the two-stage law, which is what
+    lets paired runs share sample paths by key equality alone.  Every entry
+    is exactly +-1, so each row is its own element-wise inverse, which the
+    control laws rely on.
     """
     if n < 1 or N < 1 or K < 1:
         raise ValueError(f"n, N, K must be positive, got {(n, N, K)}")
@@ -160,15 +81,18 @@ def draw_block(
         indexing="ij",
     )
     h = _hash_key(master_seed, trial, t, agents, dims, ks)
-    return PerturbationBlock(K=K, signs=_signs_from_hash(h).reshape(K, n * N))
+    return _signs_from_hash(h).reshape(K, n * N)
 
 
-def apply_input(x: CollectiveState, u: np.ndarray) -> CollectiveState:
+def apply_input(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Advance the integrator dynamics by one step: every agent adds its input.
 
-    A non-finite input makes ``x + u`` non-finite, which the new state rejects.
+    Returns the new state ``x + u``; raises ``NonFiniteError`` when it is not
+    finite, which ends the trial at this step.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (x.nN,):
-        raise ValueError(f"input shape {u.shape} does not match state length {x.nN}")
-    return CollectiveState(x.n, x.N, x.values + u)
+    if u.shape != x.shape:
+        raise ValueError(f"input shape {u.shape} does not match state shape {x.shape}")
+    out = x + u
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("collective state contains non-finite entries")
+    return out

@@ -158,15 +158,14 @@ def check_k_step(concave: bool = False, **_) -> list:
     if concave:
         J = lambda v: 10.0 - float(v[0]) ** 2
         rep = check_k_monotonicity(x, 0.1, 0.5, (1, 2, 3), J, direction="concave")
-        note = "concave instance; reversed ordering expected"
-        measured = ", ".join(f"{v:.6f}" for v in rep.cost_values)
+        strict = rep.cost_values[0] < rep.cost_values[1] < rep.cost_values[2]
         return [
             CheckResult(
                 name="k-step-ordering",
-                bound="E[J(next)] non-decreasing in K",
-                measured=measured,
-                passed=bool(rep.verdict),
-                note=note,
+                bound="E[J(next)] strictly increasing in K",
+                measured=", ".join(f"{v:.6f}" for v in rep.cost_values),
+                passed=bool(rep.verdict) and strict,
+                note="concave instance; reversed ordering expected",
             )
         ]
     J = lambda v: float(v[0]) ** 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from broadcast_control import CollectiveState, GainSchedule
+from broadcast_control import GainSchedule
 
 
 def unit_sched(a: float, c: float) -> GainSchedule:
@@ -13,8 +13,8 @@ def unit_sched(a: float, c: float) -> GainSchedule:
     return GainSchedule(a0=a, a_p=1.0, c0=c, c_p=0.2, t_v=1.0)
 
 
-def scalar_state(*values: float) -> CollectiveState:
-    return CollectiveState(n=1, N=len(values), values=np.asarray(values, dtype=float))
+def scalar_state(*values: float) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 @pytest.fixture

@@ -13,21 +13,15 @@ import pytest
 from broadcast_control import (
     ExperimentConfig,
     check_distance_dominance,
-    check_k_monotonicity,
     check_twice_speed,
     descent_fraction,
-    enumerate_estimator_variance,
-    enumerate_expected_gradient,
-    expected_distance_power,
-    expected_next_cost,
     hungarian,
-    quadratic_objective,
     run_monte_carlo,
     run_paired,
     smooth_min,
 )
 from broadcast_control.cli import main
-from broadcast_control.oracle import random_spd_matrix
+from broadcast_control.verify import check_estimator, check_k_step, check_variance
 
 PAIRED_SEEDS = 100
 TREND_TRIALS = 100
@@ -114,69 +108,24 @@ def test_criterion_2_distance_dominance(paired_runs):
     assert strict_at_T >= 95
 
 
+def _verify_rows(num: int, rows) -> None:
+    """Report and assert the rows of one ``broadcast-control verify`` check."""
+    ok = all(r.passed for r in rows)
+    _report(num, ok, "; ".join(f"{r.name} {r.measured} ({r.note})" for r in rows))
+    for r in rows:
+        assert r.passed, (r.name, r.bound, r.measured)
+
+
 def test_criterion_3_estimator_exactness():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        K = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 12 // K + 1))
-        H = random_spd_matrix(rng, d)
-        x = rng.uniform(-1.0, 1.0, size=d)
-        c = 10.0 ** rng.uniform(-3, 0)
-        J = lambda v, H=H: quadratic_objective(H, v)
-        est = enumerate_expected_gradient(x, c, K, J)
-        worst = max(worst, float(np.abs(est - 2.0 * H @ x).max()))
-    ok = worst <= 1e-12
-    _report(3, ok, f"max |E[g] - 2Hx| = {worst:.3e} over 100 quadratic instances")
-    assert worst <= 1e-12
+    _verify_rows(3, check_estimator())
 
 
 def test_criterion_4_variance_scaling():
-    rng = np.random.default_rng(77)
-    worst = 0.0
-    for _ in range(5):
-        H = random_spd_matrix(rng, 2)
-        x = rng.uniform(-1.0, 1.0, size=2)
-        c = 10.0 ** rng.uniform(-2, 0)
-        J = lambda v, H=H: quadratic_objective(H, v)
-        var1 = enumerate_estimator_variance(x, c, 1, J)
-        for K in (1, 2, 3, 4):
-            varK = enumerate_estimator_variance(x, c, K, J)
-            worst = max(worst, float(np.abs(varK - var1 / K).max()))
-    ok = worst <= 1e-12
-    _report(4, ok, f"max |Var_K - Var_1/K| = {worst:.3e}, K in {{1,2,3,4}}")
-    assert worst <= 1e-12
+    _verify_rows(4, check_variance())
 
 
 def test_criterion_5_k_monotonicity_enumeration():
-    J = lambda v: float(v[0] ** 2)
-    x = np.array([1.0])
-    rep = check_k_monotonicity(x, 0.1, 0.5, (1, 2, 3), J, direction="convex")
-    e1 = abs(rep.cost_values[0] - 0.6425)
-    e2 = abs(rep.cost_values[1] - 0.64125)
-    strict = rep.cost_values[2] < rep.cost_values[1] < rep.cost_values[0]
-
-    concave = lambda v: 10.0 - float(v[0] ** 2)
-    rev = [expected_next_cost(x, 0.1, 0.5, K, concave) for K in (1, 2, 3)]
-    reversed_strict = rev[0] < rev[1] < rev[2]
-
-    dist = [expected_distance_power(x, 0.1, 0.5, K, 2.0, J) for K in (1, 2, 3)]
-    dist_strict = dist[0] > dist[1] > dist[2]
-
-    ok = (
-        e1 <= 1e-12 and e2 <= 1e-12 and strict and bool(rep.verdict)
-        and reversed_strict and dist_strict
-    )
-    _report(
-        5, ok,
-        f"E-values ({rep.cost_values[0]:.6f}, {rep.cost_values[1]:.6f}, "
-        f"{rep.cost_values[2]:.6f}); concave reversal {reversed_strict}; "
-        f"kappa=2 strict {dist_strict}",
-    )
-    assert e1 <= 1e-12 and e2 <= 1e-12
-    assert strict and bool(rep.verdict)
-    assert reversed_strict
-    assert dist_strict
+    _verify_rows(5, check_k_step() + check_k_step(concave=True))
 
 
 def test_criterion_6_figure_trends(rendezvous_mc, coverage_mc):

@@ -1,3 +1,5 @@
+import pytest
+
 from broadcast_control.cli import main
 
 BASE = "N = 3\nformation_count = 3\nsteps = 5\ntrials = 2\n"
@@ -105,6 +107,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         for fragment in fragments:
             assert fragment in err
+
+
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "sub")
+    cfg = _write_config(tmp_path)
+    for argv in (
+        ["run", "--config", cfg, "--out", bad],
+        ["verify", "--check", "k-step", "--out", bad],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot create output directory {bad}: ")
+        assert err.count("\n") == 1
 
 
 def test_retention_policy(tmp_path):
@@ -232,3 +249,16 @@ def test_verify_concave_reversal(tmp_path, capsys):
     code = main(["verify", "--check", "k-step", "--concave", "--out", str(out)])
     assert code == 0
     assert "reversed ordering expected" in capsys.readouterr().out
+
+
+def test_verify_rejects_counts_below_one(tmp_path, capsys):
+    # zero paired seeds would report a vacuous PASS; zero trials a traceback
+    for flag in ("--seeds", "--trials"):
+        for value in ("0", "-2"):
+            argv = ["verify", "--check", "k-step", "--check", "distance",
+                    flag, value, "--out", str(tmp_path / "v")]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()

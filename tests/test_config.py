@@ -48,12 +48,14 @@ def test_unknown_and_duplicate_keys_rejected():
 
 
 def test_all_violations_reported_at_once():
-    text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\n"
+    text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\nn = 0\nN = 0\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     joined = "\n".join(err.value.violations)
     assert "task" in joined
     assert "K" in joined
+    assert "n must be >= 1, got 0" in joined
+    assert "N must be >= 1, got 0" in joined
     assert "l1" in joined
     assert "2*a_p" in joined
 
@@ -161,15 +163,17 @@ def test_initial_state_defaults():
     # rendezvous line: agent i at 0.9 * i / N * (1, 1), one-based
     config = ExperimentConfig(N=3, formation_count=3)
     x = config.initial_state()
-    assert x.values[:2] == pytest.approx([0.3, 0.3])
-    assert x.values[-2:] == pytest.approx([0.9, 0.9])
+    assert x[:2] == pytest.approx([0.3, 0.3])
+    assert x[-2:] == pytest.approx([0.9, 0.9])
     # coverage ring of radius 0.2 around the center
     config = dataclasses.replace(config, task="coverage")
-    pts = config.initial_state().values.reshape(3, 2)
+    pts = config.initial_state().reshape(3, 2)
     assert np.allclose(np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5), 0.2)
     # explicit override wins
     config = dataclasses.replace(config, x0=tuple(range(6)))
-    assert config.initial_state().values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    x = config.initial_state()
+    assert x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert x.dtype == np.float64
 
 
 def test_objective_spec_building():

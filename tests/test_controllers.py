@@ -3,9 +3,7 @@ import pytest
 
 from broadcast_control import (
     BcLocalState,
-    CollectiveState,
     NonFiniteError,
-    PerturbationBlock,
     bc_step,
     draw_block,
     pbc_broadcast,
@@ -27,12 +25,8 @@ from conftest import scalar_state, unit_sched
 SQUARE = lambda v: float(v[0] ** 2)
 
 
-def _block(*signs: float) -> PerturbationBlock:
-    return PerturbationBlock(K=len(signs), signs=np.array([[s] for s in signs]))
-
-
-def _wide_block(rows) -> PerturbationBlock:
-    return PerturbationBlock(K=len(rows), signs=np.asarray(rows, dtype=float))
+def _block(*signs: float) -> np.ndarray:
+    return np.array([[s] for s in signs])
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +42,14 @@ def test_bc_step_hand_trace():
     local = BcLocalState.initial(1)
     x1, local1, u0 = bc_step(x, local, 0, sched, _block(1.0), SQUARE)
     assert u0[0] == 0.5
-    assert x1.values[0] == 1.5
+    assert x1[0] == 1.5
     assert local1.phi1[0] == 1.0
     assert local1.phi2 == 1.0
     assert local1.parity == 1
 
     x2, local2, u1 = bc_step(x1, local1, 1, sched, None, SQUARE)
     assert u1[0] == pytest.approx(-0.75, abs=1e-15)
-    assert x2.values[0] == pytest.approx(0.75, abs=1e-15)
+    assert x2[0] == pytest.approx(0.75, abs=1e-15)
     assert local2.parity == 0
 
 
@@ -83,7 +77,7 @@ def test_bc_perturbation_cancellation():
         x = scalar_state(x0)
         x1, local1, _ = bc_step(x, BcLocalState.initial(1), 0, sched, _block(1.0), const)
         x2, _, _ = bc_step(x1, local1, 1, sched, None, const)
-        assert abs(x2.values[0] - x0) <= 2.0**-46 * max(1.0, abs(x0))
+        assert abs(x2[0] - x0) <= 2.0**-46 * max(1.0, abs(x0))
 
 
 def test_bc_zero_gradient_point_enumeration():
@@ -95,8 +89,8 @@ def test_bc_zero_gradient_point_enumeration():
         x = scalar_state(0.0)
         x1, local1, _ = bc_step(x, BcLocalState.initial(1), 0, sched, _block(sigma), SQUARE)
         x2, _, _ = bc_step(x1, local1, 1, sched, None, SQUARE)
-        endpoints.append(x2.values[0])
-        assert abs(x2.values[0]) <= c * (1 + a * c)
+        endpoints.append(x2[0])
+        assert abs(x2[0]) <= c * (1 + a * c)
     assert sum(endpoints) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -124,9 +118,9 @@ def test_pbc_broadcast_constant_objective():
 def test_pbc_broadcast_opposite_probes_cancel_linear_part():
     # J = x.x: nu_+ + nu_- = 2 c^2 nN exactly in exact arithmetic
     dot = lambda v: float(np.dot(v, v))
-    x = CollectiveState(n=2, N=3, values=np.arange(6.0) / 7)
-    sigma = draw_block(0, 0, 0, 2, 3, 1).signs[0]
-    block = _wide_block([sigma, -sigma])
+    x = np.arange(6.0) / 7
+    sigma = draw_block(0, 0, 0, 2, 3, 1)[0]
+    block = np.array([sigma, -sigma])
     c = 0.25
     nu = pbc_broadcast(x, block, c, dot)
     assert nu.sum() == pytest.approx(2 * c * c * 6, rel=1e-10)
@@ -177,17 +171,17 @@ def test_pbc_local_input_validates():
 def test_pbc_step_worked_examples():
     sched = unit_sched(0.1, 0.5)
     x1, u = pbc_step(scalar_state(1.0), 0, sched, _block(1.0), SQUARE)
-    assert x1.values[0] == pytest.approx(0.75, abs=1e-15)
+    assert x1[0] == pytest.approx(0.75, abs=1e-15)
     assert u[0] == pytest.approx(-0.25, abs=1e-15)
 
     # sigma = -1: nu = J(0.5) - J(1) = -0.75, g = 1.5, x' = 0.85
     x2, _ = pbc_step(scalar_state(1.0), 0, sched, _block(-1.0), SQUARE)
-    assert x2.values[0] == pytest.approx(0.85, abs=1e-15)
+    assert x2[0] == pytest.approx(0.85, abs=1e-15)
 
 
 def test_pbc_step_constant_objective_rests():
     x1, u = pbc_step(scalar_state(3.0), 0, unit_sched(0.1, 0.5), _block(1.0), lambda v: 2.0)
-    assert x1.values[0] == 3.0
+    assert x1[0] == 3.0
     assert u[0] == 0.0
 
 
@@ -201,8 +195,8 @@ def test_pbc_virtual_states_never_returned():
     J = lambda v: (seen.append(float(v[0])), float(v[0] ** 2))[1]
     x1, u = pbc_step(x, 0, unit_sched(0.1, c), block, J)
     assert seen == [1.0, 1.5]  # base state and the single virtual probe
-    assert x1.values[0] not in seen[1:]
-    assert x1.values[0] == x.values[0] + u[0]
+    assert x1[0] not in seen[1:]
+    assert x1[0] == x[0] + u[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +229,7 @@ def test_one_step_equivalence(name, rng):
     spec = _equivalence_objectives()[name]
     J = make_objective_fn(spec)
     for trial in range(10**4):
-        x = CollectiveState(n=2, N=3, values=rng.uniform(0, 1, size=6))
+        x = rng.uniform(0, 1, size=6)
         a = float(rng.uniform(0.01, 0.5))
         c = float(rng.uniform(0.001, 0.5))
         sched = unit_sched(a, c)
@@ -244,8 +238,8 @@ def test_one_step_equivalence(name, rng):
         xb1, mem, _ = bc_step(x, BcLocalState.initial(6), 0, sched, block, J)
         xb2, _, _ = bc_step(xb1, mem, 1, sched, None, J)
         xp, _ = pbc_step(x, 0, sched, block, J)
-        scale = 1.0 + np.abs(x.values).max()
-        assert np.abs(xp.values - xb2.values).max() <= 1e-12 * scale
+        scale = 1.0 + np.abs(x).max()
+        assert np.abs(xp - xb2).max() <= 1e-12 * scale
 
 
 def test_quadratic_enumeration_equivalence():
@@ -256,9 +250,9 @@ def test_quadratic_enumeration_equivalence():
     sched = unit_sched(0.1, 0.5)
     for s0 in (1.0, -1.0):
         for s1 in (1.0, -1.0):
-            x = CollectiveState(n=1, N=2, values=np.array([1.0, -0.5]))
-            block = _wide_block([[s0, s1]])
+            x = np.array([1.0, -0.5])
+            block = np.array([[s0, s1]])
             xb1, mem, _ = bc_step(x, BcLocalState.initial(2), 0, sched, block, J)
             xb2, _, _ = bc_step(xb1, mem, 1, sched, None, J)
             xp, _ = pbc_step(x, 0, sched, block, J)
-            assert np.abs(xp.values - xb2.values).max() <= 1e-14
+            assert np.abs(xp - xb2).max() <= 1e-14

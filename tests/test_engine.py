@@ -112,7 +112,7 @@ def test_run_paired_shares_initial_state_and_signs():
     # even-step probe inputs equal c * (shared k=0 slice)
     sched = config.schedule()
     for tau in range(10):
-        sigma = draw_block(config.master_seed, 0, tau, config.n, config.N, 1).signs[0]
+        sigma = draw_block(config.master_seed, 0, tau, config.n, config.N, 1)[0]
         np.testing.assert_array_equal(
             rec_bc.inputs[2 * tau], gain_c(sched, tau) * sigma
         )

@@ -290,10 +290,7 @@ def test_worked_single_step_distance_margin():
     sched = unit_sched(0.1, 0.5)
     for sigma, expected in ((1.0, 1.0), (-1.0, 0.7)):
         x = scalar_state(1.0)
-        block_signs = np.array([[sigma]])
-        from broadcast_control import PerturbationBlock
-
-        block = PerturbationBlock(K=1, signs=block_signs)
+        block = np.array([[sigma]])
         x1, mem, u0 = bc_step(x, BcLocalState.initial(1), 0, sched, block, SQUARE)
         x2, _, u1 = bc_step(x1, mem, 1, sched, None, SQUARE)
         d_bc = abs(u0[0]) + abs(u1[0])
@@ -327,14 +324,11 @@ def test_engine_sampling_matches_enumerated_expectation():
     a, c = 0.1, 0.3
     expected = expected_next_cost(x0, a, c, 1, J)
     sched = unit_sched(a, c)
-    from broadcast_control import CollectiveState
-
     samples = np.empty(10**5)
-    state = CollectiveState(n=1, N=2, values=x0)
     for i in range(samples.shape[0]):
         block = draw_block(master_seed=42, trial=i, t=0, n=1, N=2, K=1)
-        nxt, _ = pbc_step(state, 0, sched, block, J)
-        samples[i] = J(nxt.values)
+        nxt, _ = pbc_step(x0, 0, sched, block, J)
+        samples[i] = J(nxt)
     se = samples.std(ddof=1) / math.sqrt(samples.shape[0])
     assert abs(samples.mean() - expected) <= 4 * se
 
