@@ -173,8 +173,12 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             t, agent = row[0], row[1]
             for col, value in zip(header[2:], row[2:]):
                 lines.append(f"{t},agent{agent}_{col},{stem},{value}")
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(out_path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as err:
+        print(f"cannot write {out_path}: {err.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
     return 0
 

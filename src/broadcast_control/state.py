@@ -11,9 +11,18 @@ t)`` is a pure function of those six integers.  This makes two runs share
 randomness whenever they share keys, independent of process, evaluation
 order, or worker count.  The generator identity string below is echoed into
 every run manifest.
+
+Signs are computed a chunk of consecutive steps at a time: one hash call
+fills the blocks of ``max(1, 4096 // (K*n*N))`` steps of one ``(master_seed,
+trial, n, N, K)``, and an LRU cache of the last 4 chunks answers the
+following steps.  Each entry is still the same function of its key, so
+chunking changes no output byte.  The cache holds at most ``4 * max(4096,
+K*n*N)`` float64 signs per process: 128 KB unless one block alone is larger.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,6 +35,9 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S63 = np.uint64(63)
+
+_CHUNK_SIGNS = 4096  # signs per hash call, 32 KB of float64
+_CHUNK_CACHE = 4  # chunks kept per process
 
 
 class NonFiniteError(ValueError):
@@ -71,17 +83,37 @@ def draw_block(
     lets paired runs share sample paths by key equality alone.  Every entry
     is exactly +-1, so each row is its own element-wise inverse, which the
     control laws rely on.
+
+    The block is a fresh copy of one row of a cached chunk of
+    ``max(1, _CHUNK_SIGNS // (K*n*N))`` consecutive steps, so a trial pays
+    one hash call per chunk rather than one per step.
     """
     if n < 1 or N < 1 or K < 1:
         raise ValueError(f"n, N, K must be positive, got {(n, N, K)}")
-    ks, agents, dims = np.meshgrid(
-        np.arange(K, dtype=np.uint64),
-        np.arange(N, dtype=np.uint64),
+    steps = max(1, _CHUNK_SIGNS // (K * n * N))
+    chunk = _sign_chunk(master_seed, trial, t // steps, steps, n, N, K)
+    return chunk[t % steps].copy()
+
+
+@functools.lru_cache(maxsize=_CHUNK_CACHE)
+def _sign_chunk(
+    master_seed: int, trial: int, c: int, steps: int, n: int, N: int, K: int
+) -> np.ndarray:
+    """The ``(steps, K, n*N)`` blocks of steps ``[c*steps,
+    (c+1)*steps)``, from one hash call.  The cache hands the same array to
+    every caller, so ``draw_block`` returns copies."""
+    # converting the Python int, not an int64 array, keeps a negative step
+    # an OverflowError instead of a wrapped key
+    t = np.asarray(c * steps, dtype=np.uint64) + np.arange(steps, dtype=np.uint64)
+    h = _hash_key(
+        master_seed,
+        trial,
+        t.reshape(steps, 1, 1, 1),
+        np.arange(N, dtype=np.uint64).reshape(N, 1),
         np.arange(n, dtype=np.uint64),
-        indexing="ij",
+        np.arange(K, dtype=np.uint64).reshape(K, 1, 1),
     )
-    h = _hash_key(master_seed, trial, t, agents, dims, ks)
-    return _signs_from_hash(h).reshape(K, n * N)
+    return _signs_from_hash(h).reshape(steps, K, n * N)
 
 
 def apply_input(x: np.ndarray, u: np.ndarray) -> np.ndarray:

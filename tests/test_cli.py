@@ -215,6 +215,22 @@ def test_plotdata_missing_manifest(tmp_path):
     assert not (bare / "plotdata.csv").exists()
 
 
+def test_plotdata_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    # a path under a regular file, and a path that is a directory
+    for bad in (str(blocker / "x.csv"), str(out)):
+        assert main(["plotdata", str(out), "--out", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {bad}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_smooth_min_flag_changes_dynamics(tmp_path):
     text = "task = coverage\nN = 3\nsteps = 5\ntrials = 1\n"
     cfg = _write_config(tmp_path, text)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import broadcast_control.engine as engine_mod
+import broadcast_control.state as state_mod
 from broadcast_control import (
     ExperimentConfig,
     draw_block,
@@ -153,6 +154,25 @@ def test_forced_identical_randomness_gives_sd_zero(monkeypatch):
     res = run_monte_carlo(small_config(trials=2))
     assert np.allclose(res.stats.j_sd, 0.0, atol=0.0)
     assert np.allclose(res.stats.d_sd, 0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("K", [1, 10])
+def test_trial_hashes_signs_once_per_chunk(monkeypatch, K):
+    # a trial's signs come from one hash call per chunk of
+    # max(1, 4096 // (K*n*N)) steps, not one call per step
+    calls = []
+    hash_key = state_mod._hash_key
+
+    def counting(*fields):
+        calls.append(fields)
+        return hash_key(*fields)
+
+    monkeypatch.setattr(state_mod, "_hash_key", counting)
+    state_mod._sign_chunk.cache_clear()
+    config = ExperimentConfig(task="rendezvous", law="pbc", K=K, steps=60).validate()
+    run_trial(config, 0)
+    chunk = max(1, 4096 // (K * config.n * config.N))
+    assert 1 <= len(calls) <= math.ceil(60 / chunk)
 
 
 def test_sd_uses_unbiased_denominator():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadcast_control import NonFiniteError, apply_input, draw_block
+from broadcast_control import state
 from broadcast_control.state import _hash_key, _signs_from_hash
 
 
@@ -13,6 +14,18 @@ def draw_sign(master_seed, trial, t, agent, dim, k):
     """The single sign keyed by ``(master_seed, trial, t, agent, dim, k)``:
     the scalar layout oracle for ``draw_block``."""
     return float(_signs_from_hash(_hash_key(master_seed, trial, t, agent, dim, k)))
+
+
+def oracle_block(master_seed, trial, t, n, N, K):
+    """``draw_sign`` at every ``(k, agent, dim)``, laid out as ``[k, agent*n +
+    dim]``: one step's block with no chunking."""
+    k, agent, dim = (a.astype(np.uint64) for a in np.indices((K, N, n)))
+    h = _hash_key(master_seed, trial, t, agent, dim, k)
+    return _signs_from_hash(h).reshape(K, n * N)
+
+
+def chunk_steps(n, N, K):
+    return max(1, state._CHUNK_SIGNS // (K * n * N))
 
 
 def test_hash_pinned_values():
@@ -96,6 +109,102 @@ def test_draw_block_matches_draw_sign_layout():
         for i in range(3):
             for j in range(2):
                 assert block[k, i * 2 + j] == draw_sign(42, 1, 3, agent=i, dim=j, k=k)
+
+
+def test_draw_block_across_chunk_boundaries():
+    for n, N, K in ((2, 15, 1), (2, 15, 10), (3, 7, 4)):
+        S = chunk_steps(n, N, K)
+        assert S > 1
+        for t in (0, S - 1, S, S + 1, 2 * S - 1, 2 * S, 5 * S + 3):
+            block = draw_block(master_seed=11, trial=2, t=t, n=n, N=N, K=K)
+            assert np.array_equal(block, oracle_block(11, 2, t, n, N, K))
+
+
+def test_draw_block_layout_above_chunk_budget():
+    # one block holds more signs than a chunk: one step per chunk
+    n, N, K = 3, 700, 2
+    assert chunk_steps(n, N, K) == 1
+    for t in (0, 1, 2, 40):
+        block = draw_block(master_seed=5, trial=1, t=t, n=n, N=N, K=K)
+        assert block.shape == (K, n * N)
+        assert np.array_equal(block, oracle_block(5, 1, t, n, N, K))
+
+
+def test_k0_row_matches_k1_block_across_chunk_boundary():
+    # K=1 and K=3 chunk at different step counts, yet share row k=0
+    n, N = 2, 15
+    S1, S3 = chunk_steps(n, N, 1), chunk_steps(n, N, 3)
+    assert S1 != S3
+    for t in sorted({S3 - 1, S3, S3 + 1, S1 - 1, S1, S1 + 1}):
+        single = draw_block(master_seed=8, trial=4, t=t, n=n, N=N, K=1)
+        triple = draw_block(master_seed=8, trial=4, t=t, n=n, N=N, K=3)
+        assert np.array_equal(single[0], triple[0])
+
+
+def test_draw_block_random_key_order_matches_fresh_draws():
+    # more keys than the cache holds, revisited in random order, so chunks
+    # are evicted and recomputed between draws
+    rng = np.random.default_rng(3)
+    keys = [
+        (int(seed), int(trial), int(t), n, N, K)
+        for seed in (0, 9, 2**64 - 1)
+        for trial in (0, 1, 7)
+        for n, N, K in ((1, 1, 1), (2, 3, 2), (2, 15, 10))
+        for t in rng.integers(0, 3 * chunk_steps(n, N, K), size=2)
+    ]
+    assert len(keys) > 4 * state._CHUNK_CACHE
+    for i in rng.permutation(2 * len(keys)) % len(keys):
+        assert np.array_equal(draw_block(*keys[i]), oracle_block(*keys[i]))
+
+
+def test_returned_block_does_not_alias_the_cache():
+    first = draw_block(master_seed=21, trial=0, t=3, n=2, N=5, K=2)
+    expected = first.copy()
+    first *= -1.0
+    first[0, 0] = np.nan
+    again = draw_block(master_seed=21, trial=0, t=3, n=2, N=5, K=2)
+    assert np.array_equal(again, expected)
+    assert again.flags.writeable
+    # the neighbouring step of the same chunk is untouched as well
+    assert np.array_equal(
+        draw_block(master_seed=21, trial=0, t=4, n=2, N=5, K=2),
+        oracle_block(21, 0, 4, 2, 5, 2),
+    )
+
+
+def test_draw_block_rejects_negative_trial_or_step():
+    for trial, t in ((-1, 0), (0, -1), (-3, 5)):
+        with pytest.raises(OverflowError):
+            draw_block(master_seed=0, trial=trial, t=t, n=2, N=3, K=1)
+
+
+def test_chunk_cache_is_bounded(monkeypatch):
+    assert state._CHUNK_SIGNS == 4096
+    assert state._CHUNK_CACHE <= 8
+    assert state._sign_chunk.cache_info().maxsize == state._CHUNK_CACHE
+    state._sign_chunk.cache_clear()
+    for trial in range(3 * state._CHUNK_CACHE):
+        draw_block(master_seed=1, trial=trial, t=0, n=2, N=15, K=1)
+    assert state._sign_chunk.cache_info().currsize == state._CHUNK_CACHE
+    # one hash call fills max(1, budget // (K*n*N)) steps: at most
+    # max(budget, one block) signs
+    sizes = []
+    hash_key = state._hash_key
+
+    def recording(*fields):
+        h = hash_key(*fields)
+        sizes.append(h.size)
+        return h
+
+    monkeypatch.setattr(state, "_hash_key", recording)
+    layouts = ((2, 15, 1), (2, 15, 10), (1, 1, 1), (3, 700, 2))
+    for n, N, K in layouts:
+        draw_block(master_seed=2, trial=0, t=0, n=n, N=N, K=K)
+    assert sizes == [chunk_steps(n, N, K) * K * n * N for n, N, K in layouts]
+    assert all(
+        size <= max(state._CHUNK_SIGNS, K * n * N)
+        for size, (n, N, K) in zip(sizes, layouts)
+    )
 
 
 def test_block_self_inverse():
