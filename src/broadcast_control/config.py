@@ -108,15 +108,19 @@ class ExperimentConfig:
             out.append(f"paired law requires K = 1, got K = {self.K}")
         if not 0 < self.grid_spacing < 1:
             out.append(f"grid_spacing must lie in (0, 1), got {self.grid_spacing}")
-        if not self.formation_radius > 0:
-            out.append(f"formation_radius must be positive, got {self.formation_radius}")
+        if not 0 < self.formation_radius < math.inf:
+            out.append(
+                f"formation_radius must be positive and finite, got {self.formation_radius}"
+            )
         if self.formation_count < 1:
             out.append(f"formation_count must be >= 1, got {self.formation_count}")
         out.extend(self.schedule().violations())
         if not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
-        if self.smooth_min_eps is not None and not self.smooth_min_eps < 0:
-            out.append(f"smooth_min_eps must be negative, got {self.smooth_min_eps}")
+        if self.smooth_min_eps is not None and not -math.inf < self.smooth_min_eps < 0:
+            out.append(
+                f"smooth_min_eps must be finite and negative, got {self.smooth_min_eps}"
+            )
         for name in ("x0", "targets"):
             values = getattr(self, name)
             if values is None:

@@ -187,8 +187,7 @@ def run_paired(config: ExperimentConfig, trial_index: int = 0):
     config.validate()
     if config.K != 1:
         raise ValueError(f"paired runs require K = 1, got K = {config.K}")
-    bc_steps = 2 * config.steps if config.mode == "theorem" else config.steps
-    rec_bc = _simulate(config, LAW_BC, bc_steps, trial_index)
+    rec_bc = _simulate(config, LAW_BC, _horizon(config, LAW_BC), trial_index)
     rec_pbc = _simulate(config, LAW_PBC, config.steps, trial_index)
     return rec_bc, rec_pbc
 
@@ -221,19 +220,19 @@ def _trial_job(args):
         return None, str(err)
 
 
-def _map_trials(job, config: ExperimentConfig, workers: int):
+def _map_trials(job, config: ExperimentConfig):
     """Run ``job(config, i)`` for every trial index ``i``, in a process pool
-    when ``workers > 1``.
+    of ``config.workers`` when that is more than 1.
 
     Returns the results of the finished trials in index order and the
     ``(trial_index, reason)`` pairs of the diverged ones.
     """
     jobs = [(job, config, i) for i in range(config.trials)]
-    if workers > 1:
+    if config.workers > 1:
         # about four chunks per worker: every worker gets work even when
         # trials are few, and large runs still ship trials in batches
-        chunksize = max(1, config.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = max(1, config.trials // (4 * config.workers))
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_trial_job, jobs, chunksize=chunksize))
     else:
         outcomes = map(_trial_job, jobs)
@@ -247,19 +246,16 @@ def _map_trials(job, config: ExperimentConfig, workers: int):
     return results, excluded
 
 
-def run_monte_carlo(
-    config: ExperimentConfig, workers: Optional[int] = None
-) -> MonteCarloResult:
+def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     """Run ``config.trials`` independent trials and aggregate their traces.
 
-    Trials are independent work units; with ``workers > 1`` they execute in a
+    Trials are independent work units; with ``config.workers > 1`` they run in a
     process pool, and the aggregation is keyed by trial index so the result
     is identical at any worker count.  Diverged trials are excluded from the
     aggregate and reported in ``excluded``.
     """
     config.validate()
-    workers = config.workers if workers is None else workers
-    records, excluded = _map_trials(run_trial, config, workers)
+    records, excluded = _map_trials(run_trial, config)
     return MonteCarloResult(
         stats=_aggregate(records), records=records, excluded=excluded
     )
@@ -299,7 +295,6 @@ def write_manifest(
     config: ExperimentConfig,
     excluded: list,
     trajectories_written: int,
-    extra: Optional[dict] = None,
 ) -> None:
     """Echo every value that shaped the run.
 
@@ -315,8 +310,6 @@ def write_manifest(
     for idx, reason in excluded:
         lines.append(f"excluded_trial_{idx} = {reason}")
     lines.append(f"trajectories_written = {trajectories_written}")
-    for key in sorted(extra or {}):
-        lines.append(f"{key} = {extra[key]}")
     _write_lines(path, lines)
 
 
@@ -360,7 +353,7 @@ def run_and_write(config: ExperimentConfig) -> MonteCarloResult:
 
     written = 0
     if config.law == LAW_PAIRED:
-        pairs, excluded = _map_trials(run_paired, config, config.workers)
+        pairs, excluded = _map_trials(run_paired, config)
         recs_bc = [rb for rb, _ in pairs]
         written += _write_set(out, "_bc", _aggregate(recs_bc), recs_bc, retain)
         recs_pbc = [rp for _, rp in pairs]

@@ -4,8 +4,9 @@ The step-size sequence ``a(t) = a0 / (t + t_v)**a_p`` and probe-radius
 sequence ``c(t) = c0 / (t + t_v)**c_p`` drive both control laws.  A schedule
 is valid when
 
-    t_v > 0,    0 < a_p <= 1,    c_p > 0,
+    0 < t_v < inf,    0 < a_p <= 1,    c_p > 0,
     2*a_p - 2*c_p > 1,    a_p + 2*c_p > 1,
+    0 < a0 < inf,    0 < c0 < inf,
 
 which by the p-series criteria makes ``sum a(t)`` diverge while
 ``sum (a/c)**2`` and ``sum a*c**2`` converge, the decay rates the stochastic
@@ -16,6 +17,7 @@ stair-stepped: steps ``2t`` and ``2t+1`` both use the single-stage gains at
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,8 +37,8 @@ class GainSchedule:
     def violations(self) -> list[str]:
         """Return each violated validity condition, empty when valid."""
         out = []
-        if not self.t_v > 0:
-            out.append(f"t_v > 0 violated (t_v = {self.t_v:g})")
+        if not 0 < self.t_v < math.inf:
+            out.append(f"0 < t_v < inf violated (t_v = {self.t_v:g})")
         if not (0 < self.a_p <= 1):
             out.append(f"0 < a_p <= 1 violated (a_p = {self.a_p:g})")
         if not self.c_p > 0:
@@ -51,15 +53,11 @@ class GainSchedule:
                 "a_p + 2*c_p > 1 violated "
                 f"({self.a_p:g} + 2*{self.c_p:g} = {self.a_p + 2 * self.c_p:g})"
             )
-        if not self.a0 > 0:
-            out.append(f"a0 > 0 violated (a0 = {self.a0:g})")
-        if not self.c0 > 0:
-            out.append(f"c0 > 0 violated (c0 = {self.c0:g})")
+        if not 0 < self.a0 < math.inf:
+            out.append(f"0 < a0 < inf violated (a0 = {self.a0:g})")
+        if not 0 < self.c0 < math.inf:
+            out.append(f"0 < c0 < inf violated (c0 = {self.c0:g})")
         return out
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations()
 
     @cached_property
     def _violation_message(self) -> str:

@@ -124,16 +124,13 @@ def coverage_objective(
 ) -> float:
     """Mean over the grid of squared distance to the nearest agent, scaled by
     the workspace volume.  Adding an agent can only decrease the value."""
-    n = payload.n
-    pts = _agent_matrix(x, n)
+    pts = x.reshape(-1, payload.n)
     cols = payload._grid_cols
     if smooth_eps is None:
         nearest = _squared_distances(cols, pts[0])
         for i in range(1, pts.shape[0]):
             np.minimum(nearest, _squared_distances(cols, pts[i]), out=nearest)
     else:
-        if smooth_eps >= 0:
-            raise ValueError("smooth-min epsilon must be negative")
         d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
         m = d2.min(axis=0)
         nearest = m + np.log(np.exp(smooth_eps * (d2 - m)).sum(axis=0)) / smooth_eps
@@ -207,8 +204,8 @@ def rendezvous_objective(
     Returns ``(value, theta_star)``.  The value is zero exactly when the
     agents realize some family member up to a common translation.
     """
-    N, n = payload.N, payload.n
-    pts = _agent_matrix(x, n, expected_agents=N)
+    N = payload.N
+    pts = x.reshape(N, payload.n)
     diff = pts[:, None, :] - pts[None, :, :]
     err = diff[None, :, :, :] - payload._offsets
     per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
@@ -338,8 +335,7 @@ def assignment_objective(payload: AssignmentPayload, x: np.ndarray):
     pairing is re-solved from the current positions; under once-at-start the
     frozen pairing is used.
     """
-    N, n = payload.N, payload.n
-    pts = _agent_matrix(x, n, expected_agents=N)
+    pts = x.reshape(payload.N, payload.n)
     if payload.policy == ONCE_AT_START and payload.fixed_indices is not None:
         perm = np.asarray(payload.fixed_indices, dtype=np.intp)
     else:
@@ -379,14 +375,9 @@ class QuadraticPayload:
         object.__setattr__(self, "H", H)
 
 
-def quadratic_objective(H, x: np.ndarray) -> float:
-    """Exact quadratic form ``x' H x`` (H symmetric; gradient is ``2 H x``)."""
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim == 0:
-        return float(H) * float(np.dot(x, x))
-    QuadraticPayload(H)  # symmetry check
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ H @ x)
+def quadratic_objective(payload: QuadraticPayload, x: np.ndarray) -> float:
+    """Exact quadratic form ``x' H x`` (gradient ``2 H x``)."""
+    return float(x @ payload.H @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +399,10 @@ class ObjectiveSpec:
     ``smooth_min_epsilon`` of ``None`` keeps the hard inner minima; a strictly
     negative value switches coverage and rendezvous to the log-sum-exp smooth
     minimum.
+
+    Every run-fixed invariant, the payload's layout included, is checked here
+    once, so evaluations take a flat ``float64`` state of length ``n*N`` and
+    check nothing.
     """
 
     kind: str
@@ -423,8 +418,16 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if not 0 < self.l1 < self.l2:
             raise ValueError(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
-        if self.smooth_min_epsilon is not None and not self.smooth_min_epsilon < 0:
-            raise ValueError("smooth_min_epsilon must be strictly negative")
+        if self.smooth_min_epsilon is not None and not -np.inf < self.smooth_min_epsilon < 0:
+            raise ValueError("smooth_min_epsilon must be finite and strictly negative")
+        if self.kind == QUADRATIC:
+            layout = self.payload.H.shape == (self.nN, self.nN)
+        elif self.kind == COVERAGE:
+            layout = self.payload.n == self.n
+        else:
+            layout = (self.payload.N, self.payload.n) == (self.N, self.n)
+        if not layout:
+            raise ValueError(f"{self.kind} payload does not match n={self.n}, N={self.N}")
 
     @property
     def nN(self) -> int:
@@ -440,7 +443,7 @@ def objective_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
         return rendezvous_objective(spec.payload, x, smooth_eps=eps)[0]
     if spec.kind == ASSIGNMENT:
         return assignment_objective(spec.payload, x)[0]
-    return quadratic_objective(spec.payload.H, x)
+    return quadratic_objective(spec.payload, x)
 
 
 def evaluate(spec: ObjectiveSpec, x: np.ndarray) -> float:
@@ -449,11 +452,6 @@ def evaluate(spec: ObjectiveSpec, x: np.ndarray) -> float:
     Equals the task objective exactly inside radius ``l1`` and ``x.x``
     exactly outside radius ``l2``; blends with the C2 weight in between.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.nN,):
-        raise ValueError(
-            f"state length {x.shape} does not match objective layout nN={spec.nN}"
-        )
     r = float(np.linalg.norm(x))
     if r <= spec.l1:
         return objective_value(spec, x)
@@ -472,14 +470,3 @@ def make_objective_fn(spec: ObjectiveSpec):
 
     return J
 
-
-def _agent_matrix(x, n: int, expected_agents: Optional[int] = None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size % n != 0:
-        raise ValueError(f"state of length {x.size} is not a stack of {n}-vectors")
-    pts = x.reshape(-1, n)
-    if expected_agents is not None and pts.shape[0] != expected_agents:
-        raise ValueError(
-            f"expected {expected_agents} agents, state holds {pts.shape[0]}"
-        )
-    return pts

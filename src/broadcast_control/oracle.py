@@ -2,20 +2,18 @@
 
 Everything here is brute force on purpose: expectations over sign vectors
 are computed by full enumeration of the outcome space (capped so checks stay
-exact and fast), gradients are cross-checked by central differences, and the
-paired-run claims are measured directly on trajectories.  None of these code
+exact and fast), and the paired-run claims are measured directly on
+trajectories.  None of these code
 paths share arithmetic with the controllers they certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .engine import TrialRecord
-from .gains import GainSchedule, bc_gains_at
 
 ENUMERATION_CAP = 22  # outcome space 2**(nN*K); beyond this we refuse, never sample
 _CHUNK = 1 << 16
@@ -25,25 +23,16 @@ class EnumerationTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationDomain:
-    """Size guard for exact enumeration over sign assignments."""
-
-    nN: int
-    K: int
-
-    def __post_init__(self) -> None:
-        if self.nN < 1 or self.K < 1:
-            raise ValueError("nN and K must be positive")
-        if self.nN * self.K > ENUMERATION_CAP:
-            raise EnumerationTooLarge(
-                f"enumeration over 2**{self.nN * self.K} outcomes exceeds the "
-                f"cap of 2**{ENUMERATION_CAP}; this oracle never falls back to sampling"
-            )
-
-    @property
-    def outcomes(self) -> int:
-        return 1 << (self.nN * self.K)
+def _outcomes(d: int, K: int) -> int:
+    """Size of the ``2**(d*K)`` outcome space, refused above the cap."""
+    if d < 1 or K < 1:
+        raise ValueError("state length and K must be positive")
+    if d * K > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"enumeration over 2**{d * K} outcomes exceeds the "
+            f"cap of 2**{ENUMERATION_CAP}; this oracle never falls back to sampling"
+        )
+    return 1 << (d * K)
 
 
 def enumerate_signs(d: int) -> np.ndarray:
@@ -55,17 +44,6 @@ def enumerate_signs(d: int) -> np.ndarray:
     m = np.arange(1 << d, dtype=np.int64)
     bits = (m[:, None] >> np.arange(d - 1, -1, -1)[None, :]) & 1
     return np.where(bits == 1, 1.0, -1.0)
-
-
-def spsa_estimate(x: np.ndarray, sigma: np.ndarray, c: float, J) -> np.ndarray:
-    """Single-probe gradient estimate ``(J(x + c*sigma) - J(x))/c * sigma``."""
-    x = np.asarray(x, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if not c > 0:
-        raise ValueError(f"probe radius must be positive, got {c}")
-    if not np.all(np.abs(sigma) == 1.0):
-        raise ValueError("sigma entries must be exactly -1 or +1")
-    return ((float(J(x + c * sigma)) - float(J(x))) / c) * sigma
 
 
 def _all_estimates(x: np.ndarray, c: float, J) -> np.ndarray:
@@ -89,21 +67,8 @@ def enumerate_expected_gradient(x: np.ndarray, c: float, K: int, J) -> np.ndarra
     number with less floating-point work).
     """
     x = np.asarray(x, dtype=np.float64)
-    EnumerationDomain(nN=x.shape[0], K=K)
+    _outcomes(x.shape[0], K)
     return _all_estimates(x, c, J).mean(axis=0)
-
-
-def finite_difference_gradient(J, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient, coordinate by coordinate."""
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (float(J(x + e)) - float(J(x - e))) / (2.0 * h)
-    return grad
 
 
 def _iter_mean_estimates(x: np.ndarray, c: float, K: int, J):
@@ -111,10 +76,9 @@ def _iter_mean_estimates(x: np.ndarray, c: float, K: int, J):
     full 2**(d*K) product space, in fixed mixed-radix order."""
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    dom = EnumerationDomain(nN=d, K=K)
+    total = _outcomes(d, K)
     g = _all_estimates(x, c, J)
     base = 1 << d
-    total = dom.outcomes
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         idx = np.empty((codes.shape[0], K), dtype=np.int64)
@@ -212,39 +176,22 @@ class DistanceDominanceReport:
     min_margin: float
     margins: np.ndarray  # D_bc(2t) - D_pbc(t), t = 0..T
     final_margin: float
-    expected_bound: Optional[np.ndarray]  # sqrt(n)*N*sum c(2tau), if convex declared
 
 
 def check_distance_dominance(
-    rec_bc: TrialRecord,
-    rec_pbc: TrialRecord,
-    sched: Optional[GainSchedule] = None,
-    convexity_declared: bool = False,
+    rec_bc: TrialRecord, rec_pbc: TrialRecord
 ) -> DistanceDominanceReport:
-    """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over the pair.
-
-    When the caller declares the objective (quasi-)convex along the run, the
-    statistical lower bound ``sqrt(n) * N * sum_{tau<t} c(2*tau)`` on the
-    expected margin is evaluated for reporting (it applies to the mean over
-    sample paths, not to each path).
-    """
+    """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over the pair."""
     T = rec_pbc.steps
     if rec_bc.steps < 2 * T:
         raise ValueError(
             f"two-stage record holds {rec_bc.steps} steps, need {2 * T} for pairing"
         )
     margins = rec_bc.d_trace[0 : 2 * T + 1 : 2] - rec_pbc.d_trace
-    bound = None
-    if convexity_declared:
-        if sched is None:
-            raise ValueError("the expected-margin bound needs the gain schedule")
-        c_even = np.array([bc_gains_at(sched, 2 * tau)[1] for tau in range(T)])
-        bound = np.concatenate([[0.0], np.sqrt(rec_pbc.n) * rec_pbc.N * np.cumsum(c_even)])
     return DistanceDominanceReport(
         min_margin=float(margins.min()),
         margins=margins,
         final_margin=float(margins[-1]),
-        expected_bound=bound,
     )
 
 
@@ -257,56 +204,37 @@ class KMonotonicityReport:
     K_list: tuple
     cost_values: tuple
     distance_values: dict  # kappa -> tuple of values
-    direction: Optional[str]  # "convex", "concave", or None (raw report)
-    verdict: Optional[bool]
+    direction: str  # "convex" or "concave"
+    verdict: bool
 
 
 def check_k_monotonicity(
-    x: np.ndarray,
-    a: float,
-    c: float,
-    K_list,
-    J,
-    direction: Optional[str] = None,
-    kappas=(1.0, 2.0),
-    n: int = 1,
+    x: np.ndarray, a: float, c: float, K_list, J, direction: str
 ) -> KMonotonicityReport:
-    """Enumerate expected next cost and per-step distance powers across probe
-    counts.
+    """Enumerate expected next cost and per-step distance powers (``kappa``
+    1 and 2) across probe counts, and judge their ordering in K.
 
     With ``direction='convex'`` the verdict asserts the expected cost is
-    non-increasing in K; ``'concave'`` asserts the reversed ordering; with no
-    declared direction only the raw values are reported (the per-step cost
-    ordering is a convexity statement).  Distance powers must be
-    non-increasing in K regardless of direction and are folded into the
-    verdict whenever one is issued.
+    non-increasing in K; ``'concave'`` asserts the reversed ordering.
+    Distance powers must be non-increasing in K in either case and are
+    folded into the verdict.
     """
+    if direction not in ("convex", "concave"):
+        raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
     K_list = tuple(int(k) for k in K_list)
     costs = tuple(expected_next_cost(x, a, c, k, J) for k in K_list)
     dists = {
-        float(kappa): tuple(
-            expected_distance_power(x, a, c, k, kappa, J, n=n) for k in K_list
-        )
-        for kappa in kappas
+        kappa: tuple(expected_distance_power(x, a, c, k, kappa, J) for k in K_list)
+        for kappa in (1.0, 2.0)
     }
-    verdict: Optional[bool] = None
-    if direction is not None:
-        if direction not in ("convex", "concave"):
-            raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
-        pairs = list(zip(K_list, costs))
-        pairs.sort(key=lambda kv: kv[0])
-        ordered = [v for _, v in pairs]
-        tol = 1e-12
-        if direction == "convex":
-            ok = all(b <= a_ + tol * (1 + abs(a_)) for a_, b in zip(ordered, ordered[1:]))
-        else:
-            ok = all(b >= a_ - tol * (1 + abs(a_)) for a_, b in zip(ordered, ordered[1:]))
-        for vals in dists.values():
-            dv = [v for _, v in sorted(zip(K_list, vals), key=lambda kv: kv[0])]
-            ok = ok and all(
-                b <= a_ + tol * (1 + abs(a_)) for a_, b in zip(dv, dv[1:])
-            )
-        verdict = ok
+
+    def non_increasing(values, sign=1.0):
+        v = [sign * val for _, val in sorted(zip(K_list, values), key=lambda kv: kv[0])]
+        return all(b <= a_ + 1e-12 * (1 + abs(a_)) for a_, b in zip(v, v[1:]))
+
+    verdict = non_increasing(costs, 1.0 if direction == "convex" else -1.0) and all(
+        non_increasing(vals) for vals in dists.values()
+    )
     return KMonotonicityReport(
         K_list=K_list,
         cost_values=costs,

@@ -119,11 +119,10 @@ def _sign_chunk(
 def apply_input(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Advance the integrator dynamics by one step: every agent adds its input.
 
-    Returns the new state ``x + u``; raises ``NonFiniteError`` when it is not
-    finite, which ends the trial at this step.
+    ``u`` has the state's shape, as every step law builds it.  Returns the
+    new state ``x + u``; raises ``NonFiniteError`` when it is not finite,
+    which ends the trial at this step.
     """
-    if u.shape != x.shape:
-        raise ValueError(f"input shape {u.shape} does not match state shape {x.shape}")
     out = x + u
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("collective state contains non-finite entries")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .engine import run_monte_carlo, run_paired
-from .objectives import quadratic_objective
+from .objectives import QuadraticPayload, quadratic_objective
 from .oracle import (
     check_distance_dominance,
     check_k_monotonicity,
@@ -53,7 +53,7 @@ def check_estimator(concave: bool = False, **_) -> list:
         H = random_spd_matrix(rng, d)
         x = rng.uniform(-1.0, 1.0, size=d)
         c = 10.0 ** rng.uniform(-3, 0)
-        J = lambda v, H=H: quadratic_objective(H, v)
+        J = lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
         est = enumerate_expected_gradient(x, c, K, J)
         worst = max(worst, float(np.abs(est - 2.0 * H @ x).max()))
     results = [
@@ -96,7 +96,7 @@ def check_variance(**_) -> list:
         H = random_spd_matrix(rng, d)
         x = rng.uniform(-1.0, 1.0, size=d)
         c = 10.0 ** rng.uniform(-2, 0)
-        J = lambda v, H=H: quadratic_objective(H, v)
+        J = lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
         var1 = enumerate_estimator_variance(x, c, 1, J)
         for K in (1, 2, 3, 4):
             varK = enumerate_estimator_variance(x, c, K, J)

@@ -14,12 +14,12 @@ from broadcast_control import (
     ExperimentConfig,
     check_distance_dominance,
     check_twice_speed,
-    descent_fraction,
     hungarian,
     run_monte_carlo,
     run_paired,
-    smooth_min,
 )
+from broadcast_control.objectives import smooth_min
+from broadcast_control.oracle import descent_fraction
 from broadcast_control.cli import main
 from broadcast_control.verify import check_estimator, check_k_step, check_variance
 

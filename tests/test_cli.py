@@ -100,6 +100,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ("law = paired\nK = 3\na_p = 0.4\n", ("paired", "2*a_p")),
         ("task = quadratic\nN = 2\nx0 = 1 nan 0 0\n", ("x0 must be finite",)),
         ("task = assignment\nN = 2\ntargets = 1 0 inf 0\n", ("targets must be finite",)),
+        ("smooth_min_eps = -inf\n", ("smooth_min_eps must be finite",)),
     ]
     for text, fragments in cases:
         cfg = _write_config(tmp_path, text)
@@ -107,6 +108,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         for fragment in fragments:
             assert fragment in err
+    argv = ["run", "--smooth-min-eps=-inf", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "smooth_min_eps must be finite" in capsys.readouterr().err
 
 
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys):

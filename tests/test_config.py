@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,29 @@ def test_smooth_min_eps_sign():
     assert parse_config("smooth_min_eps = -5\n").smooth_min_eps == -5.0
     with pytest.raises(ConfigError):
         parse_config("smooth_min_eps = 0.5\n")
+    with pytest.raises(ConfigError, match="smooth_min_eps must be finite"):
+        parse_config("smooth_min_eps = -inf\n")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("t_v", math.inf),
+        ("a0", math.inf),
+        ("c0", math.inf),
+        ("a0", math.nan),
+        ("smooth_min_eps", -math.inf),
+        ("smooth_min_eps", math.nan),
+        ("formation_radius", math.inf),
+    ],
+)
+def test_non_finite_floats_rejected(field, value):
+    # the infinite values once passed validation and then ended every trial
+    # (or the whole run) at step 0
+    config = ExperimentConfig(**{field: value})
+    assert any(field in v for v in config.violations())
+    with pytest.raises(ConfigError):
+        config.validate()
 
 
 def test_serialize_round_trip_defaults():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from broadcast_control import (
+from broadcast_control.controllers import (
     BcLocalState,
-    NonFiniteError,
     bc_step,
-    draw_block,
     pbc_broadcast,
     pbc_local_input,
     pbc_step,
 )
+from broadcast_control.gains import GainSchedule, InvalidScheduleError
 from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
@@ -19,6 +18,7 @@ from broadcast_control.objectives import (
     make_objective_fn,
     unit_cube_grid,
 )
+from broadcast_control.state import NonFiniteError, draw_block
 
 from conftest import scalar_state, unit_sched
 
@@ -161,11 +161,18 @@ def test_pbc_local_input_k2_exact_gradient_scalar():
     assert u[0] == pytest.approx(-a * 2 * H * 0.7, rel=1e-12)
 
 
-def test_pbc_local_input_validates():
-    with pytest.raises(ValueError):
-        pbc_local_input(np.zeros(2), _block(1.0), 0.1, 0.5)
-    with pytest.raises(ValueError):
-        pbc_local_input(np.zeros(1), _block(1.0), -0.1, 0.5)
+@pytest.mark.parametrize("law", ["pbc", "bc"])
+def test_step_laws_reject_invalid_schedule(law):
+    # gain positivity is the schedule's invariant, checked before any probe
+    bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
+    calls = []
+    J = lambda v: (calls.append(1), SQUARE(v))[1]
+    with pytest.raises(InvalidScheduleError, match="a0"):
+        if law == "pbc":
+            pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J)
+        else:
+            bc_step(scalar_state(1.0), BcLocalState.initial(1), 0, bad, _block(1.0), J)
+    assert calls == []
 
 
 def test_pbc_step_worked_examples():

@@ -9,15 +9,10 @@ import pytest
 
 import broadcast_control.engine as engine_mod
 import broadcast_control.state as state_mod
-from broadcast_control import (
-    ExperimentConfig,
-    draw_block,
-    gain_c,
-    moving_distance,
-    run_monte_carlo,
-    run_paired,
-    run_trial,
-)
+from broadcast_control.config import ConfigError, ExperimentConfig
+from broadcast_control.engine import moving_distance, run_monte_carlo, run_paired, run_trial
+from broadcast_control.gains import gain_c
+from broadcast_control.state import draw_block
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -232,22 +227,23 @@ def test_divergence_reported_at_first_non_finite_step(monkeypatch):
 
 
 def test_objective_error_propagates_instead_of_excluding(monkeypatch):
-    # an objective built for the wrong agent count is a programming error,
-    # not a diverged trial
+    # an objective fed a state of the wrong layout fails with a plain
+    # ValueError: a programming error, not a diverged trial
     original = engine_mod.make_objective_fn
 
-    def wrong_shape(spec):
-        return original(dataclasses.replace(spec, N=spec.N + 1))
+    def one_agent_short(spec):
+        J = original(spec)
+        return lambda values: J(values[: -spec.n])
 
-    monkeypatch.setattr(engine_mod, "make_objective_fn", wrong_shape)
-    with pytest.raises(ValueError, match="does not match objective layout"):
+    monkeypatch.setattr(engine_mod, "make_objective_fn", one_agent_short)
+    with pytest.raises(ValueError, match="cannot reshape"):
         run_monte_carlo(small_config(trials=2))
 
 
 def test_workers_do_not_change_results():
     config = small_config(trials=6, steps=10)
-    serial = run_monte_carlo(config, workers=1)
-    parallel = run_monte_carlo(config, workers=3)
+    serial = run_monte_carlo(config)
+    parallel = run_monte_carlo(dataclasses.replace(config, workers=3))
     assert serial.stats.trials == parallel.stats.trials == 6
     assert np.array_equal(serial.stats.j_mean, parallel.stats.j_mean)
     assert np.array_equal(serial.stats.j_sd, parallel.stats.j_sd)
@@ -271,7 +267,7 @@ def _pid_after_rendezvous(meeting_dir, config, trial_index):
 
 def test_two_trials_use_both_workers(tmp_path):
     job = functools.partial(_pid_after_rendezvous, tmp_path)
-    pids, excluded = engine_mod._map_trials(job, small_config(trials=2), workers=2)
+    pids, excluded = engine_mod._map_trials(job, small_config(trials=2, workers=2))
     assert excluded == []
     assert len(set(pids)) == 2
 
@@ -279,7 +275,5 @@ def test_two_trials_use_both_workers(tmp_path):
 def test_run_trial_rejects_paired_and_invalid():
     with pytest.raises(ValueError):
         run_trial(small_config(law="paired"), 0)
-    from broadcast_control import ConfigError
-
     with pytest.raises(ConfigError):
         run_trial(ExperimentConfig(task="nope"), 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from broadcast_control import (
+from broadcast_control.gains import (
     GainSchedule,
     InvalidScheduleError,
     bc_gains_at,

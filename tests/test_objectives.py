@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import broadcast_control.objectives as objectives_mod
-from broadcast_control import (
+from broadcast_control.objectives import (
+    EVERY_STEP,
+    ONCE_AT_START,
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
@@ -16,17 +18,13 @@ from broadcast_control import (
     circle_formation,
     coverage_objective,
     evaluate,
+    freeze_assignment,
     hungarian,
+    objective_value,
     quadratic_objective,
     rendezvous_objective,
     smooth_min,
     unit_cube_grid,
-)
-from broadcast_control.objectives import (
-    EVERY_STEP,
-    ONCE_AT_START,
-    freeze_assignment,
-    objective_value,
 )
 
 # ---------------------------------------------------------------------------
@@ -107,8 +105,18 @@ def test_evaluate_standard_workspace_is_task_objective():
 
 
 def test_evaluate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(_quad_spec(), np.zeros(3))
+    # evaluations check nothing: a payload whose layout disagrees with the
+    # spec's (n, N) is refused when the spec is built
+    grid = CoveragePayload(grid=unit_cube_grid(2, 0.5), volume=1.0)
+    targets = AssignmentPayload(targets=np.zeros((3, 2)))
+    for kind, n, N, payload in (
+        ("quadratic", 1, 3, QuadraticPayload(np.eye(2))),
+        ("coverage", 3, 2, grid),
+        ("rendezvous", 2, 4, circle_formation(3)),
+        ("assignment", 2, 2, targets),
+    ):
+        with pytest.raises(ValueError, match="payload does not match"):
+            ObjectiveSpec(kind=kind, n=n, N=N, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +169,10 @@ def test_coverage_smooth_min_close_to_hard():
     soft = coverage_objective(payload, x, smooth_eps=-1e5)
     # smooth min sits within (1/eps) ln N of the hard min per grid point
     assert hard + math.log(2) / -1e5 <= soft <= hard
-    with pytest.raises(ValueError):
-        coverage_objective(payload, x, smooth_eps=1.0)
+    # the sign of epsilon is checked once, when the spec is built
+    for eps in (1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="smooth_min_epsilon"):
+            ObjectiveSpec(kind="coverage", n=2, N=2, payload=payload, smooth_min_epsilon=eps)
 
 
 def test_unit_cube_grid_shape():
@@ -441,14 +451,16 @@ def test_smooth_min_rejects_bad_args():
 
 
 def test_quadratic_examples():
-    assert quadratic_objective(np.eye(2), np.array([1.0, 1.0])) == 2.0
-    assert quadratic_objective(np.eye(2), np.zeros(2)) == 0.0
-    assert quadratic_objective(np.diag([1.0, 4.0]), np.array([1.0, 1.0])) == 5.0
-    assert quadratic_objective(0.5, np.array([2.0])) == 2.0
+    eye = QuadraticPayload(np.eye(2))
+    assert quadratic_objective(eye, np.array([1.0, 1.0])) == 2.0
+    assert quadratic_objective(eye, np.zeros(2)) == 0.0
+    diag = QuadraticPayload(np.diag([1.0, 4.0]))
+    assert quadratic_objective(diag, np.array([1.0, 1.0])) == 5.0
+    assert quadratic_objective(QuadraticPayload([[0.5]]), np.array([2.0])) == 2.0
 
 
 def test_quadratic_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        quadratic_objective(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         QuadraticPayload(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        QuadraticPayload(np.ones((2, 3)))
