@@ -6,6 +6,9 @@ package implements the baseline two-stage law (BC), the virtual-perturbation
 law (PBC), the coverage/rendezvous/assignment objectives, a deterministic
 keyed randomness contract for reproducible Monte Carlo, and an oracle suite
 that certifies the laws' exact and statistical properties.
+
+This module exports the user surface only; everything else is imported from
+its submodule (``broadcast_control.objectives``, ``.oracle``, ``.engine``...).
 """
 
 from ._version import __version__

@@ -3,8 +3,8 @@
 Everything here is brute force on purpose: expectations over sign vectors
 are computed by full enumeration of the outcome space (capped so checks stay
 exact and fast), and the paired-run claims are measured directly on
-trajectories.  None of these code
-paths share arithmetic with the controllers they certify.
+trajectories.  None of these code paths share arithmetic with the
+controllers they certify.
 """
 
 from __future__ import annotations
@@ -244,11 +244,11 @@ def check_k_monotonicity(
     )
 
 
-def random_spd_matrix(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     """Well-conditioned random symmetric positive-definite matrix."""
     A = rng.standard_normal((d, d)) / np.sqrt(d)
     H = A @ A.T + 0.5 * np.eye(d)
-    return scale * 0.5 * (H + H.T)
+    return 0.5 * (H + H.T)
 
 
 def descent_fraction(j_traces: np.ndarray, window: int = 50) -> float:

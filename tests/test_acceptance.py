@@ -18,9 +18,9 @@ from broadcast_control import (
     run_monte_carlo,
     run_paired,
 )
+from broadcast_control.cli import main
 from broadcast_control.objectives import smooth_min
 from broadcast_control.oracle import descent_fraction
-from broadcast_control.cli import main
 from broadcast_control.verify import check_estimator, check_k_step, check_variance
 
 PAIRED_SEEDS = 100
