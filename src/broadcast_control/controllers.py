@@ -23,6 +23,7 @@ ends a diverged trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .state import NonFiniteError, apply_input
 
 def _checked_j(J, values: np.ndarray) -> float:
     v = float(J(values))
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise NonFiniteError(f"objective evaluated to {v!r}")
     return v
 
@@ -127,13 +128,21 @@ def pbc_local_input(
 
         u = -a * (1/K) * sum_k (nu[k]/c) * sigma_k
 
-    ``nu`` holds one entry per row of ``block``.
+    ``nu`` holds one entry per row of ``block``.  Each term keeps
+    ``_estimate_term``'s association, computed in place; the division by
+    ``K = 1`` is skipped because it is exact.
     """
     K = block.shape[0]
-    acc = _estimate_term(a, nu[0], c, block[0])
+    nu = nu.tolist()
+    acc = (nu[0] / c) * block[0]
+    acc *= -a
     for k in range(1, K):
-        acc += _estimate_term(a, nu[k], c, block[k])
-    return acc / K
+        term = (nu[k] / c) * block[k]
+        term *= -a
+        acc += term
+    if K > 1:
+        acc /= K
+    return acc
 
 
 def pbc_step(

@@ -120,6 +120,8 @@ def _simulate(
     states[0] = x
 
     local = BcLocalState.initial(nN)
+    # BC draws a block on even steps only
+    sign_steps = (steps + 1) // 2 if law == LAW_BC else steps
     t = 0
     # overflow shows up as a non-finite state, objective value or assignment
     # cost, which is caught here and reported as the divergence, so numpy need
@@ -134,12 +136,14 @@ def _simulate(
                     block = None
                     if t % 2 == 0:
                         block = draw_block(
-                            config.master_seed, trial_index, t // 2, config.n, config.N, 1
+                            config.master_seed, trial_index, t // 2,
+                            config.n, config.N, 1, sign_steps,
                         )
                     x, local, u = bc_step(x, local, t, sched, block, J, j_x=jx)
                 else:
                     block = draw_block(
-                        config.master_seed, trial_index, t, config.n, config.N, config.K
+                        config.master_seed, trial_index, t,
+                        config.n, config.N, config.K, sign_steps,
                     )
                     x, u = pbc_step(x, t, sched, block, J, j_x=jx)
                 inputs[t] = u

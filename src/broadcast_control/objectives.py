@@ -19,6 +19,7 @@ minimum for strictly C2 experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,10 +163,14 @@ class RendezvousPayload:
         if not np.all(np.isfinite(pos)):
             raise ValueError("formation positions must be finite")
         object.__setattr__(self, "positions", pos)
-        # r[th, i, j] = y_i(th) - y_j(th), precomputed once
-        object.__setattr__(
-            self, "_offsets", pos[:, :, None, :] - pos[:, None, :, :]
-        )
+        # r[th, i, j] = y_i(th) - y_j(th), precomputed once, flattened over
+        # (i, j, d) to match the gathers: flat state slots i*n+d and j*n+d
+        T, N, n = pos.shape
+        offsets = pos[:, :, None, :] - pos[:, None, :, :]
+        object.__setattr__(self, "_offsets", offsets.reshape(T, N * N * n))
+        i, j, d = np.indices((N, N, n))
+        object.__setattr__(self, "_slot_i", (i * n + d).ravel())
+        object.__setattr__(self, "_slot_j", (j * n + d).ravel())
 
     @property
     def N(self) -> int:
@@ -195,6 +200,14 @@ def circle_formation(
     return RendezvousPayload(positions=pos, thetas=tuple(thetas))
 
 
+def _formation_sq_errors(payload: RendezvousPayload, x: np.ndarray) -> np.ndarray:
+    """Sum over agent pairs ``(i, j)`` of the squared offset error
+    ``|(x_i - x_j) - r_ij(theta)|**2``, one entry per formation."""
+    flat = x.reshape(payload.N * payload.n)  # a wrong-length state raises here
+    err = flat[payload._slot_i] - flat[payload._slot_j] - payload._offsets
+    return np.einsum("ti,ti->t", err, err)
+
+
 def rendezvous_objective(
     payload: RendezvousPayload, x: np.ndarray, smooth_eps: Optional[float] = None
 ):
@@ -205,10 +218,7 @@ def rendezvous_objective(
     agents realize some family member up to a common translation.
     """
     N = payload.N
-    pts = x.reshape(N, payload.n)
-    diff = pts[:, None, :] - pts[None, :, :]
-    err = diff[None, :, :, :] - payload._offsets
-    per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
+    per_theta = _formation_sq_errors(payload, x) / (N * N)
     best = per_theta.min()
     theta_star = min(
         th for th, v in zip(payload.thetas, per_theta) if v == best
@@ -218,6 +228,19 @@ def rendezvous_objective(
     else:
         value = smooth_min(per_theta, smooth_eps)
     return value, theta_star
+
+
+def _rendezvous_value(
+    payload: RendezvousPayload, x: np.ndarray, smooth_eps: Optional[float]
+) -> float:
+    """The value of ``rendezvous_objective`` without ``theta_star``.  The hard
+    minimum is taken before the division by ``N*N``: division by a positive
+    constant is monotone under rounding, so the bits are the same."""
+    N = payload.N
+    sq = _formation_sq_errors(payload, x)
+    if smooth_eps is None:
+        return float(sq.min() / (N * N))
+    return smooth_min(sq / (N * N), smooth_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +463,7 @@ def objective_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     if spec.kind == COVERAGE:
         return coverage_objective(spec.payload, x, smooth_eps=eps)
     if spec.kind == RENDEZVOUS:
-        return rendezvous_objective(spec.payload, x, smooth_eps=eps)[0]
+        return _rendezvous_value(spec.payload, x, eps)
     if spec.kind == ASSIGNMENT:
         return assignment_objective(spec.payload, x)[0]
     return quadratic_objective(spec.payload, x)
@@ -452,10 +475,11 @@ def evaluate(spec: ObjectiveSpec, x: np.ndarray) -> float:
     Equals the task objective exactly inside radius ``l1`` and ``x.x``
     exactly outside radius ``l2``; blends with the C2 weight in between.
     """
-    r = float(np.linalg.norm(x))
+    # for a 1-D real array np.linalg.norm(x) is exactly sqrt(x.dot(x))
+    quad = float(x.dot(x))
+    r = math.sqrt(quad)
     if r <= spec.l1:
         return objective_value(spec, x)
-    quad = float(np.dot(x, x))
     if r >= spec.l2:
         return quad
     rho = barrier_weight(r, spec.l1, spec.l2)

@@ -17,6 +17,7 @@ from .engine import TrialRecord
 
 ENUMERATION_CAP = 22  # outcome space 2**(nN*K); beyond this we refuse, never sample
 _CHUNK = 1 << 16
+_DESCENT_WINDOW = 50  # steps averaged at each end of a trace by descent_fraction
 
 
 class EnumerationTooLarge(ValueError):
@@ -118,23 +119,18 @@ def expected_next_cost(x: np.ndarray, a: float, c: float, K: int, J) -> float:
 
 
 def expected_distance_power(
-    x: np.ndarray, a: float, c: float, K: int, kappa: float, J, n: int = 1
+    x: np.ndarray, a: float, c: float, K: int, kappa: float, J
 ) -> float:
-    """Exact ``E[sum_i |u_i|**kappa]`` of the per-step move, by enumeration.
-
-    ``n`` is the per-agent dimension used to slice the flat input.
-    """
+    """Exact ``E[sum_i |u_i|**kappa]`` of the per-step move over the entries
+    ``u_i`` of the flat input, by enumeration."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] % n != 0:
-        raise ValueError(f"state length {x.shape[0]} is not a multiple of n={n}")
     total = 0.0
     count = 0
     for chunk in _iter_mean_estimates(x, c, K, J):
         u = -a * chunk
-        per_agent = np.linalg.norm(u.reshape(u.shape[0], -1, n), axis=2)
-        total += float((per_agent**kappa).sum())
+        total += float((np.abs(u) ** kappa).sum())
         count += chunk.shape[0]
     return total / count
 
@@ -251,14 +247,15 @@ def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def descent_fraction(j_traces: np.ndarray, window: int = 50) -> float:
+def descent_fraction(j_traces: np.ndarray) -> float:
     """Fraction of trials whose trailing-window mean objective sits below the
-    leading-window mean (the empirical convergence corollary)."""
+    leading-window mean (the empirical convergence corollary), over windows
+    of ``_DESCENT_WINDOW`` steps."""
     j = np.atleast_2d(np.asarray(j_traces, dtype=np.float64))
-    if j.shape[1] < 2 * window:
+    if j.shape[1] < 2 * _DESCENT_WINDOW:
         raise ValueError(
-            f"traces of length {j.shape[1]} cannot fit two windows of {window}"
+            f"traces of length {j.shape[1]} cannot fit two windows of {_DESCENT_WINDOW}"
         )
-    leading = j[:, :window].mean(axis=1)
-    trailing = j[:, -window:].mean(axis=1)
+    leading = j[:, :_DESCENT_WINDOW].mean(axis=1)
+    trailing = j[:, -_DESCENT_WINDOW:].mean(axis=1)
     return float((trailing < leading).mean())

@@ -13,16 +13,18 @@ order, or worker count.  The generator identity string below is echoed into
 every run manifest.
 
 Signs are computed a chunk of consecutive steps at a time: one hash call
-fills the blocks of ``max(1, 4096 // (K*n*N))`` steps of one ``(master_seed,
-trial, n, N, K)``, and an LRU cache of the last 4 chunks answers the
-following steps.  Each entry is still the same function of its key, so
-chunking changes no output byte.  The cache holds at most ``4 * max(4096,
-K*n*N)`` float64 signs per process: 128 KB unless one block alone is larger.
+fills the blocks of ``max(1, min(horizon, 4096 // (K*n*N)))`` steps of one
+``(master_seed, trial, n, N, K)``, where ``horizon`` is the number of steps
+the trial draws, and an LRU cache of the last 4 chunks answers the following
+steps.  Each entry is still the same function of its key, so chunking
+changes no output byte.  The cache holds at most ``4 * max(4096, K*n*N)``
+float64 signs per process: 128 KB unless one block alone is larger.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -71,7 +73,13 @@ def _signs_from_hash(h: np.ndarray) -> np.ndarray:
 
 
 def draw_block(
-    master_seed: int, trial: int, t: int, n: int, N: int, K: int
+    master_seed: int,
+    trial: int,
+    t: int,
+    n: int,
+    N: int,
+    K: int,
+    horizon: int | None = None,
 ) -> np.ndarray:
     """Draw the ``(K, n*N)`` perturbation block for one logical step of one
     trial.
@@ -85,12 +93,17 @@ def draw_block(
     control laws rely on.
 
     The block is a fresh copy of one row of a cached chunk of
-    ``max(1, _CHUNK_SIGNS // (K*n*N))`` consecutive steps, so a trial pays
-    one hash call per chunk rather than one per step.
+    ``max(1, min(horizon, _CHUNK_SIGNS // (K*n*N)))`` consecutive steps, so a
+    trial pays one hash call per chunk rather than one per step, and a trial
+    that draws ``horizon`` steps hashes no step it will not read.  ``None``
+    sizes the chunk by the budget alone.  The horizon only sizes the chunk:
+    a ``t`` at or beyond it still returns its own block.
     """
     if n < 1 or N < 1 or K < 1:
         raise ValueError(f"n, N, K must be positive, got {(n, N, K)}")
     steps = max(1, _CHUNK_SIGNS // (K * n * N))
+    if horizon is not None:
+        steps = max(1, min(horizon, steps))
     chunk = _sign_chunk(master_seed, trial, t // steps, steps, n, N, K)
     return chunk[t % steps].copy()
 
@@ -121,9 +134,13 @@ def apply_input(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``u`` has the state's shape, as every step law builds it.  Returns the
     new state ``x + u``; raises ``NonFiniteError`` when it is not finite,
-    which ends the trial at this step.
+    which ends the trial at this step.  Entries beyond about 1e154 overflow
+    the sum of squares of the fast test; numpy warns of that overflow unless
+    the caller ignores it, as the engine's step loop does.
     """
     out = x + u
-    if not np.all(np.isfinite(out)):
+    # a square is >= 0 or NaN, so a finite sum of squares proves every entry
+    # finite; finite entries whose squares overflow take the full test
+    if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
         raise NonFiniteError("collective state contains non-finite entries")
     return out

@@ -161,6 +161,29 @@ def test_pbc_local_input_k2_exact_gradient_scalar():
     assert u[0] == pytest.approx(-a * 2 * H * 0.7, rel=1e-12)
 
 
+def _reference_local_input(nu, block, a, c):
+    """The out-of-place sum ``pbc_local_input`` must reproduce bit for bit:
+    each term ``(-a) * ((nu[k] / c) * sigma_k)``, summed in ``k`` order, then
+    divided by ``K``."""
+    K = block.shape[0]
+    acc = (-a) * ((nu[0] / c) * block[0])
+    for k in range(1, K):
+        acc += (-a) * ((nu[k] / c) * block[k])
+    return acc / K
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10])
+def test_pbc_local_input_matches_reference_bit_for_bit(K, rng):
+    for row in range(300):
+        nN = int(rng.integers(1, 31))
+        block = draw_block(master_seed=row, trial=K, t=0, n=1, N=nN, K=K)
+        nu = rng.normal(size=K) * 10.0 ** rng.uniform(-12, 4, size=K)
+        a, c = 10.0 ** rng.uniform(-4, 0, size=2)
+        u = pbc_local_input(nu, block, a, c)
+        assert np.array_equal(u, _reference_local_input(nu, block, a, c))
+        assert not np.shares_memory(u, block)
+
+
 @pytest.mark.parametrize("law", ["pbc", "bc"])
 def test_step_laws_reject_invalid_schedule(law):
     # gain positivity is the schedule's invariant, checked before any probe

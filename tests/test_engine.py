@@ -144,7 +144,7 @@ def test_forced_identical_randomness_gives_sd_zero(monkeypatch):
     monkeypatch.setattr(
         engine_mod,
         "draw_block",
-        lambda seed, trial, t, n, N, K: draw_block(99, 0, t, n, N, K),
+        lambda seed, trial, t, n, N, K, horizon: draw_block(99, 0, t, n, N, K, horizon),
     )
     res = run_monte_carlo(small_config(trials=2))
     assert np.allclose(res.stats.j_sd, 0.0, atol=0.0)
@@ -168,6 +168,29 @@ def test_trial_hashes_signs_once_per_chunk(monkeypatch, K):
     run_trial(config, 0)
     chunk = max(1, 4096 // (K * config.n * config.N))
     assert 1 <= len(calls) <= math.ceil(60 / chunk)
+
+
+@pytest.mark.parametrize(
+    "law, mode, sign_steps",
+    [("pbc", "figure", 3), ("bc", "figure", 2), ("bc", "theorem", 3)],
+)
+def test_short_trial_hashes_only_its_steps(monkeypatch, law, mode, sign_steps):
+    # a trial shorter than a chunk hashes the signs of its own steps only, not
+    # a whole 4096-sign chunk; BC draws on its even steps, of which it runs 3
+    # (figure mode) or 6 (theorem mode) for steps = 3
+    sizes = []
+    hash_key = state_mod._hash_key
+
+    def recording(*fields):
+        h = hash_key(*fields)
+        sizes.append(h.size)
+        return h
+
+    monkeypatch.setattr(state_mod, "_hash_key", recording)
+    state_mod._sign_chunk.cache_clear()
+    config = small_config(task="quadratic", law=law, n=1, N=2, steps=3, mode=mode)
+    run_trial(config, 0)
+    assert sizes == [sign_steps * config.n * config.N]
 
 
 def test_sd_uses_unbiased_denominator():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import broadcast_control.objectives as objectives_mod
 from broadcast_control.objectives import (
@@ -95,6 +97,42 @@ def test_evaluate_branches_bit_exact():
     quad = float(np.dot(mid, mid))
     val = evaluate(spec, mid)
     assert min(j_obj, quad) < val < max(j_obj, quad)
+
+
+def _reference_evaluate(spec, x):
+    """The barrier through ``np.linalg.norm``: ``evaluate`` must match it bit
+    for bit."""
+    r = float(np.linalg.norm(x))
+    if r <= spec.l1:
+        return objective_value(spec, x)
+    quad = float(np.dot(x, x))
+    if r >= spec.l2:
+        return quad
+    rho = barrier_weight(r, spec.l1, spec.l2)
+    return rho * objective_value(spec, x) + (1.0 - rho) * quad
+
+
+def test_evaluate_matches_norm_barrier_bit_for_bit(rng):
+    l1, l2 = 1.0, 2.0
+    specs = [
+        _quad_spec(n=2, N=3, l1=l1, l2=l2),
+        ObjectiveSpec("rendezvous", 2, 3, circle_formation(3, 0.2), l1=l1, l2=l2),
+    ]
+    radii = [
+        np.nextafter(l1, 0.0), l1, np.nextafter(l1, 2.0),  # just inside l1
+        1.25, 1.5, 1.999,  # the blend
+        l2, np.nextafter(l2, 3.0), 7.0,  # beyond l2
+    ]
+    branches = set()
+    for spec in specs:
+        for radius in radii:
+            for _ in range(200):
+                direction = rng.normal(size=spec.nN)
+                x = radius * direction / np.linalg.norm(direction)
+                assert evaluate(spec, x) == _reference_evaluate(spec, x)
+                r = float(np.linalg.norm(x))
+                branches.add("inside" if r <= l1 else "beyond" if r >= l2 else "blend")
+    assert branches == {"inside", "blend", "beyond"}
 
 
 def test_evaluate_standard_workspace_is_task_objective():
@@ -245,6 +283,53 @@ def test_rendezvous_tie_breaks_to_smallest_parameter():
     value, theta = rendezvous_objective(payload, np.zeros(2))
     assert value == 0.0
     assert theta == 1
+
+
+def _reference_rendezvous(payload, x, smooth_eps=None):
+    """The 4-D ``tijd`` formula the rendezvous objective must reproduce bit
+    for bit: value and minimizing parameter (smallest on ties)."""
+    pos = payload.positions
+    N, n = pos.shape[1], pos.shape[2]
+    offsets = pos[:, :, None, :] - pos[:, None, :, :]
+    pts = x.reshape(N, n)
+    err = (pts[:, None, :] - pts[None, :, :])[None] - offsets
+    per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
+    best = per_theta.min()
+    theta_star = min(th for th, v in zip(payload.thetas, per_theta) if v == best)
+    value = float(best) if smooth_eps is None else smooth_min(per_theta, smooth_eps)
+    return value, theta_star
+
+
+@given(
+    N=st.sampled_from([2, 3, 15]),
+    formations=st.integers(1, 15),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    smooth=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rendezvous_matches_reference_bit_for_bit(N, formations, log_scale, seed, ties, smooth):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    pos = rng.normal(scale=scale, size=(formations, N, 2))
+    if ties and formations > 1:
+        # repeat members, so the minimum is shared and theta_star must take
+        # the smallest parameter of the tied ones
+        pos[1::2] = pos[0]
+    thetas = tuple(int(v) for v in rng.permutation(formations) + 1)
+    payload = RendezvousPayload(positions=pos, thetas=thetas)
+    x = rng.normal(scale=scale, size=2 * N)
+    if ties:
+        x = (pos[0] + rng.normal(size=2)).ravel()  # realizes member 0
+    eps = -float(rng.uniform(0.5, 100.0)) / scale**2 if smooth else None
+    expected = _reference_rendezvous(payload, x, eps)
+    assert rendezvous_objective(payload, x, smooth_eps=eps) == expected
+    spec = ObjectiveSpec(
+        "rendezvous", 2, N, payload, l1=1e9, l2=2e9, smooth_min_epsilon=eps
+    )
+    assert objective_value(spec, x) == expected[0]
+    assert evaluate(spec, x) == expected[0]
 
 
 def test_rendezvous_smooth_min_bound():

@@ -336,7 +336,7 @@ def test_engine_sampling_matches_enumerated_expectation():
     sched = unit_sched(a, c)
     samples = np.empty(10**5)
     for i in range(samples.shape[0]):
-        block = draw_block(master_seed=42, trial=i, t=0, n=1, N=2, K=1)
+        block = draw_block(master_seed=42, trial=i, t=0, n=1, N=2, K=1, horizon=1)
         nxt, _ = pbc_step(x0, 0, sched, block, J)
         samples[i] = J(nxt)
     se = samples.std(ddof=1) / math.sqrt(samples.shape[0])
@@ -348,4 +348,4 @@ def test_descent_fraction():
     up = np.linspace(0.0, 1.0, 120)[None, :]
     assert descent_fraction(np.vstack([down, up])) == 0.5
     with pytest.raises(ValueError):
-        descent_fraction(np.zeros((2, 60)), window=50)
+        descent_fraction(np.zeros((2, 60)))

@@ -177,6 +177,15 @@ def test_returned_block_does_not_alias_the_cache():
     )
 
 
+def test_draw_block_beyond_horizon_is_the_keyed_block():
+    # the horizon only sizes the chunk: a step at or past it, or a chunk of
+    # one step, still answers with its own keyed block
+    for n, N, K, horizon in ((1, 2, 1, 1), (2, 15, 1, 60), (2, 15, 10, 5), (3, 7, 4, 0)):
+        for t in {0, max(0, horizon - 1), horizon, horizon + 1, 3 * horizon + 7, 500}:
+            block = draw_block(11, 2, t, n, N, K, horizon=horizon)
+            assert np.array_equal(block, oracle_block(11, 2, t, n, N, K))
+
+
 def test_draw_block_rejects_negative_trial_or_step():
     for trial, t in ((-1, 0), (0, -1), (-3, 5)):
         with pytest.raises(OverflowError):
@@ -191,8 +200,8 @@ def test_chunk_cache_is_bounded(monkeypatch):
     for trial in range(3 * state._CHUNK_CACHE):
         draw_block(master_seed=1, trial=trial, t=0, n=2, N=15, K=1)
     assert state._sign_chunk.cache_info().currsize == state._CHUNK_CACHE
-    # one hash call fills max(1, budget // (K*n*N)) steps: at most
-    # max(budget, one block) signs
+    # one hash call fills max(1, min(horizon, budget // (K*n*N))) steps: at
+    # most max(budget, one block) signs, and no more steps than the horizon
     sizes = []
     hash_key = state._hash_key
 
@@ -202,13 +211,19 @@ def test_chunk_cache_is_bounded(monkeypatch):
         return h
 
     monkeypatch.setattr(state, "_hash_key", recording)
-    layouts = ((2, 15, 1), (2, 15, 10), (1, 1, 1), (3, 700, 2))
-    for n, N, K in layouts:
-        draw_block(master_seed=2, trial=0, t=0, n=n, N=N, K=K)
-    assert sizes == [chunk_steps(n, N, K) * K * n * N for n, N, K in layouts]
+    layouts = (
+        (2, 15, 1, None), (2, 15, 10, None), (1, 1, 1, None), (3, 700, 2, None),
+        (1, 2, 1, 1), (2, 15, 1, 7), (2, 15, 1, 10**6), (2, 15, 10, 3), (3, 700, 2, 9),
+    )
+    for n, N, K, horizon in layouts:
+        draw_block(master_seed=2, trial=0, t=0, n=n, N=N, K=K, horizon=horizon)
+    assert sizes == [
+        min(horizon or chunk_steps(n, N, K), chunk_steps(n, N, K)) * K * n * N
+        for n, N, K, horizon in layouts
+    ]
     assert all(
         size <= max(state._CHUNK_SIGNS, K * n * N)
-        for size, (n, N, K) in zip(sizes, layouts)
+        for size, (n, N, K, _) in zip(sizes, layouts)
     )
 
 
@@ -253,6 +268,16 @@ def test_apply_input_errors():
         with pytest.raises(NonFiniteError, match="collective state contains non-finite"):
             with np.errstate(over="ignore"):
                 apply_input(start, u)
+
+
+def test_apply_input_accepts_entries_whose_squares_overflow():
+    # the sum of squares overflows, so the full finiteness test decides; the
+    # engine steps under np.errstate(over="ignore"), as here
+    x = np.array([1e200, -1e200, 3.0])
+    u = np.array([1e199, 0.0, -1.0])
+    with np.errstate(over="ignore"):
+        out = apply_input(x, u)
+    assert np.array_equal(out, x + u)
 
 
 @given(
