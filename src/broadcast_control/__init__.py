@@ -9,6 +9,10 @@ that certifies the laws' exact and statistical properties.
 
 This module exports the user surface only; everything else is imported from
 its submodule (``broadcast_control.objectives``, ``.oracle``, ``.engine``...).
+
+Importing the package loads numpy and the standard library only.  scipy is
+loaded by the first ``hungarian`` call (the assignment task), and the
+process pool by the first run with ``workers > 1``.
 """
 
 from ._version import __version__

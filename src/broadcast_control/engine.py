@@ -15,7 +15,6 @@ input error and propagates.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -233,6 +232,10 @@ def _map_trials(job, config: ExperimentConfig):
     """
     jobs = [(job, config, i) for i in range(config.trials)]
     if config.workers > 1:
+        # imported here, not at module level: a workers = 1 run never loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # about four chunks per worker: every worker gets work even when
         # trials are few, and large runs still ship trials in batches
         chunksize = max(1, config.trials // (4 * config.workers))

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .state import NonFiniteError
 
@@ -302,13 +301,17 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"cost matrix must be square, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise NonFiniteError("cost matrix contains non-finite entries")
+    # imported here, not at module level: only the assignment task needs
+    # scipy, and loading scipy.optimize dominates the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     N = C.shape[0]
     rows, cols = linear_sum_assignment(C)
     if N <= 1:  # no runner-up; forbidding the only edge is infeasible
         return cols
     best = float(C[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-    if _runner_up_exceeds(C, cols, best + 2.0 * tol):
+    if _runner_up_exceeds(C, cols, best + 2.0 * tol, linear_sum_assignment):
         return cols
     # Fix rows in order to the smallest column that still allows an optimal
     # completion of the remaining subproblem.
@@ -334,17 +337,18 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _runner_up_exceeds(C: np.ndarray, cols: np.ndarray, bound: float) -> bool:
+def _runner_up_exceeds(C: np.ndarray, cols: np.ndarray, bound: float, solve) -> bool:
     """Whether every permutation other than ``cols`` costs more than ``bound``.
 
     Each such permutation avoids at least one edge ``(i, cols[i])``, so the
-    runner-up is the best of the solves with one of those edges forbidden.
-    Works on a copy: ``C`` may be the caller's matrix.
+    runner-up is the best of the solves with one of those edges forbidden;
+    ``solve`` is ``linear_sum_assignment``.  Works on a copy: ``C`` may be
+    the caller's matrix.
     """
     D = C.copy()
     for i, j in enumerate(cols):
         D[i, j] = np.inf
-        r, c = linear_sum_assignment(D)
+        r, c = solve(D)
         if float(D[r, c].sum()) <= bound:
             return False
         D[i, j] = C[i, j]

@@ -53,10 +53,10 @@ def _all_estimates(x: np.ndarray, c: float, J) -> np.ndarray:
     d = x.shape[0]
     signs = enumerate_signs(d)
     base = float(J(x))
-    g = np.empty_like(signs)
-    for m in range(signs.shape[0]):
-        g[m] = ((float(J(x + c * signs[m])) - base) / c) * signs[m]
-    return g
+    probes = x + c * signs
+    vals = np.array([float(J(probes[m])) for m in range(probes.shape[0])])
+    # the same IEEE operations as the per-row scalar form, row by row
+    return ((vals - base) / c)[:, None] * signs
 
 
 def enumerate_expected_gradient(x: np.ndarray, c: float, K: int, J) -> np.ndarray:

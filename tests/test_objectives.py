@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import broadcast_control.objectives as objectives_mod
 from broadcast_control.objectives import (
     EVERY_STEP,
     ONCE_AT_START,
@@ -462,14 +461,18 @@ def test_hungarian_does_not_mutate_input(rng):
 def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
     # a generic squared-distance matrix has a unique optimum: one solve plus
     # the N edge-forbidden solves of the runner-up check, no refinement
+    # hungarian imports linear_sum_assignment from scipy.optimize on each
+    # call, so the counting hook replaces it there
+    import scipy.optimize
+
     calls = []
-    lsa = objectives_mod.linear_sum_assignment
+    lsa = scipy.optimize.linear_sum_assignment
 
     def counting(C):
         calls.append(C.shape)
         return lsa(C)
 
-    monkeypatch.setattr(objectives_mod, "linear_sum_assignment", counting)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
     N = 15
     diff = rng.uniform(size=(N, 1, 2)) - rng.uniform(size=(1, N, 2))
     C = np.einsum("ijd,ijd->ij", diff, diff)

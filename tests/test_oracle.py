@@ -14,6 +14,7 @@ from broadcast_control.objectives import (
 )
 from broadcast_control.oracle import (
     EnumerationTooLarge,
+    _all_estimates,
     _outcomes,
     check_distance_dominance,
     check_k_monotonicity,
@@ -123,6 +124,19 @@ def test_quartic_bias_decays_quadratically():
         b1 = abs(enumerate_expected_gradient(x, c, 1, J)[0] - 4.0)
         b2 = abs(enumerate_expected_gradient(x, c / 2, 1, J)[0] - 4.0)
         assert 3.5 <= b1 / b2 <= 4.5
+
+
+def test_all_estimates_match_per_row_formula_bitwise(rng):
+    # the whole-array estimates against the single-probe formula evaluated
+    # row by row, compared as bytes so that a sign of zero counts too
+    quartic = lambda v: float(v[0] ** 4)  # check_estimator's bias-decay objective
+    for d in range(1, 11):
+        for _ in range(3):
+            x = rng.uniform(-1, 1, size=d)
+            c = 10.0 ** rng.uniform(-3, 0)
+            for J in (quadratic(random_spd_matrix(rng, d)), quartic):
+                want = np.array([spsa_estimate(x, s, c, J) for s in enumerate_signs(d)])
+                assert _all_estimates(x, c, J).tobytes() == want.tobytes()
 
 
 def test_enumeration_cap_enforced():
