@@ -9,7 +9,15 @@ import os
 import sys
 
 from ._version import __version__
-from .config import ConfigError, ExperimentConfig, load_config, with_overrides
+from .config import (
+    LAWS,
+    MODES,
+    TASKS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    with_overrides,
+)
 from .engine import run_and_write
 from .verify import VERIFY_CHECKS, run_verify
 
@@ -32,15 +40,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a configured experiment")
     run_p.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
-    run_p.add_argument("--law", choices=["bc", "pbc", "paired"])
-    run_p.add_argument(
-        "--task", choices=["coverage", "rendezvous", "assignment", "quadratic"]
-    )
+    run_p.add_argument("--law", choices=LAWS)
+    run_p.add_argument("--task", choices=TASKS)
     run_p.add_argument("--K", type=int, dest="K", metavar="INT")
     run_p.add_argument("--trials", type=int, metavar="INT")
     run_p.add_argument("--seed", type=int, metavar="U64", dest="master_seed")
     run_p.add_argument("--steps", type=int, metavar="INT")
-    run_p.add_argument("--mode", choices=["figure", "theorem"])
+    run_p.add_argument("--mode", choices=MODES)
     run_p.add_argument("--out", metavar="DIR", dest="out_dir")
     run_p.add_argument(
         "--retain-trajectories",

@@ -23,8 +23,6 @@ from .gains import GainSchedule
 from .objectives import (
     ASSIGNMENT,
     COVERAGE,
-    EVERY_STEP,
-    ONCE_AT_START,
     QUADRATIC,
     RENDEZVOUS,
     AssignmentPayload,
@@ -39,6 +37,8 @@ from .objectives import (
 TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
 LAWS = ("bc", "pbc", "paired")
 MODES = ("figure", "theorem")
+EVERY_STEP = "every-step"
+ONCE_AT_START = "once-at-start"
 RETAIN = ("auto", "true", "false")
 
 
@@ -167,9 +167,7 @@ class ExperimentConfig:
 
     def objective_spec(self) -> ObjectiveSpec:
         if self.task == COVERAGE:
-            payload = CoveragePayload(
-                grid=unit_cube_grid(self.n, self.grid_spacing), volume=1.0
-            )
+            payload = CoveragePayload(grid=unit_cube_grid(self.n, self.grid_spacing))
         elif self.task == RENDEZVOUS:
             payload = circle_formation(
                 self.N,
@@ -184,7 +182,7 @@ class ExperimentConfig:
                 targets = self.formation_radius * np.column_stack(
                     [np.cos(ang), np.sin(ang)]
                 )
-            payload = AssignmentPayload(targets=targets, policy=self.reassignment)
+            payload = AssignmentPayload(targets=targets)
             if self.reassignment == ONCE_AT_START:
                 payload = freeze_assignment(payload, self.initial_state())
         else:

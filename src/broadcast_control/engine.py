@@ -41,22 +41,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrialRecord:
-    """Everything one seeded run produced."""
+    """What one seeded run produced: the states and the J and D traces."""
 
-    law: str
-    K: int
-    master_seed: int
     trial: int
     n: int
     N: int
     states: np.ndarray  # (T+1, nN)
-    inputs: np.ndarray  # (T, nN)
     j_trace: np.ndarray  # (T+1,)
     d_trace: np.ndarray  # (T+1,)
 
     @property
     def steps(self) -> int:
-        return self.inputs.shape[0]
+        return self.j_trace.shape[0] - 1
 
 
 @dataclass
@@ -71,7 +67,6 @@ class SummaryStats:
     j_sd: np.ndarray
     d_mean: np.ndarray
     d_sd: np.ndarray
-    trials: int
 
 
 @dataclass
@@ -152,14 +147,10 @@ def _simulate(
         raise DivergenceError(trial_index, t, str(err)) from err
 
     return TrialRecord(
-        law=law,
-        K=1 if law == LAW_BC else config.K,
-        master_seed=config.master_seed,
         trial=trial_index,
         n=config.n,
         N=config.N,
         states=states,
-        inputs=inputs,
         j_trace=j_trace,
         d_trace=moving_distance(inputs, config.n),
     )
@@ -211,7 +202,6 @@ def _aggregate(records: list) -> Optional[SummaryStats]:
         j_sd=j_sd,
         d_mean=d.mean(axis=0),
         d_sd=d_sd,
-        trials=len(records),
     )
 
 

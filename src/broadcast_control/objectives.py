@@ -27,9 +27,6 @@ import numpy as np
 
 from .state import NonFiniteError
 
-EVERY_STEP = "every-step"
-ONCE_AT_START = "once-at-start"
-
 
 # ---------------------------------------------------------------------------
 # barrier
@@ -72,20 +69,17 @@ def smooth_min(values, epsilon: float) -> float:
 class CoveragePayload:
     """Quadrature grid for the coverage task.
 
-    ``grid`` holds the sample points (one per row) and ``volume`` the measure
-    of the workspace they discretize, so the objective approximates the mean
-    squared distance integral.
+    ``grid`` holds the sample points (one per row) of the unit-measure
+    workspace, so the objective approximates the mean squared distance
+    integral.
     """
 
     grid: np.ndarray
-    volume: float
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=np.float64)
         if grid.ndim != 2 or grid.shape[0] == 0:
             raise ValueError("coverage grid must be a non-empty (points, n) array")
-        if not self.volume > 0:
-            raise ValueError(f"workspace volume must be positive, got {self.volume}")
         object.__setattr__(self, "grid", grid)
         # contiguous per-axis columns keep the distance scan cache-friendly
         object.__setattr__(
@@ -122,8 +116,8 @@ def _squared_distances(grid_cols: tuple, pt: np.ndarray) -> np.ndarray:
 def coverage_objective(
     payload: CoveragePayload, x: np.ndarray, smooth_eps: Optional[float] = None
 ) -> float:
-    """Mean over the grid of squared distance to the nearest agent, scaled by
-    the workspace volume.  Adding an agent can only decrease the value."""
+    """Mean over the grid of squared distance to the nearest agent.  Adding
+    an agent can only decrease the value."""
     pts = x.reshape(-1, payload.n)
     cols = payload._grid_cols
     if smooth_eps is None:
@@ -134,7 +128,7 @@ def coverage_objective(
         d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
         m = d2.min(axis=0)
         nearest = m + np.log(np.exp(smooth_eps * (d2 - m)).sum(axis=0)) / smooth_eps
-    return payload.volume * float(nearest.mean())
+    return float(nearest.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +137,19 @@ def coverage_objective(
 
 @dataclass(frozen=True, eq=False)
 class RendezvousPayload:
-    """Finite family of target formations, one per formation parameter.
+    """Finite family of target formations.
 
-    ``positions`` has shape (thetas, N, n): absolute target positions whose
-    pairwise differences define the relative targets, so any common
+    ``positions`` has shape (formations, N, n): absolute target positions
+    whose pairwise differences define the relative targets, so any common
     translation of the agents is cost-free.
     """
 
     positions: np.ndarray
-    thetas: tuple
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 3 or pos.shape[0] == 0:
-            raise ValueError("formation family must be a non-empty (thetas, N, n) array")
-        if len(self.thetas) != pos.shape[0]:
-            raise ValueError("one formation parameter per family member required")
+            raise ValueError("formation family must be a non-empty (formations, N, n) array")
         if not np.all(np.isfinite(pos)):
             raise ValueError("formation positions must be finite")
         object.__setattr__(self, "positions", pos)
@@ -196,7 +187,7 @@ def circle_formation(
         ang = 2.0 * np.pi * (idx + theta) / N
         pos[t_i, :, 0] = radius * np.cos(ang)
         pos[t_i, :, 1] = radius * np.sin(ang)
-    return RendezvousPayload(positions=pos, thetas=tuple(thetas))
+    return RendezvousPayload(positions=pos)
 
 
 def _formation_sq_errors(payload: RendezvousPayload, x: np.ndarray) -> np.ndarray:
@@ -209,32 +200,14 @@ def _formation_sq_errors(payload: RendezvousPayload, x: np.ndarray) -> np.ndarra
 
 def rendezvous_objective(
     payload: RendezvousPayload, x: np.ndarray, smooth_eps: Optional[float] = None
-):
-    """Best formation fit: minimum over the family of the mean squared
-    pairwise-offset error, and the minimizing parameter (smallest on ties).
-
-    Returns ``(value, theta_star)``.  The value is zero exactly when the
-    agents realize some family member up to a common translation.
-    """
-    N = payload.N
-    per_theta = _formation_sq_errors(payload, x) / (N * N)
-    best = per_theta.min()
-    theta_star = min(
-        th for th, v in zip(payload.thetas, per_theta) if v == best
-    )
-    if smooth_eps is None:
-        value = float(best)
-    else:
-        value = smooth_min(per_theta, smooth_eps)
-    return value, theta_star
-
-
-def _rendezvous_value(
-    payload: RendezvousPayload, x: np.ndarray, smooth_eps: Optional[float]
 ) -> float:
-    """The value of ``rendezvous_objective`` without ``theta_star``.  The hard
-    minimum is taken before the division by ``N*N``: division by a positive
-    constant is monotone under rounding, so the bits are the same."""
+    """Best formation fit: minimum over the family of the mean squared
+    pairwise-offset error.  Zero exactly when the agents realize some family
+    member up to a common translation.
+
+    The hard minimum is taken before the division by ``N*N``: division by a
+    positive constant is monotone under rounding, so the bits are those of
+    dividing first."""
     N = payload.N
     sq = _formation_sq_errors(payload, x)
     if smooth_eps is None:
@@ -248,15 +221,15 @@ def _rendezvous_value(
 
 @dataclass(frozen=True, eq=False)
 class AssignmentPayload:
-    """Target locations plus the reassignment policy.
+    """Target locations plus the pairing of agents to targets.
 
-    ``every-step`` re-solves the optimal agent/target pairing at each
-    objective evaluation; ``once-at-start`` freezes the pairing computed from
-    the initial state (``fixed_indices``).
+    ``fixed_indices`` of ``None`` re-solves the optimal pairing at each
+    objective evaluation (every-step); a permutation freezes it, as
+    ``freeze_assignment`` does with the pairing of the initial state
+    (once-at-start).
     """
 
     targets: np.ndarray
-    policy: str = EVERY_STEP
     fixed_indices: Optional[tuple] = None
 
     def __post_init__(self) -> None:
@@ -265,8 +238,6 @@ class AssignmentPayload:
             raise ValueError("assignment targets must be a non-empty (N, n) array")
         if not np.all(np.isfinite(targets)):
             raise ValueError("assignment targets must be finite")
-        if self.policy not in (EVERY_STEP, ONCE_AT_START):
-            raise ValueError(f"unknown reassignment policy {self.policy!r}")
         object.__setattr__(self, "targets", targets)
         if self.fixed_indices is not None:
             if sorted(self.fixed_indices) != list(range(targets.shape[0])):
@@ -358,12 +329,12 @@ def _runner_up_exceeds(C: np.ndarray, cols: np.ndarray, bound: float, solve) -> 
 def assignment_objective(payload: AssignmentPayload, x: np.ndarray):
     """Total squared distance of agents to their assigned targets.
 
-    Returns ``(value, indices)``.  Under the every-step policy the optimal
-    pairing is re-solved from the current positions; under once-at-start the
-    frozen pairing is used.
+    Returns ``(value, indices)``.  Without ``fixed_indices`` the optimal
+    pairing is re-solved from the current positions; with them the frozen
+    pairing is used.
     """
     pts = x.reshape(payload.N, payload.n)
-    if payload.policy == ONCE_AT_START and payload.fixed_indices is not None:
+    if payload.fixed_indices is not None:
         perm = np.asarray(payload.fixed_indices, dtype=np.intp)
     else:
         diff = pts[:, None, :] - payload.targets[None, :, :]
@@ -375,12 +346,8 @@ def assignment_objective(payload: AssignmentPayload, x: np.ndarray):
 
 def freeze_assignment(payload: AssignmentPayload, x0: np.ndarray) -> AssignmentPayload:
     """Pin the once-at-start pairing from the initial state."""
-    _, perm = assignment_objective(
-        AssignmentPayload(payload.targets, policy=EVERY_STEP), x0
-    )
-    return AssignmentPayload(
-        payload.targets, policy=ONCE_AT_START, fixed_indices=tuple(int(p) for p in perm)
-    )
+    _, perm = assignment_objective(AssignmentPayload(payload.targets), x0)
+    return AssignmentPayload(payload.targets, fixed_indices=tuple(int(p) for p in perm))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +434,7 @@ def objective_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     if spec.kind == COVERAGE:
         return coverage_objective(spec.payload, x, smooth_eps=eps)
     if spec.kind == RENDEZVOUS:
-        return _rendezvous_value(spec.payload, x, eps)
+        return rendezvous_objective(spec.payload, x, eps)
     if spec.kind == ASSIGNMENT:
         return assignment_objective(spec.payload, x)[0]
     return quadratic_objective(spec.payload, x)

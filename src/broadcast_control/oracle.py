@@ -145,7 +145,6 @@ class TwiceSpeedReport:
 
     max_state_deviation: float
     max_objective_deviation: float  # relative: |dJ| / (1 + J)
-    steps_compared: int
 
 
 def check_twice_speed(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> TwiceSpeedReport:
@@ -163,7 +162,6 @@ def check_twice_speed(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> TwiceSpeedRe
     return TwiceSpeedReport(
         max_state_deviation=float(dev),
         max_objective_deviation=float(j_dev),
-        steps_compared=T,
     )
 
 
@@ -197,10 +195,8 @@ def check_distance_dominance(
 
 @dataclass
 class KMonotonicityReport:
-    K_list: tuple
-    cost_values: tuple
+    cost_values: tuple  # one per entry of K_list, in its order
     distance_values: dict  # kappa -> tuple of values
-    direction: str  # "convex" or "concave"
     verdict: bool
 
 
@@ -231,13 +227,7 @@ def check_k_monotonicity(
     verdict = non_increasing(costs, 1.0 if direction == "convex" else -1.0) and all(
         non_increasing(vals) for vals in dists.values()
     )
-    return KMonotonicityReport(
-        K_list=K_list,
-        cost_values=costs,
-        distance_values=dists,
-        direction=direction,
-        verdict=verdict,
-    )
+    return KMonotonicityReport(cost_values=costs, distance_values=dists, verdict=verdict)
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

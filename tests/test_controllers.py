@@ -238,7 +238,7 @@ def _equivalence_objectives():
         kind="coverage",
         n=2,
         N=3,
-        payload=CoveragePayload(grid=unit_cube_grid(2, 0.1), volume=1.0),
+        payload=CoveragePayload(grid=unit_cube_grid(2, 0.1)),
     )
     rendezvous = ObjectiveSpec(
         kind="rendezvous", n=2, N=3, payload=circle_formation(3, radius=0.2)

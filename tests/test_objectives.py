@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadcast_control.objectives import (
-    EVERY_STEP,
-    ONCE_AT_START,
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
     QuadraticPayload,
     RendezvousPayload,
+    _formation_sq_errors,
     assignment_objective,
     barrier_weight,
     circle_formation,
@@ -144,7 +143,7 @@ def test_evaluate_standard_workspace_is_task_objective():
 def test_evaluate_dimension_mismatch():
     # evaluations check nothing: a payload whose layout disagrees with the
     # spec's (n, N) is refused when the spec is built
-    grid = CoveragePayload(grid=unit_cube_grid(2, 0.5), volume=1.0)
+    grid = CoveragePayload(grid=unit_cube_grid(2, 0.5))
     targets = AssignmentPayload(targets=np.zeros((3, 2)))
     for kind, n, N, payload in (
         ("quadratic", 1, 3, QuadraticPayload(np.eye(2))),
@@ -164,35 +163,27 @@ def test_coverage_single_agent_center_closed_form():
     # per-axis grid second moment: sum_k (0.01k - 0.5)^2 / 101 = 0.085
     per_axis = sum((0.01 * k - 0.5) ** 2 for k in range(101)) / 101
     assert per_axis == pytest.approx(0.085, abs=1e-15)
-    payload = CoveragePayload(grid=unit_cube_grid(2, 0.01), volume=1.0)
+    payload = CoveragePayload(grid=unit_cube_grid(2, 0.01))
     got = coverage_objective(payload, np.array([0.5, 0.5]))
     assert got == pytest.approx(2 * per_axis, abs=1e-12)
     assert got == pytest.approx(0.17, abs=1e-12)
 
 
-def test_coverage_volume_scaling():
-    grid = unit_cube_grid(1, 0.5)
-    x = np.array([0.0])
-    v1 = coverage_objective(CoveragePayload(grid=grid, volume=1.0), x)
-    v3 = coverage_objective(CoveragePayload(grid=grid, volume=3.0), x)
-    assert v3 == pytest.approx(3 * v1, rel=1e-15)
-
-
 def test_coverage_zero_distance_cover():
     grid = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.33, 0.77]])
-    payload = CoveragePayload(grid=grid, volume=1.0)
+    payload = CoveragePayload(grid=grid)
     assert coverage_objective(payload, grid.ravel()) == 0.0
 
 
 def test_coverage_two_agents_beat_one():
-    payload = CoveragePayload(grid=unit_cube_grid(2, 0.01), volume=1.0)
+    payload = CoveragePayload(grid=unit_cube_grid(2, 0.01))
     one = coverage_objective(payload, np.array([0.5, 0.5]))
     two = coverage_objective(payload, np.array([0.25, 0.5, 0.75, 0.5]))
     assert two < one
 
 
 def test_coverage_extra_agent_weakly_decreases(rng):
-    payload = CoveragePayload(grid=unit_cube_grid(2, 0.1), volume=1.0)
+    payload = CoveragePayload(grid=unit_cube_grid(2, 0.1))
     for _ in range(20):
         x = rng.uniform(0, 1, size=6)
         extra = np.concatenate([x, rng.uniform(0, 1, size=2)])
@@ -200,7 +191,7 @@ def test_coverage_extra_agent_weakly_decreases(rng):
 
 
 def test_coverage_smooth_min_close_to_hard():
-    payload = CoveragePayload(grid=unit_cube_grid(2, 0.1), volume=1.0)
+    payload = CoveragePayload(grid=unit_cube_grid(2, 0.1))
     x = np.array([0.2, 0.2, 0.8, 0.8])
     hard = coverage_objective(payload, x)
     soft = coverage_objective(payload, x, smooth_eps=-1e5)
@@ -223,9 +214,7 @@ def test_unit_cube_grid_shape():
 
 def test_coverage_payload_validation():
     with pytest.raises(ValueError):
-        CoveragePayload(grid=np.zeros((0, 2)), volume=1.0)
-    with pytest.raises(ValueError):
-        CoveragePayload(grid=np.zeros((3, 2)), volume=0.0)
+        CoveragePayload(grid=np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +224,9 @@ def test_coverage_payload_validation():
 def test_rendezvous_hand_value():
     # two agents on a line, single formation with y = (1, 0):
     # r_12 = 1, r_21 = -1, r_ii = 0; x = (0, 0) gives (1/4)(1 + 1) = 0.5
-    payload = RendezvousPayload(positions=np.array([[[1.0], [0.0]]]), thetas=(1,))
-    value, theta = rendezvous_objective(payload, np.array([0.0, 0.0]))
+    payload = RendezvousPayload(positions=np.array([[[1.0], [0.0]]]))
+    value = rendezvous_objective(payload, np.array([0.0, 0.0]))
     assert value == pytest.approx(0.5, abs=1e-15)
-    assert theta == 1
 
 
 def test_rendezvous_translation_invariance(rng):
@@ -246,11 +234,11 @@ def test_rendezvous_translation_invariance(rng):
     for theta_idx in (0, 3):
         offset = rng.normal(size=2)
         x = (payload.positions[theta_idx] + offset).ravel()
-        value, theta = rendezvous_objective(payload, x)
+        value = rendezvous_objective(payload, x)
         assert value <= 1e-26
-        # and conversely: zero value means the reported formation is realized
-        # up to one common translation (all per-agent offsets coincide)
-        t_idx = payload.thetas.index(theta)
+        # and conversely: zero value means the best-fitting formation is
+        # realized up to one common translation (all per-agent offsets coincide)
+        t_idx = int(np.argmin(_formation_sq_errors(payload, x)))
         offsets = x.reshape(6, 2) - payload.positions[t_idx]
         assert np.ptp(offsets, axis=0).max() <= 1e-12
 
@@ -259,7 +247,7 @@ def test_rendezvous_nonzero_off_formation():
     payload = circle_formation(5, radius=0.2)
     x = np.zeros(10)
     x[0] = 1.0  # break every formation
-    value, _ = rendezvous_objective(payload, x)
+    value = rendezvous_objective(payload, x)
     assert value > 1e-3
 
 
@@ -269,34 +257,24 @@ def test_rendezvous_cyclic_relabeling_matches_parameter_shift(rng):
     N = 15
     payload = circle_formation(N, radius=0.2)
     x = rng.normal(scale=0.3, size=2 * N)
-    value, _ = rendezvous_objective(payload, x)
+    value = rendezvous_objective(payload, x)
     shifted = np.roll(x.reshape(N, 2), -1, axis=0).ravel()
-    value2, _ = rendezvous_objective(payload, shifted)
+    value2 = rendezvous_objective(payload, shifted)
     assert value2 == pytest.approx(value, rel=1e-10, abs=1e-12)
 
 
-def test_rendezvous_tie_breaks_to_smallest_parameter():
-    # a single agent fits every formation member equally (all offsets empty
-    # of cross terms), so the argmin must fall on the smallest parameter
-    payload = circle_formation(1, radius=0.2, thetas=(3, 1, 2))
-    value, theta = rendezvous_objective(payload, np.zeros(2))
-    assert value == 0.0
-    assert theta == 1
-
-
 def _reference_rendezvous(payload, x, smooth_eps=None):
-    """The 4-D ``tijd`` formula the rendezvous objective must reproduce bit
-    for bit: value and minimizing parameter (smallest on ties)."""
+    """The 4-D ``tijd`` formula whose value the rendezvous objective must
+    reproduce bit for bit."""
     pos = payload.positions
     N, n = pos.shape[1], pos.shape[2]
     offsets = pos[:, :, None, :] - pos[:, None, :, :]
     pts = x.reshape(N, n)
     err = (pts[:, None, :] - pts[None, :, :])[None] - offsets
     per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
-    best = per_theta.min()
-    theta_star = min(th for th, v in zip(payload.thetas, per_theta) if v == best)
-    value = float(best) if smooth_eps is None else smooth_min(per_theta, smooth_eps)
-    return value, theta_star
+    if smooth_eps is None:
+        return float(per_theta.min())
+    return smooth_min(per_theta, smooth_eps)
 
 
 @given(
@@ -313,11 +291,9 @@ def test_rendezvous_matches_reference_bit_for_bit(N, formations, log_scale, seed
     scale = 10.0**log_scale
     pos = rng.normal(scale=scale, size=(formations, N, 2))
     if ties and formations > 1:
-        # repeat members, so the minimum is shared and theta_star must take
-        # the smallest parameter of the tied ones
+        # repeat members, so the minimum is shared by several formations
         pos[1::2] = pos[0]
-    thetas = tuple(int(v) for v in rng.permutation(formations) + 1)
-    payload = RendezvousPayload(positions=pos, thetas=thetas)
+    payload = RendezvousPayload(positions=pos)
     x = rng.normal(scale=scale, size=2 * N)
     if ties:
         x = (pos[0] + rng.normal(size=2)).ravel()  # realizes member 0
@@ -327,16 +303,16 @@ def test_rendezvous_matches_reference_bit_for_bit(N, formations, log_scale, seed
     spec = ObjectiveSpec(
         "rendezvous", 2, N, payload, l1=1e9, l2=2e9, smooth_min_epsilon=eps
     )
-    assert objective_value(spec, x) == expected[0]
-    assert evaluate(spec, x) == expected[0]
+    assert objective_value(spec, x) == expected
+    assert evaluate(spec, x) == expected
 
 
 def test_rendezvous_smooth_min_bound():
     payload = circle_formation(4, radius=0.2)
     x = np.arange(8.0) / 10
-    hard, _ = rendezvous_objective(payload, x)
-    soft, _ = rendezvous_objective(payload, x, smooth_eps=-50.0)
-    assert hard + math.log(len(payload.thetas)) / -50.0 <= soft <= hard
+    hard = rendezvous_objective(payload, x)
+    soft = rendezvous_objective(payload, x, smooth_eps=-50.0)
+    assert hard + math.log(len(payload.positions)) / -50.0 <= soft <= hard
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +353,7 @@ def test_assignment_matches_brute_force(rng):
 def test_assignment_once_at_start_freezes_pairing():
     targets = np.array([[0.0], [10.0]])
     payload = freeze_assignment(
-        AssignmentPayload(targets=targets, policy=ONCE_AT_START),
+        AssignmentPayload(targets=targets),
         np.array([0.1, 9.9]),
     )
     assert payload.fixed_indices == (0, 1)
@@ -385,10 +361,8 @@ def test_assignment_once_at_start_freezes_pairing():
     value, perm = assignment_objective(payload, np.array([10.0, 0.0]))
     assert list(perm) == [0, 1]
     assert value == pytest.approx(200.0)
-    # the every-step policy would re-pair to zero cost
-    value2, _ = assignment_objective(
-        AssignmentPayload(targets=targets, policy=EVERY_STEP), np.array([10.0, 0.0])
-    )
+    # the every-step pairing would re-pair to zero cost
+    value2, _ = assignment_objective(AssignmentPayload(targets=targets), np.array([10.0, 0.0]))
     assert value2 == 0.0
 
 

@@ -161,7 +161,7 @@ def test_finite_difference_matches_coverage_piecewise_gradient():
     # where the nearest-agent partition is locally constant the coverage
     # objective is a quadratic with gradient (V/Nq) * sum_j 2(x_i - q_j)
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    payload = CoveragePayload(grid=grid, volume=1.0)
+    payload = CoveragePayload(grid=grid)
     x = np.array([0.21, 0.2, 0.83, 0.78])  # generic point, partition stable
     J = lambda v: coverage_objective(payload, v)
     fd = finite_difference_gradient(J, x, 1e-6)
@@ -282,7 +282,7 @@ def _paired_records(steps=40, seed=0):
 def test_check_twice_speed_report():
     (rec_bc, rec_pbc), _ = _paired_records()
     rep = check_twice_speed(rec_bc, rec_pbc)
-    assert rep.steps_compared == 40
+    assert (rec_pbc.steps, rec_bc.steps) == (40, 80)
     assert rep.max_state_deviation <= 1e-9
     assert rep.max_objective_deviation <= 1e-9
     assert rep.max_state_deviation >= 0.0
