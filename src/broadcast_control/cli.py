@@ -4,6 +4,7 @@ and re-serialize run outputs for plotting."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -101,19 +102,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             config = load_config(args.config)
         else:
             config = ExperimentConfig()
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         config = with_overrides(
-            config,
-            law=args.law,
-            task=args.task,
-            K=args.K,
-            trials=args.trials,
-            master_seed=args.master_seed,
-            steps=args.steps,
-            mode=args.mode,
-            out_dir=args.out_dir,
-            retain_trajectories=args.retain_trajectories,
-            smooth_min_eps=args.smooth_min_eps,
-            workers=args.workers,
+            config, **{k: v for k, v in vars(args).items() if k in fields}
         )
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)

@@ -25,6 +25,7 @@ from .objectives import (
     COVERAGE,
     QUADRATIC,
     RENDEZVOUS,
+    TASKS,
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
@@ -34,7 +35,6 @@ from .objectives import (
     unit_cube_grid,
 )
 
-TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
 LAWS = ("bc", "pbc", "paired")
 MODES = ("figure", "theorem")
 EVERY_STEP = "every-step"
@@ -212,15 +212,6 @@ class ExperimentConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
-_INT_KEYS = {"K", "N", "n", "steps", "trials", "master_seed", "formation_count", "workers"}
-_FLOAT_KEYS = {
-    "a0", "a_p", "c0", "c_p", "t_v", "l1", "l2",
-    "grid_spacing", "formation_radius",
-}
-_OPT_FLOAT_KEYS = {"smooth_min_eps"}
-_TUPLE_KEYS = {"targets", "x0"}
-_STR_KEYS = {"task", "law", "mode", "out_dir", "reassignment", "retain_trajectories"}
-
 
 def _render(value) -> str:
     if value is None:
@@ -234,17 +225,19 @@ def _render(value) -> str:
 
 def _parse_value(key: str, raw: str, violations: list):
     raw = raw.strip()
+    # the field's annotation, as text: annotations are postponed in this module
+    kind = _FIELDS[key].type
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(raw)
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             v = float(raw)
             if math.isnan(v) or math.isinf(v):
                 raise ValueError("non-finite")
             return v
-        if key in _OPT_FLOAT_KEYS:
+        if kind == "Optional[float]":
             return None if raw == "" else float(raw)
-        if key in _TUPLE_KEYS:
+        if kind == "Optional[tuple]":
             if raw == "":
                 return None
             return tuple(float(tok) for tok in raw.replace(",", " ").split())

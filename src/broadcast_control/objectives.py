@@ -15,12 +15,17 @@ regions are evaluated exactly (no blend arithmetic), so inside the workspace
 The inner hard minima (over agents in coverage, over formations in
 rendezvous) can optionally be replaced by the stable log-sum-exp smooth
 minimum for strictly C2 experiments.
+
+``make_objective_fn`` binds a spec once: it picks the task function with its
+payload and epsilon, and returns the barrier-wrapped ``J(x) -> float``, so an
+evaluation dispatches on nothing and checks nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -33,9 +38,9 @@ from .state import NonFiniteError
 
 
 def barrier_weight(r: float, l1: float, l2: float) -> float:
-    """C2 blend weight: 1 for ``r <= l1``, 0 for ``r >= l2``, quintic between."""
-    if not l1 < l2:
-        raise ValueError(f"need l1 < l2, got l1={l1}, l2={l2}")
+    """C2 blend weight: 1 for ``r <= l1``, 0 for ``r >= l2``, quintic between.
+
+    Assumes ``l1 < l2``, which ``ObjectiveSpec`` checks once."""
     if r <= l1:
         return 1.0
     if r >= l2:
@@ -44,21 +49,18 @@ def barrier_weight(r: float, l1: float, l2: float) -> float:
     return 1.0 - (10.0 * w**3 - 15.0 * w**4 + 6.0 * w**5)
 
 
-def smooth_min(values, epsilon: float) -> float:
-    """Smooth minimum ``(1/eps) * log(sum(exp(eps * f_j)))`` for ``eps < 0``.
+def smooth_min(values, epsilon: float):
+    """Smooth minimum ``(1/eps) * log(sum(exp(eps * f_j)))`` along axis 0,
+    for ``eps < 0`` (``ObjectiveSpec`` checks the sign once).
 
     Computed shift-stably by factoring out the hard minimum, which keeps all
     exponents nonpositive.  The result satisfies
 
         (1/eps) * log(n) <= smooth_min(f, eps) - min(f) <= 0.
     """
-    if epsilon >= 0:
-        raise ValueError(f"epsilon must be strictly negative, got {epsilon}")
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size == 0:
-        raise ValueError("smooth_min of an empty collection")
-    m = float(vals.min())
-    return m + np.log(np.exp(epsilon * (vals - m)).sum()) / epsilon
+    m = vals.min(axis=0)  # raises ValueError on an empty input
+    return m + np.log(np.exp(epsilon * (vals - m)).sum(axis=0)) / epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +128,7 @@ def coverage_objective(
             np.minimum(nearest, _squared_distances(cols, pts[i]), out=nearest)
     else:
         d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
-        m = d2.min(axis=0)
-        nearest = m + np.log(np.exp(smooth_eps * (d2 - m)).sum(axis=0)) / smooth_eps
+        nearest = smooth_min(d2, smooth_eps)
     return float(nearest.mean())
 
 
@@ -383,7 +384,7 @@ RENDEZVOUS = "rendezvous"
 ASSIGNMENT = "assignment"
 QUADRATIC = "quadratic"
 
-_KINDS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
+TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +409,7 @@ class ObjectiveSpec:
     smooth_min_epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in TASKS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if not 0 < self.l1 < self.l2:
             raise ValueError(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
@@ -428,40 +429,31 @@ class ObjectiveSpec:
         return self.n * self.N
 
 
-def objective_value(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Task objective before the barrier wrap."""
-    eps = spec.smooth_min_epsilon
-    if spec.kind == COVERAGE:
-        return coverage_objective(spec.payload, x, smooth_eps=eps)
-    if spec.kind == RENDEZVOUS:
-        return rendezvous_objective(spec.payload, x, eps)
-    if spec.kind == ASSIGNMENT:
-        return assignment_objective(spec.payload, x)[0]
-    return quadratic_objective(spec.payload, x)
+def make_objective_fn(spec: ObjectiveSpec):
+    """Bind a spec into a plain ``J(values) -> float`` callable: the
+    barrier-wrapped objective, with its task, payload and epsilon bound once.
 
-
-def evaluate(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Barrier-wrapped objective value.
-
-    Equals the task objective exactly inside radius ``l1`` and ``x.x``
+    ``J`` equals the task objective exactly inside radius ``l1`` and ``x.x``
     exactly outside radius ``l2``; blends with the C2 weight in between.
     """
-    # for a 1-D real array np.linalg.norm(x) is exactly sqrt(x.dot(x))
-    quad = float(x.dot(x))
-    r = math.sqrt(quad)
-    if r <= spec.l1:
-        return objective_value(spec, x)
-    if r >= spec.l2:
-        return quad
-    rho = barrier_weight(r, spec.l1, spec.l2)
-    return rho * objective_value(spec, x) + (1.0 - rho) * quad
+    payload, eps = spec.payload, spec.smooth_min_epsilon
+    task = {
+        COVERAGE: partial(coverage_objective, payload, smooth_eps=eps),
+        RENDEZVOUS: partial(rendezvous_objective, payload, smooth_eps=eps),
+        ASSIGNMENT: lambda x: assignment_objective(payload, x)[0],
+        QUADRATIC: partial(quadratic_objective, payload),
+    }[spec.kind]
+    l1, l2 = spec.l1, spec.l2
 
-
-def make_objective_fn(spec: ObjectiveSpec):
-    """Bind a spec into a plain ``J(values) -> float`` callable."""
-
-    def J(values: np.ndarray) -> float:
-        return evaluate(spec, values)
+    def J(x: np.ndarray) -> float:
+        # for a 1-D real array np.linalg.norm(x) is exactly sqrt(x.dot(x))
+        quad = float(x.dot(x))
+        r = math.sqrt(quad)
+        if r <= l1:
+            return task(x)
+        if r >= l2:
+            return quad
+        rho = barrier_weight(r, l1, l2)
+        return rho * task(x) + (1.0 - rho) * quad
 
     return J
-

@@ -95,6 +95,33 @@ def test_flags_override_config(tmp_path):
     assert len(_read(out / "summary.csv").decode().strip().split("\n")) == 1 + 4
 
 
+@pytest.mark.parametrize(
+    "flag, line",
+    [
+        (["--law", "bc"], "law = bc"),
+        (["--task", "quadratic"], "task = quadratic"),
+        (["--K", "2"], "K = 2"),
+        (["--trials", "2"], "trials = 2"),
+        (["--seed", "9"], "master_seed = 9"),
+        (["--steps", "2"], "steps = 2"),
+        (["--mode", "theorem"], "mode = theorem"),
+        (["--out", "{flag_out}"], "out_dir = {flag_out}"),
+        (["--retain-trajectories"], "retain_trajectories = true"),
+        (["--smooth-min-eps=-5"], "smooth_min_eps = -5"),
+        (["--workers", "2"], "workers = 2"),
+    ],
+)
+def test_every_run_flag_reaches_config(tmp_path, flag, line):
+    # each flag differs from the config file or the default, and the run
+    # writes where the resulting config says
+    cfg_out, flag_out = tmp_path / "cfg_out", tmp_path / "flag_out"
+    cfg = _write_config(tmp_path, f"N = 3\nformation_count = 3\nsteps = 3\nout_dir = {cfg_out}\n")
+    flag = [arg.format(flag_out=flag_out) for arg in flag]
+    assert main(["run", "--config", cfg, *flag]) == 0
+    manifest = _read((flag_out if flag[0] == "--out" else cfg_out) / "manifest")
+    assert line.format(flag_out=flag_out) in manifest.decode().split("\n")
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [
         ("law = paired\nK = 3\na_p = 0.4\n", ("paired", "2*a_p")),

@@ -17,10 +17,9 @@ from broadcast_control.objectives import (
     barrier_weight,
     circle_formation,
     coverage_objective,
-    evaluate,
     freeze_assignment,
     hungarian,
-    objective_value,
+    make_objective_fn,
     quadratic_objective,
     rendezvous_objective,
     smooth_min,
@@ -38,8 +37,6 @@ def test_barrier_weight_branches():
     assert barrier_weight(5.0, 1.0, 2.0) == 0.0
     mid = barrier_weight(1.5, 1.0, 2.0)
     assert 0.0 < mid < 1.0
-    with pytest.raises(ValueError):
-        barrier_weight(0.5, 2.0, 1.0)
 
 
 def _one_sided_d2(f, x0, h, sign):
@@ -85,59 +82,82 @@ def _quad_spec(n=1, N=2, l1=1.0, l2=2.0):
 
 def test_evaluate_branches_bit_exact():
     spec = _quad_spec()
+    J = make_objective_fn(spec)
     inside = np.array([0.3, -0.4])  # |x| = 0.5 <= l1
-    assert evaluate(spec, inside) == objective_value(spec, inside)
+    assert J(inside) == quadratic_objective(spec.payload, inside)
     outside = np.array([1.2, -1.6])  # |x| = 2.0 >= l2
-    assert evaluate(spec, outside) == float(np.dot(outside, outside))
+    assert J(outside) == float(np.dot(outside, outside))
     # strictly between the branch values in the blend band
     mid = np.array([1.5, 0.0])
-    j_obj = objective_value(spec, mid)
+    j_obj = quadratic_objective(spec.payload, mid)
     quad = float(np.dot(mid, mid))
-    val = evaluate(spec, mid)
+    val = J(mid)
     assert min(j_obj, quad) < val < max(j_obj, quad)
 
 
-def _reference_evaluate(spec, x):
-    """The barrier through ``np.linalg.norm``: ``evaluate`` must match it bit
+def _reference_evaluate(spec, task, x):
+    """The barrier through ``np.linalg.norm`` around the task objective
+    ``task``, called directly: ``make_objective_fn(spec)`` must match it bit
     for bit."""
     r = float(np.linalg.norm(x))
     if r <= spec.l1:
-        return objective_value(spec, x)
+        return task(x)
     quad = float(np.dot(x, x))
     if r >= spec.l2:
         return quad
     rho = barrier_weight(r, spec.l1, spec.l2)
-    return rho * objective_value(spec, x) + (1.0 - rho) * quad
+    return rho * task(x) + (1.0 - rho) * quad
 
 
 def test_evaluate_matches_norm_barrier_bit_for_bit(rng):
-    l1, l2 = 1.0, 2.0
-    specs = [
-        _quad_spec(n=2, N=3, l1=l1, l2=l2),
-        ObjectiveSpec("rendezvous", 2, 3, circle_formation(3, 0.2), l1=l1, l2=l2),
+    # every task beside its objective called directly, hard and smooth minima,
+    # assignment re-solved and frozen: binding the wrong task, payload or
+    # epsilon fails
+    l1, l2, eps = 1.0, 2.0, -10.0
+    grid = CoveragePayload(grid=unit_cube_grid(2, 0.25))
+    family = circle_formation(3, 0.2)
+    targets = AssignmentPayload(targets=rng.normal(size=(3, 2)))
+    frozen = freeze_assignment(targets, rng.normal(size=6))
+    quad = _quad_spec(n=2, N=3, l1=l1, l2=l2)
+
+    def spec(kind, payload, smooth=None):
+        return ObjectiveSpec(kind, 2, 3, payload, l1=l1, l2=l2, smooth_min_epsilon=smooth)
+
+    cases = [
+        (quad, lambda x: quadratic_objective(quad.payload, x)),
+        (spec("coverage", grid), lambda x: coverage_objective(grid, x)),
+        (spec("coverage", grid, eps), lambda x: coverage_objective(grid, x, smooth_eps=eps)),
+        (spec("rendezvous", family), lambda x: rendezvous_objective(family, x)),
+        (
+            spec("rendezvous", family, eps),
+            lambda x: rendezvous_objective(family, x, smooth_eps=eps),
+        ),
+        (spec("assignment", targets), lambda x: assignment_objective(targets, x)[0]),
+        (spec("assignment", frozen), lambda x: assignment_objective(frozen, x)[0]),
     ]
     radii = [
         np.nextafter(l1, 0.0), l1, np.nextafter(l1, 2.0),  # just inside l1
         1.25, 1.5, 1.999,  # the blend
         l2, np.nextafter(l2, 3.0), 7.0,  # beyond l2
     ]
-    branches = set()
-    for spec in specs:
+    for objective_spec, task in cases:
+        J = make_objective_fn(objective_spec)
+        branches = set()
         for radius in radii:
             for _ in range(200):
-                direction = rng.normal(size=spec.nN)
+                direction = rng.normal(size=objective_spec.nN)
                 x = radius * direction / np.linalg.norm(direction)
-                assert evaluate(spec, x) == _reference_evaluate(spec, x)
+                assert J(x) == _reference_evaluate(objective_spec, task, x)
                 r = float(np.linalg.norm(x))
                 branches.add("inside" if r <= l1 else "beyond" if r >= l2 else "blend")
-    assert branches == {"inside", "blend", "beyond"}
+        assert branches == {"inside", "blend", "beyond"}
 
 
 def test_evaluate_standard_workspace_is_task_objective():
     # all standard experiments stay well inside l1 = 100
     spec = _quad_spec(l1=100.0, l2=101.0)
     x = np.array([0.9, 0.9])
-    assert evaluate(spec, x) == objective_value(spec, x)
+    assert make_objective_fn(spec)(x) == quadratic_objective(spec.payload, x)
 
 
 def test_evaluate_dimension_mismatch():
@@ -303,8 +323,7 @@ def test_rendezvous_matches_reference_bit_for_bit(N, formations, log_scale, seed
     spec = ObjectiveSpec(
         "rendezvous", 2, N, payload, l1=1e9, l2=2e9, smooth_min_epsilon=eps
     )
-    assert objective_value(spec, x) == expected
-    assert evaluate(spec, x) == expected
+    assert make_objective_fn(spec)(x) == expected
 
 
 def test_rendezvous_smooth_min_bound():
@@ -502,8 +521,6 @@ def test_smooth_min_approaches_hard_min():
 
 
 def test_smooth_min_rejects_bad_args():
-    with pytest.raises(ValueError):
-        smooth_min([1.0], 0.5)
     with pytest.raises(ValueError):
         smooth_min([], -1.0)
 
