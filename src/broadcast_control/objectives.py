@@ -19,6 +19,13 @@ minimum for strictly C2 experiments.
 ``make_objective_fn`` binds a spec once: it picks the task function with its
 payload and epsilon, and returns the barrier-wrapped ``J(x) -> float``, so an
 evaluation dispatches on nothing and checks nothing.
+
+Hard-minimum coverage is bound to ``_LabelledCoverage``, which keeps each
+grid point's nearest agent from its last full scan.  A call scans every agent
+only at the points whose label the agents' displacement since then could
+have changed, which is few of them for the probes ``x + c*sigma`` of a PBC
+step.  Its values carry the bits of ``coverage_objective``, which stays the
+plain scan and the smooth-minimum path.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ class CoveragePayload:
         grid = np.asarray(self.grid, dtype=np.float64)
         if grid.ndim != 2 or grid.shape[0] == 0:
             raise ValueError("coverage grid must be a non-empty (points, n) array")
+        # a non-finite point has no finite objective, and the rounding bound
+        # of ``_LabelledCoverage``'s certificate assumes finite coordinates
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("coverage grid must be finite")
         object.__setattr__(self, "grid", grid)
         # contiguous per-axis columns keep the distance scan cache-friendly
         object.__setattr__(
@@ -106,10 +117,14 @@ def unit_cube_grid(n: int, spacing: float) -> np.ndarray:
     return np.column_stack([c.ravel() for c in mesh])
 
 
-def _squared_distances(grid_cols: tuple, pt: np.ndarray) -> np.ndarray:
-    d2 = np.square(grid_cols[0] - pt[0])
-    for d in range(1, pt.shape[0]):
-        diff = grid_cols[d] - pt[d]
+def _squared_distances(grid_cols: tuple, pt, out=None, tmp=None) -> np.ndarray:
+    """Squared distances from the grid points to ``pt``, summed over the axes
+    in order.  ``pt[d]`` is a scalar or broadcasts against ``grid_cols[d]``;
+    ``out`` and ``tmp`` are optional buffers of the result's shape."""
+    d2 = np.subtract(grid_cols[0], pt[0], out=out)
+    np.square(d2, out=d2)
+    for d in range(1, len(grid_cols)):
+        diff = np.subtract(grid_cols[d], pt[d], out=tmp)
         diff *= diff
         d2 += diff
     return d2
@@ -130,6 +145,125 @@ def coverage_objective(
         d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
         nearest = smooth_min(d2, smooth_eps)
     return float(nearest.mean())
+
+
+class _LabelledCoverage:
+    """Hard-minimum ``coverage_objective`` that reuses nearest-agent labels
+    from call to call, with the same output bits.
+
+    A full pass scans every agent, as ``coverage_objective`` does, and keeps
+    a reference: the agents' positions ``p``, each grid point's nearest agent
+    ``l`` (its label) and the gap ``r2 - r1`` between its second-nearest and
+    nearest distances.  A later call at positions ``p'`` takes the largest
+    agent displacement ``delta = max_i |p'_i - p_i|``.  Every distance moves
+    by at most ``delta``, so a point whose gap exceeds ``2*delta + slack`` is
+    certified: agent ``l`` is still its nearest, and its value is the squared
+    distance to ``l``, computed with ``_squared_distances``' operations in
+    the same order.  Every other point scans all agents; ``min`` is exact, so
+    the scan's order does not matter.  The mean runs over the whole 1-D
+    array in grid order, so the value has the bits of
+    ``coverage_objective(payload, x)``.  A call relabels (takes the full
+    pass) when it has no reference, or when more than ``_RELABEL_FRACTION``
+    of the grid would be left uncertified.  It holds state between calls, so
+    each ``J`` gets its own.
+
+    Rounding.  Let ``u = 2**-53`` and ``S = max|g| + |x_ref| + |x|``, which
+    bounds every distance ``r`` and every displacement.  A computed squared
+    distance is ``s*(1+t)`` with ``|t| <= (n+3)u``: it is a sum of ``n``
+    nonnegative terms, each a rounded square of a rounded difference, so
+    its computed ``sqrt`` is within ``(n/2+3)u*S`` of ``r``.  The gap, one
+    more subtraction, is within ``(n+7)u*S`` of the exact gap, and the
+    computed ``delta`` is within ``(n/2+3)u*S`` of the exact one.  The
+    threshold's own two roundings lose at most ``3u*S``.  And the computed
+    squared distances keep the exact order once the exact new distances
+    differ by more than ``(n+4)u*S``.  These add up to ``(3n+20)u*S``, under
+    the ``(4n+32)u*S`` of ``slack``; ``S`` is itself computed, which adds
+    a term of order ``u**2 * S``, inside that margin.  Differences, squares
+    and sums below the normal range carry absolute errors whose square
+    roots stay under ``2**-500``, which ``slack`` adds; it also makes the
+    threshold positive, so a tie (gap 0) is never certified.  When ``S`` is
+    not below ``2**500`` no squared distance could be trusted not to
+    overflow, and nothing is certified.  A NaN gap or displacement compares
+    False and certifies nothing.
+    """
+
+    _RELABEL_FRACTION = 0.15
+
+    def __init__(self, payload: CoveragePayload, N: int) -> None:
+        grid = payload.grid
+        self._cols = payload._grid_cols
+        self._shape = (N, payload.n)
+        self._n = payload.n
+        self._grid_radius = math.sqrt(float(np.einsum("gd,gd->g", grid, grid).max()))
+        G = grid.shape[0]
+        self._max_uncertified = int(self._RELABEL_FRACTION * G)
+        # buffers owned for the evaluator's life.  Each of the two work rows
+        # holds one agent's distances to the grid, or an (agents, points)
+        # block of the scan at up to ``_max_uncertified`` points: no call
+        # allocates grid-sized temporaries, which the allocator may hand back
+        # to the system and fault in again on the next call
+        self._value = np.empty(G)
+        self._gap = np.empty(G)
+        self._label = np.empty(G, dtype=np.intp)
+        self._mask = np.empty(G, dtype=bool)
+        self._work = np.empty((2, max(G, N * self._max_uncertified)))
+        self._dist, self._tmp = self._work[0, :G], self._work[1, :G]
+        self._ref = None
+        self._ref_norm = math.inf  # no reference yet: the first call relabels
+
+    def _relabel(self, pts: np.ndarray, norm: float) -> float:
+        best, second, dist, tmp = self._value, self._gap, self._dist, self._tmp
+        label, less, cols = self._label, self._mask, self._cols
+        _squared_distances(cols, pts[0], out=best, tmp=tmp)
+        second.fill(np.inf)
+        label.fill(0)
+        for i in range(1, pts.shape[0]):
+            _squared_distances(cols, pts[i], out=dist, tmp=tmp)
+            np.less(dist, best, out=less)
+            np.copyto(label, i, where=less)
+            np.maximum(best, dist, out=tmp)
+            np.minimum(second, tmp, out=second)
+            np.minimum(best, dist, out=best)
+        value = float(best.mean())
+        np.sqrt(second, out=second)
+        np.sqrt(best, out=tmp)
+        second -= tmp  # the gap r2 - r1
+        self._ref = pts.copy()
+        self._ref_norm = norm
+        return value
+
+    def __call__(self, x: np.ndarray) -> float:
+        pts = x.reshape(self._shape)  # a wrong-length state raises here
+        norm = math.sqrt(float(x.dot(x)))
+        scale = self._grid_radius + self._ref_norm + norm
+        if not scale < 2.0**500:
+            return self._relabel(pts, norm)
+        disp = pts - self._ref
+        disp *= disp
+        delta = math.sqrt(float(disp.sum(axis=1).max()))
+        slack = (4 * self._n + 32) * 2.0**-53 * scale + 2.0**-500
+        certified = np.greater(self._gap, 2.0 * delta + slack, out=self._mask)
+        uncertified = certified.shape[0] - np.count_nonzero(certified)
+        if uncertified > self._max_uncertified:
+            return self._relabel(pts, norm)
+
+        cols, value, tmp, label = self._cols, self._value, self._tmp, self._label
+        np.take(pts[:, 0], label, out=tmp, mode="clip")
+        np.subtract(cols[0], tmp, out=value)
+        np.square(value, out=value)
+        for d in range(1, self._n):
+            np.take(pts[:, d], label, out=tmp, mode="clip")
+            np.subtract(cols[d], tmp, out=tmp)
+            tmp *= tmp
+            value += tmp
+        if uncertified:
+            idx = np.flatnonzero(~certified)
+            size = pts.shape[0] * idx.size
+            d2, diff = (row[:size].reshape(-1, idx.size) for row in self._work)
+            sub = tuple(col[idx] for col in cols)
+            _squared_distances(sub, pts.T[:, :, None], out=d2, tmp=diff)
+            value[idx] = d2.min(axis=0)
+        return float(value.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +577,9 @@ def make_objective_fn(spec: ObjectiveSpec):
         ASSIGNMENT: lambda x: assignment_objective(payload, x)[0],
         QUADRATIC: partial(quadratic_objective, payload),
     }[spec.kind]
+    if spec.kind == COVERAGE and eps is None:
+        # the same values as coverage_objective, with labels kept between calls
+        task = _LabelledCoverage(payload, spec.N)
     l1, l2 = spec.l1, spec.l2
 
     def J(x: np.ndarray) -> float:

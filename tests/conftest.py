@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from broadcast_control import GainSchedule
+
+# `pytest --hypothesis-profile=ci` draws 1000 examples, ten times the default,
+# in every property test that does not pin max_examples
+settings.register_profile("ci", max_examples=1000)
 
 
 def unit_sched(a: float, c: float) -> GainSchedule:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -235,6 +236,62 @@ def test_unit_cube_grid_shape():
 def test_coverage_payload_validation():
     with pytest.raises(ValueError):
         CoveragePayload(grid=np.zeros((0, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        grid = unit_cube_grid(2, 0.5)
+        grid[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CoveragePayload(grid=grid)
+
+
+@st.composite
+def _coverage_call_sequences(draw):
+    """A coverage spec and the states PBC would evaluate J at: per step the
+    state and its K probes ``x + c*sigma``, then a move, sometimes a jump."""
+    n = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from({1: (0.1, 0.05), 2: (0.25, 0.2, 0.1), 3: (0.5, 0.25)}[n]))
+    grid = unit_cube_grid(n, spacing)
+    N = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-0.25, 1.25, size=(N, n))
+    if N >= 2 and draw(st.booleans()):
+        pts[1] = pts[0]  # coincident agents
+    if N >= 3 and draw(st.booleans()):
+        # agents 1 and 2 mirrored about a grid point, then one nudged by a
+        # few ulps: that point is equidistant to within rounding
+        g = grid[rng.integers(grid.shape[0])]
+        v = rng.normal(scale=spacing, size=n)
+        pts[1], pts[2] = g + v, g - v
+        pts[2, 0] = pts[2, 0] + draw(st.integers(-4, 4)) * np.spacing(pts[2, 0])
+    x = pts.ravel()
+    l1, l2 = 100.0, 101.0
+    if draw(st.booleans()):
+        # the barrier blend: the state sits between l1 and l2
+        r0 = max(float(np.linalg.norm(x)), 1e-3)
+        l1, l2 = 0.8 * r0, 1.5 * r0
+    spec = ObjectiveSpec("coverage", n, N, CoveragePayload(grid=grid), l1=l1, l2=l2)
+    K = draw(st.integers(1, 10))
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = 10.0 ** draw(st.floats(-7.0, 0.0))
+        states.append(x)
+        states.extend(x + c * rng.choice([-1.0, 1.0], size=(K, n * N)))
+        jump = draw(st.sampled_from((1e-3, 1e-2, 1e-1, 1.0))) if draw(st.booleans()) else c
+        x = x + rng.normal(scale=jump, size=n * N)
+    states.append(x)
+    return spec, states
+
+
+@given(_coverage_call_sequences())
+@settings(deadline=None)
+def test_hard_coverage_reuses_labels_bit_for_bit(case):
+    # make_objective_fn binds hard-minimum coverage to an evaluator that keeps
+    # nearest-agent labels between calls; over a PBC-like call sequence every
+    # value must carry coverage_objective's bits
+    spec, states = case
+    J = make_objective_fn(spec)
+    task = partial(coverage_objective, spec.payload)
+    for x in states:
+        assert J(x).hex() == _reference_evaluate(spec, task, x).hex()
 
 
 # ---------------------------------------------------------------------------
