@@ -17,7 +17,7 @@ process pool by the first run with ``workers > 1``.
 
 from ._version import __version__
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .controllers import BcLocalState, bc_step, pbc_step
+from .controllers import bc_step, pbc_step
 from .engine import DivergenceError, run_and_write, run_monte_carlo, run_paired, run_trial
 from .gains import GainSchedule, InvalidScheduleError
 from .objectives import hungarian
@@ -44,7 +44,6 @@ __all__ = [
     "run_paired",
     "run_trial",
     # the step laws and what they consume
-    "BcLocalState",
     "GainSchedule",
     "bc_step",
     "draw_block",

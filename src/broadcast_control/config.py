@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gains import GainSchedule
+from .gains import GainSchedule, InvalidScheduleError
 from .objectives import (
     ASSIGNMENT,
     COVERAGE,
@@ -102,6 +102,10 @@ class ExperimentConfig:
         for name in ("K", "N", "n", "trials", "workers"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
+        d = self.out_dir
+        if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
+            out.append(f"out_dir must hold no '#', line break or edge whitespace, got {d!r}")
         if self.steps < 0:
             out.append(f"steps must be >= 0, got {self.steps}")
         if self.law == "paired" and self.K != 1:
@@ -114,7 +118,10 @@ class ExperimentConfig:
             )
         if self.formation_count < 1:
             out.append(f"formation_count must be >= 1, got {self.formation_count}")
-        out.extend(self.schedule().violations())
+        try:
+            self.schedule()
+        except InvalidScheduleError as err:
+            out.extend(err.violations)
         if not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
         if self.smooth_min_eps is not None and not -math.inf < self.smooth_min_eps < 0:

@@ -7,24 +7,24 @@ its own element-wise inverse).
 
 BC, the baseline two-stage law, physically moves every agent by ``c*sigma``
 on even steps and, on odd steps, cancels the probe while stepping along the
-resulting gradient estimate.  PBC replaces the physical probe with ``K``
-virtual perturbed states evaluated centrally; the supervisor broadcasts the
-``K`` objective differences and each agent moves once per step, combining
-them with its own private signs.
+resulting gradient estimate.  Its memory, the even step's signs and
+objective value, is two plain arguments that the caller keeps.  PBC
+replaces the physical probe with ``K`` virtual perturbed states evaluated
+centrally; the supervisor broadcasts the ``K`` objective differences and
+each agent moves once per step, combining them with its own private signs.
 
 Local inputs are computed from the broadcast vector, the agent's own signs,
 and the gains alone; no agent-to-agent information exists anywhere in these
 functions.
 
-The gains come from a valid ``GainSchedule``, so they are finite and
-positive.  The one check left on the step path is the finiteness test that
-ends a diverged trial.
+A ``GainSchedule`` is checked when it is built, so the gains are finite and
+positive and the step laws check nothing of it again.  The one check left
+on the step path is the finiteness test that ends a diverged trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,60 +45,35 @@ def _estimate_term(a: float, delta_j: float, c: float, sigma: np.ndarray) -> np.
     return (-a) * ((delta_j / c) * sigma)
 
 
-@dataclass
-class BcLocalState:
-    """Per-run memory of the two-stage law.
-
-    ``phi1`` holds the sign vector of the preceding even step, ``phi2`` the
-    objective value broadcast at that step, and ``parity`` the step parity
-    expected next (0 = even).  The zero initialization is inert: the first
-    even step never reads it.
-    """
-
-    phi1: np.ndarray
-    phi2: float
-    parity: int = 0
-
-    @classmethod
-    def initial(cls, nN: int) -> "BcLocalState":
-        return cls(phi1=np.zeros(nN), phi2=0.0, parity=0)
-
-
 def bc_step(
     x: np.ndarray,
-    local: BcLocalState,
     t: int,
     sched: GainSchedule,
-    sigma_block: np.ndarray | None,
+    sigma: np.ndarray,
+    j_even: float,
     J,
     j_x: float | None = None,
 ):
-    """One step of the two-stage law.  Returns ``(x', local', u)``.
+    """One step of the two-stage law.  Returns ``(x', u)``.
 
-    Even ``t``: every agent takes the random probe ``u = c*sigma`` (slice
-    ``k=0`` of the block) and remembers ``(sigma, J(x))``.  Odd ``t``: the
-    probe is cancelled and the remembered objective difference, scaled by
-    ``a/c`` and the remembered signs, is descended:
+    ``sigma`` and ``j_even`` are the law's memory: the signs and the
+    objective value ``J(x)`` of the even step that opens the pair.  Even
+    ``t``: every agent takes the probe ``u = c*sigma``, and ``J`` is not
+    evaluated.  Odd ``t``: the probe is cancelled and the objective
+    difference, scaled by ``a/c`` and the remembered signs, is descended:
 
-        u = -c*phi1 - a * (J(x) - phi2)/c * phi1
+        u = -c*sigma - a * (J(x) - j_even)/c * sigma
 
     ``j_x`` may carry a precomputed ``J(x)`` so a caller tracing the
     objective costs one evaluation per step.
     """
-    if t % 2 != local.parity:
-        raise ValueError(f"step {t} does not match controller parity {local.parity}")
     a, c = bc_gains_at(sched, t)
-    nu = _checked_j(J, x) if j_x is None else float(j_x)
     if t % 2 == 0:
-        if sigma_block is None:
-            raise ValueError("even steps require a perturbation block")
-        sigma = sigma_block[0]
         u = c * sigma
-        local2 = BcLocalState(phi1=sigma, phi2=nu, parity=1)
     else:
-        u = (-c) * local.phi1 + _estimate_term(a, nu - local.phi2, c, local.phi1)
-        local2 = BcLocalState(phi1=local.phi1, phi2=nu, parity=0)
-    return apply_input(x, u), local2, u
+        nu = _checked_j(J, x) if j_x is None else float(j_x)
+        u = (-c) * sigma + _estimate_term(a, nu - j_even, c, sigma)
+    return apply_input(x, u), u
 
 
 def pbc_broadcast(

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig
-from .controllers import BcLocalState, _checked_j, bc_step, pbc_step
+from .controllers import _checked_j, bc_step, pbc_step
 from .objectives import make_objective_fn
 from .state import SIGN_GENERATOR_ID, NonFiniteError, draw_block
 
@@ -113,8 +113,8 @@ def _simulate(
     j_trace = np.empty(steps + 1)
     states[0] = x
 
-    local = BcLocalState.initial(nN)
-    # BC draws a block on even steps only
+    # BC draws a block on even steps only; each odd step reuses the signs
+    # and the objective value of the even step before it
     sign_steps = (steps + 1) // 2 if law == LAW_BC else steps
     t = 0
     # overflow shows up as a non-finite state, objective value or assignment
@@ -127,13 +127,13 @@ def _simulate(
                 jx = _checked_j(J, x)
                 j_trace[t] = jx
                 if law == LAW_BC:
-                    block = None
                     if t % 2 == 0:
-                        block = draw_block(
+                        sigma = draw_block(
                             config.master_seed, trial_index, t // 2,
                             config.n, config.N, 1, sign_steps,
-                        )
-                    x, local, u = bc_step(x, local, t, sched, block, J, j_x=jx)
+                        )[0]
+                        j_even = jx
+                    x, u = bc_step(x, t, sched, sigma, j_even, J, j_x=jx)
                 else:
                     block = draw_block(
                         config.master_seed, trial_index, t,

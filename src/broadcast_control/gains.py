@@ -10,20 +10,25 @@ is valid when
 
 which by the p-series criteria makes ``sum a(t)`` diverge while
 ``sum (a/c)**2`` and ``sum a*c**2`` converge, the decay rates the stochastic
-gradient iteration needs.  The two-stage law consumes the same schedule
-stair-stepped: steps ``2t`` and ``2t+1`` both use the single-stage gains at
-``t``, so a pair of its steps matches one single-stage step.
+gradient iteration needs.  ``GainSchedule`` checks them when it is built, so
+the gain functions check only their step argument.  The two-stage law
+consumes the same schedule stair-stepped: steps ``2t`` and ``2t+1`` both use
+the single-stage gains at ``t``, so a pair of its steps matches one
+single-stage step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class InvalidScheduleError(ValueError):
-    """Raised when a gain is requested from an invalid schedule."""
+    """Invalid gain schedule; ``violations`` lists every broken condition."""
+
+    def __init__(self, violations: list):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,7 @@ class GainSchedule:
     c_p: float
     t_v: float
 
-    def violations(self) -> list[str]:
-        """Return each violated validity condition, empty when valid."""
+    def __post_init__(self):
         out = []
         if not 0 < self.t_v < math.inf:
             out.append(f"0 < t_v < inf violated (t_v = {self.t_v:g})")
@@ -57,21 +61,13 @@ class GainSchedule:
             out.append(f"0 < a0 < inf violated (a0 = {self.a0:g})")
         if not 0 < self.c0 < math.inf:
             out.append(f"0 < c0 < inf violated (c0 = {self.c0:g})")
-        return out
-
-    @cached_property
-    def _violation_message(self) -> str:
-        # fields are frozen, so the conditions are checked once per instance
-        return "; ".join(self.violations())
-
-    def _require_valid(self) -> None:
-        if self._violation_message:
-            raise InvalidScheduleError(self._violation_message)
+        if out:
+            raise InvalidScheduleError(out)
 
 
 def gain_a(sched: GainSchedule, t: int) -> float:
     """Step size at step ``t``: strictly positive, strictly decreasing."""
-    sched._require_valid()
+    # a negative t + t_v to a fractional power would be a complex number
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return sched.a0 / (t + sched.t_v) ** sched.a_p
@@ -79,7 +75,6 @@ def gain_a(sched: GainSchedule, t: int) -> float:
 
 def gain_c(sched: GainSchedule, t: int) -> float:
     """Probe radius at step ``t``: strictly positive, strictly decreasing."""
-    sched._require_valid()
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return sched.c0 / (t + sched.t_v) ** sched.c_p

@@ -140,6 +140,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "smooth_min_eps must be finite" in capsys.readouterr().err
 
 
+def test_out_dir_with_hash_exits_2(tmp_path, capsys):
+    # the manifest could not echo this out_dir: its '#' starts a comment
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "runs#1"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "out_dir must hold no '#'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -122,6 +122,22 @@ def test_serialize_round_trip_defaults():
     assert parse_config(config.serialize()) == config
 
 
+@pytest.mark.parametrize("out_dir", ["runs/#1", " runs", "runs ", "runs\nK = 3", "a\rb"])
+def test_out_dir_that_cannot_round_trip_rejected(out_dir):
+    # serialize writes out_dir as it is, and the parser cuts a line at '#',
+    # strips its ends and splits lines: each of these would parse back to
+    # another config, or not at all
+    config = ExperimentConfig(out_dir=out_dir)
+    assert any(v.startswith("out_dir") for v in config.violations())
+    with pytest.raises(ConfigError):
+        config.validate()
+
+
+def test_out_dir_inner_spaces_round_trip():
+    config = ExperimentConfig(out_dir="my runs/run 1").validate()
+    assert parse_config(config.serialize()) == config
+
+
 def _random_config(rng) -> ExperimentConfig:
     task = rng.choice(["coverage", "rendezvous", "assignment", "quadratic"])
     law = rng.choice(["bc", "pbc", "paired"])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from broadcast_control.controllers import (
-    BcLocalState,
     bc_step,
     pbc_broadcast,
     pbc_local_input,
@@ -33,38 +32,45 @@ def _block(*signs: float) -> np.ndarray:
 # two-stage law
 
 
+def _bc_pair(x, sched, sigma, J):
+    """The state after an even step and the odd step that follows it, the
+    caller keeping ``(sigma, J(x))`` between them."""
+    j_even = J(x)
+    x1, _ = bc_step(x, 0, sched, sigma, j_even, J)
+    return bc_step(x1, 1, sched, sigma, j_even, J)[0]
+
+
 def test_bc_step_hand_trace():
     # x = 1, J = x^2, a = 0.1, c = 0.5, sigma = +1:
-    #   even: x -> 1.5, remembers (sigma = 1, J(1) = 1)
+    #   even: x -> 1.5; the caller remembers (sigma = 1, J(1) = 1)
     #   odd:  u = -0.5 - 0.1 * ((2.25 - 1)/0.5) = -0.75, x -> 0.75
     sched = unit_sched(0.1, 0.5)
     x = scalar_state(1.0)
-    local = BcLocalState.initial(1)
-    x1, local1, u0 = bc_step(x, local, 0, sched, _block(1.0), SQUARE)
+    sigma = _block(1.0)[0]
+    x1, u0 = bc_step(x, 0, sched, sigma, SQUARE(x), SQUARE)
     assert u0[0] == 0.5
     assert x1[0] == 1.5
-    assert local1.phi1[0] == 1.0
-    assert local1.phi2 == 1.0
-    assert local1.parity == 1
 
-    x2, local2, u1 = bc_step(x1, local1, 1, sched, None, SQUARE)
+    x2, u1 = bc_step(x1, 1, sched, sigma, 1.0, SQUARE)
     assert u1[0] == pytest.approx(-0.75, abs=1e-15)
     assert x2[0] == pytest.approx(0.75, abs=1e-15)
-    assert local2.parity == 0
 
 
-def test_bc_step_parity_enforced():
+def test_bc_step_evaluation_count():
+    # the parity comes from t: an even step evaluates J never, an odd step
+    # once, and a supplied j_x replaces that one evaluation
+    calls = []
+    J = lambda v: (calls.append(1), SQUARE(v))[1]
     sched = unit_sched(0.1, 0.5)
-    x = scalar_state(1.0)
-    with pytest.raises(ValueError):
-        bc_step(x, BcLocalState.initial(1), 1, sched, None, SQUARE)
-    with pytest.raises(ValueError):
-        bc_step(x, BcLocalState(np.ones(1), 0.0, parity=1), 0, sched, _block(1.0), SQUARE)
-
-
-def test_bc_even_step_requires_block():
-    with pytest.raises(ValueError):
-        bc_step(scalar_state(1.0), BcLocalState.initial(1), 0, unit_sched(0.1, 0.5), None, SQUARE)
+    sigma = _block(1.0)[0]
+    x1, _ = bc_step(scalar_state(1.0), 0, sched, sigma, None, J)
+    assert calls == []
+    bc_step(x1, 1, sched, sigma, 1.0, J)
+    assert len(calls) == 1
+    calls.clear()
+    x2, _ = bc_step(x1, 1, sched, sigma, 1.0, J, j_x=SQUARE(x1))
+    assert calls == []
+    assert x2[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_bc_perturbation_cancellation():
@@ -74,9 +80,7 @@ def test_bc_perturbation_cancellation():
     sched = unit_sched(0.1, 0.5)
     const = lambda v: 7.5
     for x0 in (1.0, -3.7, 123.456):
-        x = scalar_state(x0)
-        x1, local1, _ = bc_step(x, BcLocalState.initial(1), 0, sched, _block(1.0), const)
-        x2, _, _ = bc_step(x1, local1, 1, sched, None, const)
+        x2 = _bc_pair(scalar_state(x0), sched, _block(1.0)[0], const)
         assert abs(x2[0] - x0) <= 2.0**-46 * max(1.0, abs(x0))
 
 
@@ -86,18 +90,17 @@ def test_bc_zero_gradient_point_enumeration():
     a, c = 0.1, 0.5
     endpoints = []
     for sigma in (1.0, -1.0):
-        x = scalar_state(0.0)
-        x1, local1, _ = bc_step(x, BcLocalState.initial(1), 0, sched, _block(sigma), SQUARE)
-        x2, _, _ = bc_step(x1, local1, 1, sched, None, SQUARE)
+        x2 = _bc_pair(scalar_state(0.0), sched, _block(sigma)[0], SQUARE)
         endpoints.append(x2[0])
         assert abs(x2[0]) <= c * (1 + a * c)
     assert sum(endpoints) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bc_rejects_non_finite_objective():
+    # the odd step is the one that evaluates J
     bad = lambda v: float("nan")
     with pytest.raises(NonFiniteError):
-        bc_step(scalar_state(1.0), BcLocalState.initial(1), 0, unit_sched(0.1, 0.5), _block(1.0), bad)
+        bc_step(scalar_state(1.0), 1, unit_sched(0.1, 0.5), _block(1.0)[0], 1.0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +189,16 @@ def test_pbc_local_input_matches_reference_bit_for_bit(K, rng):
 
 @pytest.mark.parametrize("law", ["pbc", "bc"])
 def test_step_laws_reject_invalid_schedule(law):
-    # gain positivity is the schedule's invariant, checked before any probe
-    bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
+    # gain positivity is the schedule's invariant: an invalid schedule cannot
+    # be built, so neither law ever steps, or probes J, with one
     calls = []
     J = lambda v: (calls.append(1), SQUARE(v))[1]
     with pytest.raises(InvalidScheduleError, match="a0"):
+        bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
         if law == "pbc":
             pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J)
         else:
-            bc_step(scalar_state(1.0), BcLocalState.initial(1), 0, bad, _block(1.0), J)
+            bc_step(scalar_state(1.0), 1, bad, _block(1.0)[0], 1.0, J)
     assert calls == []
 
 
@@ -265,8 +269,7 @@ def test_one_step_equivalence(name, rng):
         sched = unit_sched(a, c)
         block = draw_block(master_seed=trial, trial=0, t=0, n=2, N=3, K=1)
 
-        xb1, mem, _ = bc_step(x, BcLocalState.initial(6), 0, sched, block, J)
-        xb2, _, _ = bc_step(xb1, mem, 1, sched, None, J)
+        xb2 = _bc_pair(x, sched, block[0], J)
         xp, _ = pbc_step(x, 0, sched, block, J)
         scale = 1.0 + np.abs(x).max()
         assert np.abs(xp - xb2).max() <= 1e-12 * scale
@@ -282,7 +285,6 @@ def test_quadratic_enumeration_equivalence():
         for s1 in (1.0, -1.0):
             x = np.array([1.0, -0.5])
             block = np.array([[s0, s1]])
-            xb1, mem, _ = bc_step(x, BcLocalState.initial(2), 0, sched, block, J)
-            xb2, _, _ = bc_step(xb1, mem, 1, sched, None, J)
+            xb2 = _bc_pair(x, sched, block[0], J)
             xp, _ = pbc_step(x, 0, sched, block, J)
             assert np.abs(xp - xb2).max() <= 1e-14

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,51 +45,46 @@ def test_gain_c_unit_and_decay():
     assert gain_c(STANDARD, 10**6) < gain_c(STANDARD, 10**3)
 
 
+def _violations(**fields) -> list:
+    """The conditions a schedule built from ``fields`` breaks."""
+    with pytest.raises(InvalidScheduleError) as err:
+        GainSchedule(**fields)
+    assert str(err.value) == "; ".join(err.value.violations)
+    return err.value.violations
+
+
 def test_validate_standard_is_valid():
-    # 2*0.7 - 2*0.16 = 1.08 > 1 and 0.7 + 0.32 = 1.02 > 1
-    assert STANDARD.violations() == []
+    # 2*0.7 - 2*0.16 = 1.08 > 1 and 0.7 + 0.32 = 1.02 > 1: builds, no error
+    assert GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0) == STANDARD
 
 
 def test_validate_reports_each_condition():
     # a_p = 0.5 breaks 2*a_p - 2*c_p > 1 (0.68) and drags a_p + 2*c_p under too
-    bad = GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
-    out = bad.violations()
+    out = _violations(a0=2.0, a_p=0.5, c0=0.003, c_p=0.16, t_v=20.0)
     assert any("2*a_p - 2*c_p" in v and "0.68" in v for v in out)
+    assert any("a_p + 2*c_p" in v and "0.82" in v for v in out)
+    assert len(out) == 2
 
-    bad2 = GainSchedule(2.0, 0.7, 0.003, 0.16, 0.0)
-    assert any("t_v" in v for v in bad2.violations())
+    out = _violations(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=0.0)
+    assert len(out) == 1 and "t_v" in out[0]
 
-    bad3 = GainSchedule(-1.0, 1.5, -0.1, -0.2, -3.0)
-    names = "\n".join(bad3.violations())
+    out = _violations(a0=-1.0, a_p=1.5, c0=-0.1, c_p=-0.2, t_v=-3.0)
+    names = "\n".join(out)
     for frag in ("t_v", "a_p", "c_p", "a0", "c0"):
         assert frag in names
 
 
 def test_invalid_schedule_fails_loudly():
-    bad = GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
-    with pytest.raises(InvalidScheduleError):
-        gain_a(bad, 0)
-    with pytest.raises(InvalidScheduleError):
-        gain_c(bad, 3)
     with pytest.raises(InvalidScheduleError, match="2\\*a_p - 2\\*c_p"):
-        gain_a(bad, 1)
-
-
-def test_validity_checked_once_per_schedule(monkeypatch):
-    calls = []
-    violations = GainSchedule.violations
-
-    def counting(self):
-        calls.append(self)
-        return violations(self)
-
-    monkeypatch.setattr(GainSchedule, "violations", counting)
-    sched = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
-    for t in range(10):
-        gain_a(sched, t)
-        gain_c(sched, t)
-        bc_gains_at(sched, t)
-    assert len(calls) == 1
+        GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidScheduleError, match="a0"):
+            GainSchedule(bad, 0.7, 0.003, 0.16, 20.0)
+        with pytest.raises(InvalidScheduleError, match="c0"):
+            GainSchedule(2.0, 0.7, bad, 0.16, 20.0)
+    # a copy with a changed field is built, and checked, again
+    with pytest.raises(InvalidScheduleError, match="t_v"):
+        dataclasses.replace(STANDARD, t_v=-1.0)
 
 
 def test_negative_t_rejected():
@@ -135,7 +131,6 @@ def test_ratio_square_sum_converges():
     assert all(nxt < 0.95 * cur for cur, nxt in zip(decades, decades[1:]))
 
     fast = GainSchedule(a0=2.0, a_p=1.0, c0=0.003, c_p=0.01, t_v=20.0)
-    assert fast.violations() == []
     a, c = _series(fast)
     ratio_sq = (a / c) ** 2
     assert ratio_sq[10**5 :].sum() < 1e-3 * ratio_sq.sum()

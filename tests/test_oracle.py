@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from broadcast_control.config import ExperimentConfig
-from broadcast_control.controllers import BcLocalState, bc_step, pbc_step
+from broadcast_control.controllers import bc_step, pbc_step
 from broadcast_control.engine import run_paired
 from broadcast_control.objectives import (
     CoveragePayload,
@@ -316,8 +316,8 @@ def test_worked_single_step_distance_margin():
     for sigma, expected in ((1.0, 1.0), (-1.0, 0.7)):
         x = scalar_state(1.0)
         block = np.array([[sigma]])
-        x1, mem, u0 = bc_step(x, BcLocalState.initial(1), 0, sched, block, SQUARE)
-        x2, _, u1 = bc_step(x1, mem, 1, sched, None, SQUARE)
+        x1, u0 = bc_step(x, 0, sched, block[0], SQUARE(x), SQUARE)
+        x2, u1 = bc_step(x1, 1, sched, block[0], SQUARE(x), SQUARE)
         d_bc = abs(u0[0]) + abs(u1[0])
         _, up = pbc_step(scalar_state(1.0), 0, sched, block, SQUARE)
         margin = d_bc - abs(up[0])

@@ -1,0 +1,25 @@
+"""Every ```python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_TEXT = README.read_text()
+# (first line number, code) of each block
+BLOCKS = [
+    (_TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
+    for m in re.finditer(r"^```python\n(.*?)^```", _TEXT, re.M | re.S)
+]
+
+
+def test_readme_has_python_blocks():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("line,code", BLOCKS, ids=[f"line{line}" for line, _ in BLOCKS])
+def test_readme_python_block_runs(line, code, tmp_path, monkeypatch):
+    # a block that writes files writes them into a fresh directory
+    monkeypatch.chdir(tmp_path)
+    exec(compile("\n" * (line - 1) + code, str(README), "exec"), {"__name__": "readme"})
