@@ -20,7 +20,7 @@ results = {}
 for law, K in (("bc", 1), ("pbc", 1), ("pbc", 3), ("pbc", 10)):
     config = ExperimentConfig(
         task="rendezvous", law=law, K=K, trials=TRIALS, master_seed=42
-    ).validate()
+    )
     res = run_monte_carlo(config)
     label = "BC" if law == "bc" else f"PBC K={K}"
     results[label] = res

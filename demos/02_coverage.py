@@ -20,7 +20,7 @@ finals = {}
 for law, K in (("bc", 1), ("pbc", 1), ("pbc", 10)):
     config = ExperimentConfig(
         task="coverage", law=law, K=K, trials=TRIALS, master_seed=7
-    ).validate()
+    )
     res = run_monte_carlo(config)
     label = "BC" if law == "bc" else f"PBC K={K}"
     finals[label] = res.records[0]

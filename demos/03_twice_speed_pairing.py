@@ -25,7 +25,7 @@ strict = 0
 for seed in range(SEEDS):
     config = ExperimentConfig(
         task="rendezvous", law="paired", mode="theorem", master_seed=seed
-    ).validate()
+    )
     rec_bc, rec_pbc = run_paired(config, 0)
     speed = check_twice_speed(rec_bc, rec_pbc)
     dist = check_distance_dominance(rec_bc, rec_pbc)

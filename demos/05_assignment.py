@@ -27,7 +27,7 @@ print(f"optimal pairing: {pairing}, cost {cost[np.arange(3), perm].sum():.0f}\n"
 
 config = ExperimentConfig(
     task="assignment", law="pbc", K=3, trials=10, master_seed=3, a0=0.2
-).validate()
+)
 res = run_monte_carlo(config)
 print("assignment task, 15 agents moving to a circle of targets, 10 trials:")
 print(f"  mean J(0)   = {res.stats.j_mean[0]:.4f}")

@@ -10,15 +10,7 @@ import os
 import sys
 
 from ._version import __version__
-from .config import (
-    LAWS,
-    MODES,
-    TASKS,
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    with_overrides,
-)
+from .config import LAWS, MODES, TASKS, ConfigError, ExperimentConfig, load_config
 from .engine import run_and_write
 from .verify import VERIFY_CHECKS, run_verify
 
@@ -102,10 +94,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             config = load_config(args.config)
         else:
             config = ExperimentConfig()
+        # flags win over the config file; replace checks the new config again
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        config = with_overrides(
-            config, **{k: v for k, v in vars(args).items() if k in fields}
-        )
+        flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+        config = dataclasses.replace(config, **flags)
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
         for v in err.violations:

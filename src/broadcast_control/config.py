@@ -7,13 +7,16 @@ default, so the empty document is a valid configuration (the standard
 floats at 17 significant digits, so ``parse_config(cfg.serialize()) == cfg``
 exactly.
 
-Validation reports all violations at once, not just the first.
+Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
+it and raises ``ConfigError`` listing every violation at once, so code handed
+a config trusts it.  ``x0`` and ``targets`` are stored as float tuples.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +38,10 @@ from .objectives import (
     unit_cube_grid,
 )
 
-LAWS = ("bc", "pbc", "paired")
+LAW_BC = "bc"
+LAW_PBC = "pbc"
+LAW_PAIRED = "paired"
+LAWS = (LAW_BC, LAW_PBC, LAW_PAIRED)
 MODES = ("figure", "theorem")
 EVERY_STEP = "every-step"
 ONCE_AT_START = "once-at-start"
@@ -53,7 +59,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str = RENDEZVOUS
-    law: str = "pbc"
+    law: str = LAW_PBC
     K: int = 1
     N: int = 15
     n: int = 2
@@ -81,7 +87,18 @@ class ExperimentConfig:
 
     # -- validation ---------------------------------------------------------
 
-    def violations(self) -> list:
+    def __post_init__(self):
+        # a list or array would serialize as its repr, not in the flat float
+        # format that parse_config reads back
+        for name in ("x0", "targets"):
+            values = getattr(self, name)
+            if values is not None:
+                values = tuple(np.asarray(values, dtype=np.float64).ravel().tolist())
+                object.__setattr__(self, name, values)
+        self.validate()
+
+    def validate(self) -> "ExperimentConfig":
+        """Raise ``ConfigError`` listing every violation, or return ``self``."""
         out = []
         if self.task not in TASKS:
             out.append(f"task must be one of {TASKS}, got {self.task!r}")
@@ -99,16 +116,20 @@ class ExperimentConfig:
                 f"reassignment must be {EVERY_STEP!r} or {ONCE_AT_START!r}, "
                 f"got {self.reassignment!r}"
             )
+        for f in dataclasses.fields(self):
+            if f.type == "int" and not _is_int(getattr(self, f.name)):
+                out.append(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         for name in ("K", "N", "n", "trials", "workers"):
-            if getattr(self, name) < 1:
-                out.append(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if _is_int(value) and value < 1:
+                out.append(f"{name} must be >= 1, got {value}")
         # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
         d = self.out_dir
         if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
             out.append(f"out_dir must hold no '#', line break or edge whitespace, got {d!r}")
-        if self.steps < 0:
+        if _is_int(self.steps) and self.steps < 0:
             out.append(f"steps must be >= 0, got {self.steps}")
-        if self.law == "paired" and self.K != 1:
+        if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
         if not 0 < self.grid_spacing < 1:
             out.append(f"grid_spacing must lie in (0, 1), got {self.grid_spacing}")
@@ -116,7 +137,7 @@ class ExperimentConfig:
             out.append(
                 f"formation_radius must be positive and finite, got {self.formation_radius}"
             )
-        if self.formation_count < 1:
+        if _is_int(self.formation_count) and self.formation_count < 1:
             out.append(f"formation_count must be >= 1, got {self.formation_count}")
         try:
             self.schedule()
@@ -132,7 +153,7 @@ class ExperimentConfig:
             values = getattr(self, name)
             if values is None:
                 continue
-            if len(values) != self.n * self.N:
+            if _is_int(self.n) and _is_int(self.N) and len(values) != self.n * self.N:
                 out.append(
                     f"{name} must hold n*N = {self.n * self.N} values, got {len(values)}"
                 )
@@ -142,12 +163,8 @@ class ExperimentConfig:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:
             out.append("assignment with n != 2 requires explicit targets")
-        return out
-
-    def validate(self) -> "ExperimentConfig":
-        bad = self.violations()
-        if bad:
-            raise ConfigError(bad)
+        if out:
+            raise ConfigError(out)
         return self
 
     # -- derived objects -----------------------------------------------------
@@ -220,6 +237,11 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
+def _is_int(value) -> bool:
+    # bool is an Integral, but True would serialize as "True"
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _render(value) -> str:
     if value is None:
         return ""
@@ -273,8 +295,10 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
         values[key] = _parse_value(key, raw, violations)
-    config = ExperimentConfig(**values)
-    violations.extend(config.violations())
+    try:
+        config = ExperimentConfig(**values)
+    except ConfigError as err:
+        violations.extend(err.violations)
     if violations:
         raise ConfigError(violations)
     return config
@@ -283,11 +307,3 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Replace fields and re-validate (flags win over the config file)."""
-    updated = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
-    )
-    return updated.validate()

@@ -21,14 +21,10 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig
+from .config import LAW_BC, LAW_PAIRED, LAW_PBC, ExperimentConfig
 from .controllers import _checked_j, bc_step, pbc_step
 from .objectives import make_objective_fn
 from .state import SIGN_GENERATOR_ID, NonFiniteError, draw_block
-
-LAW_BC = "bc"
-LAW_PBC = "pbc"
-LAW_PAIRED = "paired"
 
 
 class DivergenceError(RuntimeError):
@@ -162,7 +158,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     Deterministic in ``(config, trial_index)``.  Raises ``DivergenceError``
     on non-finite state or objective.
     """
-    config.validate()
     if config.law == LAW_PAIRED:
         raise ValueError("run_trial runs a single law; use run_paired for pairs")
     return _simulate(config, config.law, _horizon(config, config.law), trial_index)
@@ -178,7 +173,6 @@ def run_paired(config: ExperimentConfig, trial_index: int = 0):
 
     Returns ``(record_bc, record_pbc)``.
     """
-    config.validate()
     if config.K != 1:
         raise ValueError(f"paired runs require K = 1, got K = {config.K}")
     rec_bc = _simulate(config, LAW_BC, _horizon(config, LAW_BC), trial_index)
@@ -251,7 +245,6 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
     is identical at any worker count.  Diverged trials are excluded from the
     aggregate and reported in ``excluded``.
     """
-    config.validate()
     records, excluded = _map_trials(run_trial, config)
     return MonteCarloResult(
         stats=_aggregate(records), records=records, excluded=excluded

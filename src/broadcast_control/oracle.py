@@ -147,14 +147,20 @@ class TwiceSpeedReport:
     max_objective_deviation: float  # relative: |dJ| / (1 + J)
 
 
-def check_twice_speed(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> TwiceSpeedReport:
-    """Measure ``sup_t |x_pbc(t) - x_bc(2t)|_inf`` and the matching
-    objective deviation over the paired horizon."""
+def _paired_horizon(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> int:
+    """The single-stage horizon ``T``; the two-stage record must hold ``2T`` steps."""
     T = rec_pbc.steps
     if rec_bc.steps < 2 * T:
         raise ValueError(
             f"two-stage record holds {rec_bc.steps} steps, need {2 * T} for pairing"
         )
+    return T
+
+
+def check_twice_speed(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> TwiceSpeedReport:
+    """Measure ``sup_t |x_pbc(t) - x_bc(2t)|_inf`` and the matching
+    objective deviation over the paired horizon."""
+    T = _paired_horizon(rec_bc, rec_pbc)
     x_bc = rec_bc.states[0 : 2 * T + 1 : 2]
     dev = np.abs(rec_pbc.states - x_bc).max()
     j_bc = rec_bc.j_trace[0 : 2 * T + 1 : 2]
@@ -176,11 +182,7 @@ def check_distance_dominance(
     rec_bc: TrialRecord, rec_pbc: TrialRecord
 ) -> DistanceDominanceReport:
     """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over the pair."""
-    T = rec_pbc.steps
-    if rec_bc.steps < 2 * T:
-        raise ValueError(
-            f"two-stage record holds {rec_bc.steps} steps, need {2 * T} for pairing"
-        )
+    T = _paired_horizon(rec_bc, rec_pbc)
     margins = rec_bc.d_trace[0 : 2 * T + 1 : 2] - rec_pbc.d_trace
     return DistanceDominanceReport(
         min_margin=float(margins.min()),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import LAW_PAIRED, LAW_PBC, ExperimentConfig
 from .engine import run_monte_carlo, run_paired
 from .objectives import QuadraticPayload, quadratic_objective
 from .oracle import (
@@ -36,10 +36,8 @@ class CheckResult:
     note: str = ""
 
 
-def _paired_config(seed: int, task: str = "rendezvous") -> ExperimentConfig:
-    return ExperimentConfig(
-        task=task, law="paired", mode="theorem", master_seed=seed
-    ).validate()
+def _paired_config(seed: int) -> ExperimentConfig:
+    return ExperimentConfig(law=LAW_PAIRED, mode="theorem", master_seed=seed)
 
 
 def check_estimator(concave: bool = False, **_) -> list:
@@ -193,8 +191,8 @@ def check_k_multistep(trials: int = 20, **_) -> list:
     finals = []
     for K in (1, 3, 10):
         config = ExperimentConfig(
-            task="quadratic", law="pbc", K=K, trials=trials, master_seed=11
-        ).validate()
+            task="quadratic", law=LAW_PBC, K=K, trials=trials, master_seed=11
+        )
         res = run_monte_carlo(config)
         finals.append(float(res.stats.j_mean[-1]))
     slack = 1.02  # Monte Carlo noise allowance on an inequality of means
@@ -220,8 +218,8 @@ def check_descent(trials: int = 20, **_) -> list:
     out = []
     for task, a0 in (("coverage", 2.0), ("rendezvous", 2.0), ("assignment", 0.2)):
         config = ExperimentConfig(
-            task=task, law="pbc", K=1, trials=trials, master_seed=5, a0=a0
-        ).validate()
+            task=task, law=LAW_PBC, K=1, trials=trials, master_seed=5, a0=a0
+        )
         res = run_monte_carlo(config)
         frac = descent_fraction(np.stack([r.j_trace for r in res.records]))
         out.append(

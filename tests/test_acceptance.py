@@ -43,7 +43,7 @@ def paired_runs():
     for seed in range(PAIRED_SEEDS):
         config = ExperimentConfig(
             task="rendezvous", law="paired", mode="theorem", master_seed=seed
-        ).validate()
+        )
         runs.append(run_paired(config, 0))
     return runs
 
@@ -52,7 +52,7 @@ def _trend_mc(task: str, K: int, **overrides):
     config = ExperimentConfig(
         task=task, law="pbc", K=K, trials=TREND_TRIALS, master_seed=1000 + K,
         workers=2, **overrides,
-    ).validate()
+    )
     return run_monte_carlo(config)
 
 

@@ -138,6 +138,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     argv = ["run", "--smooth-min-eps=-inf", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "smooth_min_eps must be finite" in capsys.readouterr().err
+    argv = ["run", "--law", "paired", "--K", "3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "paired law requires K = 1, got K = 3" in capsys.readouterr().err
 
 
 def test_out_dir_with_hash_exits_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
-from broadcast_control.config import with_overrides
+from broadcast_control.engine import write_manifest
 
 
 def test_empty_document_gives_standard_defaults():
@@ -49,9 +49,11 @@ def test_unknown_and_duplicate_keys_rejected():
 
 
 def test_all_violations_reported_at_once():
-    text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\nn = 0\nN = 0\n"
+    text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\nn = 0\nN = 0\nlawz = pbc\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
+    # parse errors first, then what building the config found
+    assert err.value.violations[0] == "line 8: unknown key 'lawz'"
     joined = "\n".join(err.value.violations)
     assert "task" in joined
     assert "K" in joined
@@ -111,10 +113,52 @@ def test_smooth_min_eps_sign():
 def test_non_finite_floats_rejected(field, value):
     # the infinite values once passed validation and then ended every trial
     # (or the whole run) at step 0
-    config = ExperimentConfig(**{field: value})
-    assert any(field in v for v in config.violations())
-    with pytest.raises(ConfigError):
-        config.validate()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{field: value})
+    assert any(field in v for v in err.value.violations)
+
+
+def test_construction_and_replace_check_the_config():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(K=0)
+    assert err.value.violations == ["K must be >= 1, got 0"]
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(ExperimentConfig(), law="paired", K=3, steps=-1)
+    assert err.value.violations == [
+        "steps must be >= 0, got -1",
+        "paired law requires K = 1, got K = 3",
+    ]
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "int"]
+)
+def test_int_fields_reject_non_integers(field):
+    # K = 2.5 once ran until the sign drawing failed, and K = True wrote a
+    # manifest that parse_config rejects
+    for value in (2.5, True):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field: value})
+        assert f"{field} must be an integer, got {value!r}" in err.value.violations
+    config = ExperimentConfig(**{field: np.int64(2)})
+    assert parse_config(config.serialize()) == config
+
+
+@pytest.mark.parametrize(
+    "form",
+    [np.asarray, list, lambda a: a.tolist(), lambda a: a.reshape(15, 2)],
+    ids=["array", "list-of-numpy-floats", "list", "agent-rows"],
+)
+def test_x0_and_targets_stored_as_float_tuples(form, tmp_path):
+    values = np.linspace(0.1, 0.9, 30)
+    config = ExperimentConfig(task="assignment", x0=form(values), targets=form(-values))
+    assert config.x0 == tuple(values.tolist())
+    assert all(type(v) is float for v in config.x0 + config.targets)
+    assert parse_config(config.serialize()) == config
+    write_manifest(str(tmp_path / "manifest"), config, [], 0)
+    lines = (tmp_path / "manifest").read_text().splitlines()
+    assert "x0 = " + " ".join(format(v, ".17g") for v in values) in lines
+    assert "targets = " + " ".join(format(-v, ".17g") for v in values) in lines
 
 
 def test_serialize_round_trip_defaults():
@@ -127,14 +171,13 @@ def test_out_dir_that_cannot_round_trip_rejected(out_dir):
     # serialize writes out_dir as it is, and the parser cuts a line at '#',
     # strips its ends and splits lines: each of these would parse back to
     # another config, or not at all
-    config = ExperimentConfig(out_dir=out_dir)
-    assert any(v.startswith("out_dir") for v in config.violations())
-    with pytest.raises(ConfigError):
-        config.validate()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(out_dir=out_dir)
+    assert any(v.startswith("out_dir") for v in err.value.violations)
 
 
 def test_out_dir_inner_spaces_round_trip():
-    config = ExperimentConfig(out_dir="my runs/run 1").validate()
+    config = ExperimentConfig(out_dir="my runs/run 1")
     assert parse_config(config.serialize()) == config
 
 
@@ -146,7 +189,7 @@ def _random_config(rng) -> ExperimentConfig:
     K = 1 if law == "paired" else int(rng.integers(1, 12))
     c_p = float(rng.uniform(0.05, 0.45))
     a_p = float(rng.uniform(max(0.51 + c_p, 1 - 2 * c_p + 0.01), 1.0))
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         task=str(task),
         law=str(law),
         K=K,
@@ -174,29 +217,18 @@ def _random_config(rng) -> ExperimentConfig:
         retain_trajectories=str(rng.choice(["auto", "true", "false"])),
         workers=int(rng.integers(1, 8)),
     )
-    return cfg
 
 
 def test_serialize_round_trip_random_configs(rng):
     count = 0
     for _ in range(1000):
-        cfg = _random_config(rng)
-        if cfg.violations():
+        try:
+            cfg = _random_config(rng)
+        except ConfigError:
             continue
         count += 1
         assert parse_config(cfg.serialize()) == cfg
     assert count > 500  # the generator mostly produces valid configs
-
-
-def test_with_overrides_validates():
-    config = ExperimentConfig()
-    updated = with_overrides(config, K=5, task="coverage")
-    assert updated.K == 5
-    assert updated.task == "coverage"
-    # None leaves fields untouched
-    assert with_overrides(config, K=None).K == 1
-    with pytest.raises(ConfigError):
-        with_overrides(config, law="paired", K=3)
 
 
 def test_initial_state_defaults():

@@ -21,7 +21,7 @@ def small_config(**kw) -> ExperimentConfig:
     base = dict(task="rendezvous", law="pbc", K=1, N=4, n=2, steps=20, trials=3,
                 master_seed=7, formation_count=4)
     base.update(kw)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def record_inputs(monkeypatch) -> list:
@@ -191,7 +191,7 @@ def test_trial_hashes_signs_once_per_chunk(monkeypatch, K):
 
     monkeypatch.setattr(state_mod, "_hash_key", counting)
     state_mod._sign_chunk.cache_clear()
-    config = ExperimentConfig(task="rendezvous", law="pbc", K=K, steps=60).validate()
+    config = ExperimentConfig(task="rendezvous", law="pbc", K=K, steps=60)
     run_trial(config, 0)
     chunk = max(1, 4096 // (K * config.n * config.N))
     assert 1 <= len(calls) <= math.ceil(60 / chunk)
@@ -240,7 +240,7 @@ def test_divergent_trial_excluded_not_fatal():
     for fields in cases:
         config = ExperimentConfig(
             law="pbc", n=2, steps=5, trials=2, master_seed=3, **fields
-        ).validate()
+        )
         res = run_monte_carlo(config)
         assert res.stats is None
         assert [idx for idx, _ in res.excluded] == [0, 1]

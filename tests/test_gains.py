@@ -45,7 +45,7 @@ def test_gain_c_unit_and_decay():
     assert gain_c(STANDARD, 10**6) < gain_c(STANDARD, 10**3)
 
 
-def _violations(**fields) -> list:
+def _schedule_errors(**fields) -> list:
     """The conditions a schedule built from ``fields`` breaks."""
     with pytest.raises(InvalidScheduleError) as err:
         GainSchedule(**fields)
@@ -60,15 +60,15 @@ def test_validate_standard_is_valid():
 
 def test_validate_reports_each_condition():
     # a_p = 0.5 breaks 2*a_p - 2*c_p > 1 (0.68) and drags a_p + 2*c_p under too
-    out = _violations(a0=2.0, a_p=0.5, c0=0.003, c_p=0.16, t_v=20.0)
+    out = _schedule_errors(a0=2.0, a_p=0.5, c0=0.003, c_p=0.16, t_v=20.0)
     assert any("2*a_p - 2*c_p" in v and "0.68" in v for v in out)
     assert any("a_p + 2*c_p" in v and "0.82" in v for v in out)
     assert len(out) == 2
 
-    out = _violations(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=0.0)
+    out = _schedule_errors(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=0.0)
     assert len(out) == 1 and "t_v" in out[0]
 
-    out = _violations(a0=-1.0, a_p=1.5, c0=-0.1, c_p=-0.2, t_v=-3.0)
+    out = _schedule_errors(a0=-1.0, a_p=1.5, c0=-0.1, c_p=-0.2, t_v=-3.0)
     names = "\n".join(out)
     for frag in ("t_v", "a_p", "c_p", "a0", "c0"):
         assert frag in names

@@ -82,7 +82,7 @@ def _hashes(out: str) -> dict:
 def run_case(name: str, workers: int) -> dict:
     """Run one case into ``out/<name>`` under the current directory."""
     out = os.path.join("out", name)
-    config = ExperimentConfig(**BASE, **CASES[name], out_dir=out).validate()
+    config = ExperimentConfig(**BASE, **CASES[name], out_dir=out)
     run_and_write(dataclasses.replace(config, workers=workers))
     return _hashes(out)
 

@@ -33,12 +33,11 @@ for fields in (
     dict(task="quadratic"),
     dict(task="assignment", reassignment="every-step"),
 ):
-    ExperimentConfig(**fields).validate().objective_spec()
+    ExperimentConfig(**fields).objective_spec()
 loaded("objective_spec")
 
 run_and_write(
     ExperimentConfig(task="rendezvous", steps=5, trials=2, workers=1, out_dir={out!r})
-    .validate()
 )
 loaded("run_and_write")
 

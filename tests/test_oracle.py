@@ -275,7 +275,7 @@ def test_check_k_monotonicity_requires_a_direction():
 def _paired_records(steps=40, seed=0):
     config = ExperimentConfig(
         task="rendezvous", law="paired", mode="theorem", steps=steps, master_seed=seed
-    ).validate()
+    )
     return run_paired(config, 0), config
 
 
@@ -295,9 +295,11 @@ def test_check_twice_speed_t0_exact():
 
 
 def test_check_twice_speed_rejects_short_record():
+    # the records swapped: 40 two-stage steps cannot pair with 80 single-stage ones
     (rec_bc, rec_pbc), _ = _paired_records()
-    with pytest.raises(ValueError):
-        check_twice_speed(rec_pbc, rec_bc)
+    for check in (check_twice_speed, check_distance_dominance):
+        with pytest.raises(ValueError, match="holds 40 steps, need 160 for pairing"):
+            check(rec_pbc, rec_bc)
 
 
 def test_check_distance_dominance_report():
@@ -331,7 +333,7 @@ def test_worked_single_step_distance_margin():
 def test_paired_identities_hold_on_other_tasks(task, a0):
     config = ExperimentConfig(
         task=task, law="paired", mode="theorem", steps=50, master_seed=11, a0=a0
-    ).validate()
+    )
     rec_bc, rec_pbc = run_paired(config, 0)
     speed = check_twice_speed(rec_bc, rec_pbc)
     dist = check_distance_dominance(rec_bc, rec_pbc)
