@@ -88,6 +88,15 @@ class ExperimentConfig:
     # -- validation ---------------------------------------------------------
 
     def __post_init__(self):
+        # a numpy float32 or a Fraction would serialize in another format
+        # than the 17-digit float one that parse_config reads back
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if _is_real(value):
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    pass  # an int beyond the float range: validate reports it
         # a list or array would serialize as its repr, not in the flat float
         # format that parse_config reads back
         for name in ("x0", "targets"):
@@ -117,8 +126,15 @@ class ExperimentConfig:
                 f"got {self.reassignment!r}"
             )
         for f in dataclasses.fields(self):
-            if f.type == "int" and not _is_int(getattr(self, f.name)):
-                out.append(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                out.append(f"{f.name} must be an integer, got {value!r}")
+            # __post_init__ stored each real value of a float field as a
+            # float, so anything else is a bool, a string or the like
+            if f.type == "float" and not isinstance(value, float):
+                out.append(f"{f.name} must be a float, got {value!r}")
+            if f.type == "Optional[float]" and not isinstance(value, (float, type(None))):
+                out.append(f"{f.name} must be a float or None, got {value!r}")
         for name in ("K", "N", "n", "trials", "workers"):
             value = getattr(self, name)
             if _is_int(value) and value < 1:
@@ -129,23 +145,30 @@ class ExperimentConfig:
             out.append(f"out_dir must hold no '#', line break or edge whitespace, got {d!r}")
         if _is_int(self.steps) and self.steps < 0:
             out.append(f"steps must be >= 0, got {self.steps}")
+        # the sign hash reduces the seed modulo 2**64: outside this range two
+        # configs whose manifests differ would draw the same signs
+        if _is_int(self.master_seed) and not 0 <= self.master_seed < 2**64:
+            out.append(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
-        if not 0 < self.grid_spacing < 1:
+        # the range checks skip a float field of another type
+        typed = {k for k in _FLOAT_FIELDS if isinstance(getattr(self, k), float)}
+        if "grid_spacing" in typed and not 0 < self.grid_spacing < 1:
             out.append(f"grid_spacing must lie in (0, 1), got {self.grid_spacing}")
-        if not 0 < self.formation_radius < math.inf:
+        if "formation_radius" in typed and not 0 < self.formation_radius < math.inf:
             out.append(
                 f"formation_radius must be positive and finite, got {self.formation_radius}"
             )
         if _is_int(self.formation_count) and self.formation_count < 1:
             out.append(f"formation_count must be >= 1, got {self.formation_count}")
-        try:
-            self.schedule()
-        except InvalidScheduleError as err:
-            out.extend(err.violations)
-        if not 0 < self.l1 < self.l2:
+        if typed >= {"a0", "a_p", "c0", "c_p", "t_v"}:
+            try:
+                self.schedule()
+            except InvalidScheduleError as err:
+                out.extend(err.violations)
+        if typed >= {"l1", "l2"} and not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
-        if self.smooth_min_eps is not None and not -math.inf < self.smooth_min_eps < 0:
+        if "smooth_min_eps" in typed and not -math.inf < self.smooth_min_eps < 0:
             out.append(
                 f"smooth_min_eps must be finite and negative, got {self.smooth_min_eps}"
             )
@@ -235,11 +258,17 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FLOAT_FIELDS = tuple(n for n, f in _FIELDS.items() if f.type in ("float", "Optional[float]"))
 
 
 def _is_int(value) -> bool:
     # bool is an Integral, but True would serialize as "True"
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # likewise a bool is a Real, and True would serialize as "True"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _render(value) -> str:

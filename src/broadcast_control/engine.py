@@ -270,13 +270,12 @@ def write_summary_csv(path: str, stats: SummaryStats) -> None:
 
 
 def write_trajectory_csv(path: str, record: TrialRecord) -> None:
-    header = "t,agent," + ",".join(f"x_{d + 1}" for d in range(record.n))
-    lines = [header]
-    for t in range(record.states.shape[0]):
-        row = record.states[t].reshape(record.N, record.n)
-        for i in range(record.N):
-            coords = ",".join(_fmt(v) for v in row[i])
-            lines.append(f"{t},{i},{coords}")
+    N, n = record.N, record.n
+    lines = ["t,agent," + ",".join(f"x_{d + 1}" for d in range(n))]
+    # one row per (t, agent); "%.17g" writes a Python float as _fmt does
+    row = "%d,%d," + ",".join(["%.17g"] * n)
+    coords = record.states.reshape(-1, n).tolist()
+    lines.extend(row % (k // N, k % N, *c) for k, c in enumerate(coords))
     _write_lines(path, lines)
 
 

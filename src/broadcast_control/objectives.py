@@ -26,6 +26,12 @@ only at the points whose label the agents' displacement since then could
 have changed, which is few of them for the probes ``x + c*sigma`` of a PBC
 step.  Its values carry the bits of ``coverage_objective``, which stays the
 plain scan and the smooth-minimum path.
+
+``hungarian`` solves the assignment task's pairing once per evaluation and
+certifies that the optimum is unique by one minimum-cycle pass over the
+``N x N`` exchange matrix: every rival pairing differs from the optimum by
+disjoint exchange cycles.  Only when the cheapest cycle is within twice the
+tie tolerance, plus a rounding margin, does the lexicographic tie-break run.
 """
 
 from __future__ import annotations
@@ -396,11 +402,12 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     optimum ``best`` counts as optimal, and the lexicographically smallest of
     those is returned.
 
-    Fast path: one solve gives an optimum, and the runner-up cost is the best
-    of the ``N`` solves that each forbid one edge of it (Murty's ranking).
-    When the runner-up is more than twice the tolerance worse (a margin the
-    refinement's rounding cannot cross), no other permutation is a tie and the
-    optimum is returned without refinement; otherwise the refinement runs.
+    One solve gives an optimum ``cols``.  Any other permutation differs from
+    it by disjoint exchange cycles, so one minimum-cycle pass over an ``N x N``
+    exchange matrix (``_unique_optimum``) bounds every rival's excess cost.
+    When that bound exceeds twice the tolerance (a margin the refinement's
+    rounding cannot cross), no other permutation is a tie and ``cols`` is
+    returned; otherwise a lexicographic refinement fixes the rows in order.
     """
     C = np.asarray(cost, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -413,11 +420,11 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
     N = C.shape[0]
     rows, cols = linear_sum_assignment(C)
-    if N <= 1:  # no runner-up; forbidding the only edge is infeasible
+    if N <= 1:  # no other permutation
         return cols
     best = float(C[rows, cols].sum())
     tol = 1e-9 * max(1.0, abs(best))
-    if _runner_up_exceeds(C, cols, best + 2.0 * tol, linear_sum_assignment):
+    if _unique_optimum(C, cols, tol):
         return cols
     # Fix rows in order to the smallest column that still allows an optimal
     # completion of the remaining subproblem.
@@ -443,22 +450,74 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _runner_up_exceeds(C: np.ndarray, cols: np.ndarray, bound: float, solve) -> bool:
-    """Whether every permutation other than ``cols`` costs more than ``bound``.
+def _unique_optimum(C: np.ndarray, cols: np.ndarray, tol: float) -> bool:
+    """Whether every permutation other than the optimum ``cols``, of cost
+    ``best``, provably costs more than ``best + 2*tol``.  Works on a copy:
+    ``C`` may be the caller's matrix.
 
-    Each such permutation avoids at least one edge ``(i, cols[i])``, so the
-    runner-up is the best of the solves with one of those edges forbidden;
-    ``solve`` is ``linear_sum_assignment``.  Works on a copy: ``C`` may be
-    the caller's matrix.
+    Exchange cycles.  Write a rival permutation as ``sigma(i) = cols[pi(i)]``.
+    Its cost exceeds ``best`` by ``sum_i W[i, pi(i)]`` with the exchange
+    matrix ``W[i, k] = C[i, cols[k]] - C[i, cols[i]]``, and ``pi`` splits
+    into disjoint cycles, so the excess is a sum of cycle weights of the
+    graph ``W`` (Chegireddy and Hamacher 1987).  With ``+inf`` on the
+    diagonal, one Floyd-Warshall pass leaves the weight of the lightest
+    cycle through ``i`` at ``W[i, i]``.  Their minimum ``g`` is the exact
+    runner-up gap when ``cols`` is exactly optimal (no cycle is negative),
+    and it bounds every rival's excess from below once it is positive.  The
+    test is ``g > 2*tol + slack``.
+
+    Rounding.  Let ``u = 2**-53``, ``M = max|C|``, and let ``g*`` be the
+    exact weight of the lightest simple cycle.  Each computed ``W`` entry is
+    within ``2uM`` of the exact one.  Floyd-Warshall's ``min`` is exact and
+    rounded addition is monotone, so by induction over the pass each
+    computed entry is at most some parenthesized float sum along any simple
+    path.  The lightest cycle has at most ``N`` terms of size ``2M``, so the
+    computed ``g`` is at most ``g* + 2N**2 uM``.  Below, bounds hold up to a
+    relative ``O(N u)``.
+
+    - The certificate passes only where Murty's check passes.  That check
+      (Murty 1968) solves ``N`` assignments, each with one edge of ``cols``
+      forbidden, and requires each solution's float sum to exceed
+      ``fl(best + 2*tol)``.  Every solution is a rival, and every rival
+      avoids such an edge.  A float sum of ``N`` entries is within
+      ``N**2 uM`` of exact, and the bound's own addition rounds by
+      ``u(NM + 2tol)``.  So every rival's float sum exceeds that bound once
+      ``g* > 2tol + (2N**2 - N)uM + 2u*tol``.  The certificate's
+      ``g > fl(2*tol + slack)`` gives ``g* > 2tol + slack - 2N**2 uM -
+      u(2tol + slack)``, which is enough when ``slack >= (4N**2 - N)uM +
+      4u*tol``; ``slack = 8(N+2)N u (M + tol)`` covers that twice over.
+      ``tol >= 1e-9`` keeps ``slack`` a normal number, and sums and
+      differences round relatively below the normal range too, so no
+      absolute floor is needed.  With ``M`` not below ``2**500`` an entry
+      or a sum could overflow, and nothing is certified.
+    - In the band where only Murty's check passes, every rival costs at
+      least ``best + 2*tol - e``, where ``e`` is that check's rounding: of
+      order ``N**2 uM``, plus the solver's own.  The refinement rejects each
+      column ``j < cols[i]``, since the completions of ``j`` are rivals whose
+      excess, above ``2*tol - e``, is tested against ``tol``.  It accepts
+      ``cols[i]``, so it returns ``cols`` whenever ``tol`` exceeds ``e``
+      plus the refinement's own rounding.  Without that, the tolerance
+      cannot tell ties apart at all.  At ``N = 15``, ``N**2 uM`` is below
+      ``1e-13 * M``, far under ``tol`` while ``M`` stays below ``1e3 *
+      max(1, |best|)``, as it does for the assignment task's squared
+      distances near a converged pairing.
+
+    A NaN or negative ``g`` (a rounding-suboptimal ``cols`` leaves a
+    negative cycle) compares False, so the refinement runs.
     """
-    D = C.copy()
-    for i, j in enumerate(cols):
-        D[i, j] = np.inf
-        r, c = solve(D)
-        if float(D[r, c].sum()) <= bound:
-            return False
-        D[i, j] = C[i, j]
-    return True
+    N = C.shape[0]
+    M = float(np.abs(C).max())
+    if not M < 2.0**500:
+        return False
+    W = C[:, cols]
+    W -= W.diagonal()[:, None]  # ufuncs buffer an overlapping input
+    np.fill_diagonal(W, np.inf)
+    T = np.empty_like(W)
+    for m in range(N):
+        np.add(W[:, m, None], W[m], out=T)
+        np.minimum(W, T, out=W)
+    slack = 8 * (N + 2) * N * 2.0**-53 * (M + tol)
+    return bool(W.diagonal().min() > 2.0 * tol + slack)
 
 
 def assignment_objective(payload: AssignmentPayload, x: np.ndarray):

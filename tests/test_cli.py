@@ -143,6 +143,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "paired law requires K = 1, got K = 3" in capsys.readouterr().err
 
 
+def test_seed_out_of_range_exits_2(tmp_path, capsys):
+    # --seed takes a U64; -1 once ran with the signs of seed 2**64 - 1
+    for seed in ("-1", str(2**64)):
+        argv = ["run", "--seed", seed, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"master_seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_with_hash_exits_2(tmp_path, capsys):
     # the manifest could not echo this out_dir: its '#' starts a comment
     cfg = _write_config(tmp_path)

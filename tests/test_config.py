@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,44 @@ def test_int_fields_reject_non_integers(field):
         assert f"{field} must be an integer, got {value!r}" in err.value.violations
     config = ExperimentConfig(**{field: np.int64(2)})
     assert parse_config(config.serialize()) == config
+
+
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.type in ("float", "Optional[float]")
+]
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_float_fields_reject_bools_and_strings(field):
+    # a0 = True built a config whose manifest line "a0 = True" parse_config
+    # rejects, and a0 = "2" raised a TypeError from a range comparison
+    for value in (True, "2"):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{field: value})
+        assert any(v.startswith(f"{field} must be a float") for v in err.value.violations)
+
+
+def test_float_fields_stored_as_floats():
+    # a numpy float32 serialized as its short repr, which parses back to
+    # another float64; every real value is stored as a Python float
+    config = ExperimentConfig(a0=np.float32(0.1), c0=Fraction(3, 1000), t_v=20, l1=np.int64(50))
+    assert config.a0 == float(np.float32(0.1)) and config.c0 == 0.003
+    assert all(type(getattr(config, f)) is float for f in ("a0", "c0", "t_v", "l1"))
+    assert parse_config(config.serialize()) == config
+    with pytest.raises(ConfigError, match="a0 must be a float"):
+        ExperimentConfig(a0=10**400)  # an int beyond the float range
+
+
+def test_master_seed_range():
+    # the sign hash reduces the seed modulo 2**64, so 2**64 and -1 drew the
+    # signs of seeds 0 and 2**64 - 1 under different manifests
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(master_seed=seed)
+        assert err.value.violations == [f"master_seed must lie in [0, 2**64), got {seed}"]
+    for seed in (0, 2**64 - 1):
+        config = ExperimentConfig(master_seed=seed)
+        assert parse_config(config.serialize()) == config
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
@@ -14,6 +15,7 @@ from broadcast_control.objectives import (
     QuadraticPayload,
     RendezvousPayload,
     _formation_sq_errors,
+    _unique_optimum,
     assignment_objective,
     barrier_weight,
     circle_formation,
@@ -478,23 +480,12 @@ def test_hungarian_matches_brute_force(rng):
             assert got == _brute_force_cost(C)
 
 
-def _lexicographic_optimum(C):
-    # permutations() yields in lexicographic order; the first minimum wins
-    n = C.shape[0]
-    costs = [
-        (sum(C[i, p[i]] for i in range(n)), p)
-        for p in itertools.permutations(range(n))
-    ]
-    best = min(c for c, _ in costs)
-    return next(list(p) for c, p in costs if c == best)
-
-
 def test_hungarian_tie_oracle_small_integer_costs(rng):
     # costs in {0, 1, 2} make many optimal permutations; integer sums are exact
     for n in range(2, 7):
         for _ in range(40):
             C = rng.integers(0, 3, size=(n, n)).astype(np.float64)
-            assert list(hungarian(C)) == _lexicographic_optimum(C)
+            assert list(hungarian(C)) == reference.lexicographic_optimum(C)
 
 
 def test_hungarian_does_not_mutate_input(rng):
@@ -509,8 +500,8 @@ def test_hungarian_does_not_mutate_input(rng):
 
 
 def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
-    # a generic squared-distance matrix has a unique optimum: one solve plus
-    # the N edge-forbidden solves of the runner-up check, no refinement
+    # a generic squared-distance matrix has a unique optimum: the one solve,
+    # then the minimum-cycle certificate, which solves nothing
     # hungarian imports linear_sum_assignment from scipy.optimize on each
     # call, so the counting hook replaces it there
     import scipy.optimize
@@ -527,8 +518,60 @@ def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
     diff = rng.uniform(size=(N, 1, 2)) - rng.uniform(size=(1, N, 2))
     C = np.einsum("ijd,ijd->ij", diff, diff)
     perm = hungarian(C)
-    assert len(calls) <= N + 1
+    assert calls == [(N, N)]
     assert np.array_equal(perm, lsa(C)[1])
+
+
+def _planted_near_tie(N, scale, k, seed):
+    """Costs of order ``scale`` whose unique optimum ``p`` has a rival, one
+    exchange cycle of ``L`` rows, that costs ``k * tol`` more (to rounding).
+
+    Any other exchange cycle takes an edge off ``p`` and off the planted
+    cycle, which adds at least ``scale / 2`` (the entries of ``p`` lie in
+    ``scale * [0, 0.5]``, the others in ``scale * [1, 2]``), while the
+    planted edges it shares subtract under ``0.4 * scale``: it costs over
+    ``scale / 10`` more."""
+    rng = np.random.default_rng(seed)
+    p = rng.permutation(N)
+    C = scale * rng.uniform(1.0, 2.0, size=(N, N))
+    C[np.arange(N), p] = scale * rng.uniform(0.0, 0.5, size=N)
+    tol = 1e-9 * max(1.0, float(C[np.arange(N), p].sum()))
+    L = int(rng.integers(2, N + 1))
+    rows = rng.permutation(N)[:L]
+    excess = k * tol
+    for a, b in zip(rows[:-1], rows[1:]):
+        step = scale * rng.uniform(0.0, 0.4 / L)
+        C[a, p[b]] = C[a, p[a]] + step
+        excess -= step
+    C[rows[-1], p[rows[0]]] = C[rows[-1], p[rows[-1]]] + excess
+    return C
+
+
+_ULP = 2.0**-52
+_NEAR_TIE_KS = (0.0, 1.0, 2.0, 2.0 * (1 - 4 * _ULP), 2.0 * (1 + 4 * _ULP), 2.01, 3.0)
+
+
+@settings(deadline=None)
+@given(
+    N=st.integers(2, 8),
+    log_scale=st.floats(-6.0, 6.0),
+    k=st.sampled_from(_NEAR_TIE_KS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hungarian_certificate_against_runner_up_solves(N, log_scale, k, seed):
+    # the minimum-cycle certificate is sound only by a rounding argument:
+    # it must never pass where Murty's N-solve check fails, and in the band
+    # where only that check passes the refinement must return the same
+    # optimum, so hungarian's permutations are the reference solver's
+    from scipy.optimize import linear_sum_assignment
+
+    C = _planted_near_tie(N, 10.0**log_scale, k, seed)
+    rows, cols = linear_sum_assignment(C)
+    best = float(C[rows, cols].sum())
+    tol = 1e-9 * max(1.0, abs(best))
+    if _unique_optimum(C, cols, tol):
+        assert reference.runner_up_exceeds(C, cols, best + 2.0 * tol)
+    assert np.array_equal(hungarian(C), reference.hungarian(C))
 
 
 def test_hungarian_rejects_bad_input():
