@@ -98,12 +98,17 @@ class ExperimentConfig:
                 except OverflowError:
                     pass  # an int beyond the float range: validate reports it
         # a list or array would serialize as its repr, not in the flat float
-        # format that parse_config reads back
+        # format that parse_config reads back; anything but real numbers is
+        # left as it is, for validate to report
         for name in ("x0", "targets"):
             values = getattr(self, name)
-            if values is not None:
-                values = tuple(np.asarray(values, dtype=np.float64).ravel().tolist())
-                object.__setattr__(self, name, values)
+            try:
+                # rows of unequal length stay lists, which are not real
+                flat = np.asarray(values, dtype=object).ravel()
+                if values is not None and all(map(_is_real, flat)):
+                    object.__setattr__(self, name, tuple(float(v) for v in flat))
+            except (ValueError, OverflowError):
+                pass  # arrays of unequal shape, or an int beyond the float range
         self.validate()
 
     def validate(self) -> "ExperimentConfig":
@@ -141,7 +146,9 @@ class ExperimentConfig:
                 out.append(f"{name} must be >= 1, got {value}")
         # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
         d = self.out_dir
-        if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
+        if not isinstance(d, str):
+            out.append(f"out_dir must be a string, got {d!r}")
+        elif "#" in d or d != d.strip() or len(d.splitlines()) > 1:
             out.append(f"out_dir must hold no '#', line break or edge whitespace, got {d!r}")
         if _is_int(self.steps) and self.steps < 0:
             out.append(f"steps must be >= 0, got {self.steps}")
@@ -175,6 +182,10 @@ class ExperimentConfig:
         for name in ("x0", "targets"):
             values = getattr(self, name)
             if values is None:
+                continue
+            # __post_init__ stored real numbers as a tuple of floats
+            if not (isinstance(values, tuple) and all(type(v) is float for v in values)):
+                out.append(f"{name} must be a sequence of floats, got {values!r}")
                 continue
             if _is_int(self.n) and _is_int(self.N) and len(values) != self.n * self.N:
                 out.append(

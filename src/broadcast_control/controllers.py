@@ -39,12 +39,6 @@ def _checked_j(J, values: np.ndarray) -> float:
     return v
 
 
-def _estimate_term(a: float, delta_j: float, c: float, sigma: np.ndarray) -> np.ndarray:
-    # -a * (delta_j / c) * sigma, with a fixed association shared by both laws
-    # so that paired runs agree bit-for-bit wherever the algebra does.
-    return (-a) * ((delta_j / c) * sigma)
-
-
 def bc_step(
     x: np.ndarray,
     t: int,
@@ -72,7 +66,10 @@ def bc_step(
         u = c * sigma
     else:
         nu = _checked_j(J, x) if j_x is None else float(j_x)
-        u = (-c) * sigma + _estimate_term(a, nu - j_even, c, sigma)
+        # the descent term is (-a) * ((delta_j / c) * sigma); pbc_local_input
+        # keeps this association, so paired runs agree bit for bit wherever
+        # the algebra does
+        u = (-c) * sigma + (-a) * (((nu - j_even) / c) * sigma)
     return apply_input(x, u), u
 
 
@@ -103,9 +100,9 @@ def pbc_local_input(
 
         u = -a * (1/K) * sum_k (nu[k]/c) * sigma_k
 
-    ``nu`` holds one entry per row of ``block``.  Each term keeps
-    ``_estimate_term``'s association, computed in place; the division by
-    ``K = 1`` is skipped because it is exact.
+    ``nu`` holds one entry per row of ``block``.  Each term is computed in
+    place as ``bc_step``'s descent term; the division by ``K = 1`` is
+    skipped because it is exact.
     """
     K = block.shape[0]
     nu = nu.tolist()

@@ -255,24 +255,19 @@ def run_monte_carlo(config: ExperimentConfig) -> MonteCarloResult:
 # file outputs
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_summary_csv(path: str, stats: SummaryStats) -> None:
     lines = ["t,J_mean,J_sd,D_mean,D_sd"]
-    for t in range(stats.j_mean.shape[0]):
-        lines.append(
-            f"{t},{_fmt(stats.j_mean[t])},{_fmt(stats.j_sd[t])},"
-            f"{_fmt(stats.d_mean[t])},{_fmt(stats.d_sd[t])}"
-        )
+    # one row per t; "%.17g" writes a Python float as format(v, ".17g") does
+    cols = (stats.j_mean, stats.j_sd, stats.d_mean, stats.d_sd)
+    rows = zip(*(c.tolist() for c in cols))
+    lines.extend("%d,%.17g,%.17g,%.17g,%.17g" % (t, *v) for t, v in enumerate(rows))
     _write_lines(path, lines)
 
 
 def write_trajectory_csv(path: str, record: TrialRecord) -> None:
     N, n = record.N, record.n
     lines = ["t,agent," + ",".join(f"x_{d + 1}" for d in range(n))]
-    # one row per (t, agent); "%.17g" writes a Python float as _fmt does
+    # one row per (t, agent), floats written as in write_summary_csv
     row = "%d,%d," + ",".join(["%.17g"] * n)
     coords = record.states.reshape(-1, n).tolist()
     lines.extend(row % (k // N, k % N, *c) for k, c in enumerate(coords))

@@ -3,8 +3,10 @@
 Everything here is brute force on purpose: expectations over sign vectors
 are computed by full enumeration of the outcome space (capped so checks stay
 exact and fast), and the paired-run claims are measured directly on
-trajectories.  None of these code paths share arithmetic with the
-controllers they certify.
+trajectories.  Each oracle folds over everything it is given: the paired
+checks take a list of ``(rec_bc, rec_pbc)`` pairs and report the worst pair,
+and the enumerations sum over every outcome.  None of these code paths share
+arithmetic with the controllers they certify.
 """
 
 from __future__ import annotations
@@ -90,32 +92,31 @@ def _iter_mean_estimates(x: np.ndarray, c: float, K: int, J):
         yield g[idx].mean(axis=1)
 
 
+def _enumerated_mean(x: np.ndarray, c: float, K: int, J, term):
+    """Add up ``term(chunk)``, each chunk's sum of a quantity, over the
+    chunks of the K-probe mean estimate in their fixed order, and divide by
+    the ``2**(d*K)`` outcomes."""
+    total = 0.0
+    for chunk in _iter_mean_estimates(x, c, K, J):
+        total = total + term(chunk)
+    return total / _outcomes(np.shape(x)[0], K)
+
+
 def enumerate_estimator_variance(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
     """Componentwise variance of the K-probe mean estimate, enumerated over
     the full product space (this is the honest route; no 1/K shortcut)."""
-    acc = None
-    acc2 = None
-    count = 0
-    for chunk in _iter_mean_estimates(x, c, K, J):
-        s = chunk.sum(axis=0)
-        s2 = (chunk * chunk).sum(axis=0)
-        acc = s if acc is None else acc + s
-        acc2 = s2 if acc2 is None else acc2 + s2
-        count += chunk.shape[0]
-    mean = acc / count
-    return acc2 / count - mean * mean
+    mean, square = _enumerated_mean(
+        x, c, K, J, lambda g: np.stack((g.sum(axis=0), (g * g).sum(axis=0)))
+    )
+    return square - mean * mean
 
 
 def expected_next_cost(x: np.ndarray, a: float, c: float, K: int, J) -> float:
     """Exact ``E[J(x - a * mean_k g(sigma_k))]`` by full enumeration."""
     x = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    count = 0
-    for chunk in _iter_mean_estimates(x, c, K, J):
-        nxt = x[None, :] - a * chunk
-        total += sum(float(J(nxt[m])) for m in range(nxt.shape[0]))
-        count += chunk.shape[0]
-    return total / count
+    return _enumerated_mean(
+        x, c, K, J, lambda g: sum(float(J(v)) for v in x[None, :] - a * g)
+    )
 
 
 def expected_distance_power(
@@ -125,14 +126,7 @@ def expected_distance_power(
     ``u_i`` of the flat input, by enumeration."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    x = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    count = 0
-    for chunk in _iter_mean_estimates(x, c, K, J):
-        u = -a * chunk
-        total += float((np.abs(u) ** kappa).sum())
-        count += chunk.shape[0]
-    return total / count
+    return _enumerated_mean(x, c, K, J, lambda g: float((np.abs(-a * g) ** kappa).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +135,8 @@ def expected_distance_power(
 
 @dataclass
 class TwiceSpeedReport:
-    """Deviation between the single-stage run at t and the two-stage run at 2t."""
+    """Worst deviation over the pairs between the single-stage run at t and
+    the two-stage run at 2t."""
 
     max_state_deviation: float
     max_objective_deviation: float  # relative: |dJ| / (1 + J)
@@ -157,38 +152,36 @@ def _paired_horizon(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> int:
     return T
 
 
-def check_twice_speed(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> TwiceSpeedReport:
+def check_twice_speed(pairs) -> TwiceSpeedReport:
     """Measure ``sup_t |x_pbc(t) - x_bc(2t)|_inf`` and the matching
-    objective deviation over the paired horizon."""
-    T = _paired_horizon(rec_bc, rec_pbc)
-    x_bc = rec_bc.states[0 : 2 * T + 1 : 2]
-    dev = np.abs(rec_pbc.states - x_bc).max()
-    j_bc = rec_bc.j_trace[0 : 2 * T + 1 : 2]
-    j_dev = (np.abs(rec_pbc.j_trace - j_bc) / (1.0 + rec_pbc.j_trace)).max()
-    return TwiceSpeedReport(
-        max_state_deviation=float(dev),
-        max_objective_deviation=float(j_dev),
-    )
+    objective deviation over each ``(rec_bc, rec_pbc)`` pair's horizon,
+    worst over the pairs (0 for none; a NaN deviation is kept)."""
+    dev = j_dev = 0.0
+    for rec_bc, rec_pbc in pairs:
+        T = _paired_horizon(rec_bc, rec_pbc)
+        x_bc = rec_bc.states[0 : 2 * T + 1 : 2]
+        dev = np.abs(rec_pbc.states - x_bc).max(initial=dev)
+        j_bc, j_pbc = rec_bc.j_trace[0 : 2 * T + 1 : 2], rec_pbc.j_trace
+        j_dev = (np.abs(j_pbc - j_bc) / (1.0 + j_pbc)).max(initial=j_dev)
+    return TwiceSpeedReport(float(dev), float(j_dev))
 
 
 @dataclass
 class DistanceDominanceReport:
-    min_margin: float
-    margins: np.ndarray  # D_bc(2t) - D_pbc(t), t = 0..T
-    final_margin: float
+    min_margin: float  # least D_bc(2t) - D_pbc(t) over t = 0..T and the pairs
+    strict: int  # pairs whose margin at T is positive
 
 
-def check_distance_dominance(
-    rec_bc: TrialRecord, rec_pbc: TrialRecord
-) -> DistanceDominanceReport:
-    """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over the pair."""
-    T = _paired_horizon(rec_bc, rec_pbc)
-    margins = rec_bc.d_trace[0 : 2 * T + 1 : 2] - rec_pbc.d_trace
-    return DistanceDominanceReport(
-        min_margin=float(margins.min()),
-        margins=margins,
-        final_margin=float(margins[-1]),
-    )
+def check_distance_dominance(pairs) -> DistanceDominanceReport:
+    """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over each
+    ``(rec_bc, rec_pbc)`` pair (``min_margin`` is ``inf`` for none)."""
+    least, strict = np.inf, 0
+    for rec_bc, rec_pbc in pairs:
+        T = _paired_horizon(rec_bc, rec_pbc)
+        margins = rec_bc.d_trace[0 : 2 * T + 1 : 2] - rec_pbc.d_trace
+        least = margins.min(initial=least)
+        strict += bool(margins[-1] > 0)
+    return DistanceDominanceReport(min_margin=float(least), strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Each check pairs a claim about the laws with an independent measurement:
 exact enumeration for the estimator and probe-count claims, paired
 trajectories for the twice-speed and distance claims, Monte Carlo for the
 empirical descent trend.  A check row reports its bound, the measured value,
-and PASS/FAIL.
+and PASS/FAIL.  The oracles fold over seeds themselves: a paired check runs
+its pairs into a list and hands the list to one oracle call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +37,10 @@ class CheckResult:
     note: str = ""
 
 
-def _paired_config(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(law=LAW_PAIRED, mode="theorem", master_seed=seed)
+def _pairs(seeds: int) -> list:
+    """One ``(rec_bc, rec_pbc)`` pair of theorem-mode rendezvous runs per seed."""
+    config = ExperimentConfig(law=LAW_PAIRED, mode="theorem")
+    return [run_paired(replace(config, master_seed=s)) for s in range(seeds)]
 
 
 def check_estimator(concave: bool = False, **_) -> list:
@@ -112,13 +115,8 @@ def check_variance(**_) -> list:
 
 def check_twice_speed_runs(seeds: int = 3, **_) -> list:
     """Paired runs: the single-stage law at t retraces the two-stage law at 2t."""
-    worst_x = 0.0
-    worst_j = 0.0
-    for s in range(seeds):
-        rec_bc, rec_pbc = run_paired(_paired_config(s))
-        rep = check_twice_speed(rec_bc, rec_pbc)
-        worst_x = max(worst_x, rep.max_state_deviation)
-        worst_j = max(worst_j, rep.max_objective_deviation)
+    rep = check_twice_speed(_pairs(seeds))
+    worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
     return [
         CheckResult(
             name="twice-speed",
@@ -132,19 +130,13 @@ def check_twice_speed_runs(seeds: int = 3, **_) -> list:
 
 def check_distance_runs(seeds: int = 3, **_) -> list:
     """Paired runs: the two-stage law never travels less, on any sample path."""
-    worst = np.inf
-    strict = 0
-    for s in range(seeds):
-        rec_bc, rec_pbc = run_paired(_paired_config(s))
-        rep = check_distance_dominance(rec_bc, rec_pbc)
-        worst = min(worst, rep.min_margin)
-        strict += rep.final_margin > 0
+    rep = check_distance_dominance(_pairs(seeds))
     return [
         CheckResult(
             name="distance-dominance",
             bound="min_t (D_bc(2t) - D_pbc(t)) >= -1e-9",
-            measured=f"min margin {worst:.3e}, strict at T {strict}/{seeds}",
-            passed=worst >= -1e-9,
+            measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{seeds}",
+            passed=rep.min_margin >= -1e-9,
             note="path-wise comparison on shared sample paths",
         )
     ]

@@ -79,12 +79,8 @@ def assignment_mc():
 
 
 def test_criterion_1_twice_speed_equivalence(paired_runs):
-    worst_x = 0.0
-    worst_j = 0.0
-    for rec_bc, rec_pbc in paired_runs[:10]:
-        rep = check_twice_speed(rec_bc, rec_pbc)
-        worst_x = max(worst_x, rep.max_state_deviation)
-        worst_j = max(worst_j, rep.max_objective_deviation)
+    rep = check_twice_speed(paired_runs[:10])
+    worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
     ok = worst_x <= 1e-6 and worst_j <= 1e-6
     _report(1, ok, f"sup state dev {worst_x:.3e}, sup relative J dev {worst_j:.3e} (10 seeds)")
     assert worst_x <= 1e-6
@@ -92,20 +88,15 @@ def test_criterion_1_twice_speed_equivalence(paired_runs):
 
 
 def test_criterion_2_distance_dominance(paired_runs):
-    min_margin = math.inf
-    strict_at_T = 0
-    for rec_bc, rec_pbc in paired_runs:
-        rep = check_distance_dominance(rec_bc, rec_pbc)
-        min_margin = min(min_margin, rep.min_margin)
-        strict_at_T += rep.final_margin > 0
-    ok = min_margin >= -1e-9 and strict_at_T >= 95
+    rep = check_distance_dominance(paired_runs)
+    ok = rep.min_margin >= -1e-9 and rep.strict >= 95
     _report(
         2, ok,
-        f"min margin {min_margin:.3e} over {PAIRED_SEEDS} seeds, "
-        f"strictly positive at T in {strict_at_T}/{PAIRED_SEEDS}",
+        f"min margin {rep.min_margin:.3e} over {PAIRED_SEEDS} seeds, "
+        f"strictly positive at T in {rep.strict}/{PAIRED_SEEDS}",
     )
-    assert min_margin >= -1e-9
-    assert strict_at_T >= 95
+    assert rep.min_margin >= -1e-9
+    assert rep.strict >= 95
 
 
 def _verify_rows(num: int, rows) -> None:

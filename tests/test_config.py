@@ -200,6 +200,26 @@ def test_x0_and_targets_stored_as_float_tuples(form, tmp_path):
     assert "targets = " + " ".join(format(-v, ".17g") for v in values) in lines
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        ("a", "b", "c", "d"),
+        [[1, 2], [3]],
+        "abc",
+        [True, False, True, False],
+        [1.0, None, 2.0, 3.0],
+    ],
+    ids=["strings", "ragged", "one-string", "bools", "none"],
+)
+def test_x0_and_targets_reject_non_numbers(value):
+    # the first three raised numpy's ValueError from the constructor, and the
+    # bools were stored as 1.0 and 0.0, where a float field rejects a bool
+    for name in ("x0", "targets"):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(task="assignment", N=2, **{name: value})
+        assert err.value.violations == [f"{name} must be a sequence of floats, got {value!r}"]
+
+
 def test_serialize_round_trip_defaults():
     config = ExperimentConfig()
     assert parse_config(config.serialize()) == config
@@ -213,6 +233,14 @@ def test_out_dir_that_cannot_round_trip_rejected(out_dir):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(out_dir=out_dir)
     assert any(v.startswith("out_dir") for v in err.value.violations)
+
+
+@pytest.mark.parametrize("out_dir", [None, 5])
+def test_out_dir_must_be_a_string(out_dir):
+    # a TypeError from the '#' test escaped the constructor
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(out_dir=out_dir)
+    assert err.value.violations == [f"out_dir must be a string, got {out_dir!r}"]
 
 
 def test_out_dir_inner_spaces_round_trip():

@@ -14,6 +14,7 @@ import broadcast_control.state as state_mod
 from broadcast_control.config import ConfigError, ExperimentConfig
 from broadcast_control.engine import moving_distance, run_monte_carlo, run_paired, run_trial
 from broadcast_control.gains import gain_c
+from broadcast_control.oracle import check_twice_speed
 from broadcast_control.state import draw_block
 
 
@@ -154,9 +155,7 @@ def test_run_paired_figure_mode_same_horizon():
 
 def test_twice_speed_small():
     config = small_config(law="paired", mode="theorem", steps=30)
-    rec_bc, rec_pbc = run_paired(config, 0)
-    dev = np.abs(rec_pbc.states - rec_bc.states[0:61:2]).max()
-    assert dev <= 1e-9
+    assert check_twice_speed([run_paired(config, 0)]).max_state_deviation <= 1e-9
 
 
 def test_single_trial_sd_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from broadcast_control.objectives import (
     quadratic_objective,
 )
 from broadcast_control.oracle import (
+    DistanceDominanceReport,
     EnumerationTooLarge,
+    TwiceSpeedReport,
     _all_estimates,
     _outcomes,
     check_distance_dominance,
@@ -281,7 +284,7 @@ def _paired_records(steps=40, seed=0):
 
 def test_check_twice_speed_report():
     (rec_bc, rec_pbc), _ = _paired_records()
-    rep = check_twice_speed(rec_bc, rec_pbc)
+    rep = check_twice_speed([(rec_bc, rec_pbc)])
     assert (rec_pbc.steps, rec_bc.steps) == (40, 80)
     assert rep.max_state_deviation <= 1e-9
     assert rep.max_objective_deviation <= 1e-9
@@ -289,8 +292,7 @@ def test_check_twice_speed_report():
 
 
 def test_check_twice_speed_t0_exact():
-    (rec_bc, rec_pbc), _ = _paired_records(steps=0)
-    rep = check_twice_speed(rec_bc, rec_pbc)
+    rep = check_twice_speed([_paired_records(steps=0)[0]])
     assert rep.max_state_deviation == 0.0
 
 
@@ -299,16 +301,36 @@ def test_check_twice_speed_rejects_short_record():
     (rec_bc, rec_pbc), _ = _paired_records()
     for check in (check_twice_speed, check_distance_dominance):
         with pytest.raises(ValueError, match="holds 40 steps, need 160 for pairing"):
-            check(rec_pbc, rec_bc)
+            check([(rec_bc, rec_pbc), (rec_pbc, rec_bc)])
 
 
 def test_check_distance_dominance_report():
-    (rec_bc, rec_pbc), config = _paired_records()
-    rep = check_distance_dominance(rec_bc, rec_pbc)
+    pairs = [_paired_records(seed=seed)[0] for seed in (0, 1)]
+    rep = check_distance_dominance(pairs)
     assert rep.min_margin >= -1e-9
-    assert rep.margins.shape == (41,)
-    assert rep.margins[0] == 0.0
-    assert rep.final_margin == rep.margins[-1]
+    # the margin is 0 at t = 0, so no pair can push the least margin above it
+    assert rep.min_margin <= 0.0
+    margins_T = [rec_bc.d_trace[80] - rec_pbc.d_trace[40] for rec_bc, rec_pbc in pairs]
+    assert rep.strict == sum(m > 0 for m in margins_T)
+
+
+def test_paired_oracles_fold_to_the_worst_pair():
+    pairs = [_paired_records(seed=seed)[0] for seed in (0, 1, 2)]
+    speed = [check_twice_speed([p]) for p in pairs]
+    dist = [check_distance_dominance([p]) for p in pairs]
+    both = check_twice_speed(pairs)
+    assert both.max_state_deviation == max(r.max_state_deviation for r in speed)
+    assert both.max_objective_deviation == max(r.max_objective_deviation for r in speed)
+    folded = check_distance_dominance(pairs)
+    assert folded.min_margin == min(r.min_margin for r in dist)
+    assert folded.strict == sum(r.strict for r in dist)
+    assert check_twice_speed([]) == TwiceSpeedReport(0.0, 0.0)
+    assert check_distance_dominance([]) == DistanceDominanceReport(math.inf, 0)
+    # a NaN in one pair is not lost to the pairs after it, as Python's max would lose it
+    rec_bc, rec_pbc = pairs[0]
+    nan_pbc = dataclasses.replace(rec_pbc, j_trace=np.full_like(rec_pbc.j_trace, np.nan))
+    rep = check_twice_speed([(rec_bc, nan_pbc)] + pairs[1:])
+    assert math.isnan(rep.max_objective_deviation)
 
 
 def test_worked_single_step_distance_margin():
@@ -334,9 +356,9 @@ def test_paired_identities_hold_on_other_tasks(task, a0):
     config = ExperimentConfig(
         task=task, law="paired", mode="theorem", steps=50, master_seed=11, a0=a0
     )
-    rec_bc, rec_pbc = run_paired(config, 0)
-    speed = check_twice_speed(rec_bc, rec_pbc)
-    dist = check_distance_dominance(rec_bc, rec_pbc)
+    pairs = [run_paired(config, 0)]
+    speed = check_twice_speed(pairs)
+    dist = check_distance_dominance(pairs)
     assert speed.max_state_deviation <= 1e-6
     assert speed.max_objective_deviation <= 1e-6
     assert dist.min_margin >= -1e-9
