@@ -27,6 +27,14 @@ have changed, which is few of them for the probes ``x + c*sigma`` of a PBC
 step.  Its values carry the bits of ``coverage_objective``, which stays the
 plain scan and the smooth-minimum path.
 
+Hard-minimum rendezvous is bound to ``_certified_rendezvous``.  Formation
+``t``'s sum of squared offset errors is ``|Dx|**2 + w_t.x + C_t``, with
+``D`` the pairwise differences, so one product of ``x`` with a matrix built
+with the family ranks every formation.  When one formation leads the rest
+by more than a rounding margin, only its row is computed, with the
+operations of ``rendezvous_objective``; on a near-tie the full scan runs.
+Its values carry the bits of ``rendezvous_objective``.
+
 ``hungarian`` solves the assignment task's pairing once per evaluation and
 certifies that the optimum is unique by one minimum-cycle pass over the
 ``N x N`` exchange matrix: every rival pairing differs from the optimum by
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -282,26 +290,48 @@ class RendezvousPayload:
 
     ``positions`` has shape (formations, N, n): absolute target positions
     whose pairwise differences define the relative targets, so any common
-    translation of the agents is cost-free.
+    translation of the agents is cost-free.  The payload keeps read-only
+    copies of its arrays, so one family can be shared by every trial.
     """
 
     positions: np.ndarray
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = np.array(self.positions, dtype=np.float64)
         if pos.ndim != 3 or pos.shape[0] == 0:
             raise ValueError("formation family must be a non-empty (formations, N, n) array")
         if not np.all(np.isfinite(pos)):
             raise ValueError("formation positions must be finite")
-        object.__setattr__(self, "positions", pos)
         # r[th, i, j] = y_i(th) - y_j(th), precomputed once, flattened over
         # (i, j, d) to match the gathers: flat state slots i*n+d and j*n+d
         T, N, n = pos.shape
         offsets = pos[:, :, None, :] - pos[:, None, :, :]
-        object.__setattr__(self, "_offsets", offsets.reshape(T, N * N * n))
+        flat_offsets = offsets.reshape(T, N * N * n)
         i, j, d = np.indices((N, N, n))
-        object.__setattr__(self, "_slot_i", (i * n + d).ravel())
-        object.__setattr__(self, "_slot_j", (j * n + d).ravel())
+        # ``_certified_rendezvous``'s data.  Rounding is odd, so r[j, i] is
+        # exactly -r[i, j] and the rows w_t = -2 D' r_t are -4 sum_j r[i, j];
+        # below them, one row per axis sums the agents' coordinates
+        rank_rows = np.zeros((T + n, N * n))
+        rank_rows[:T] = -4.0 * offsets.sum(axis=2).reshape(T, N * n)
+        for axis in range(n):
+            rank_rows[T + axis, axis::n] = 1.0
+        sq_offsets = np.einsum("ti,ti->t", flat_offsets, flat_offsets)
+        u = 2.0**-53
+        k_spread = 8 * (N * N * n + N * n + N + 5) * u
+        k_norm = 8 * (N * n + 2 * N + n + 4) * N * u
+        k_0 = k_spread * float(sq_offsets.max()) + 2.0**-1000
+        arrays = dict(
+            positions=pos,
+            _offsets=flat_offsets,
+            _slot_i=(i * n + d).ravel(),
+            _slot_j=(j * n + d).ravel(),
+            _rank_rows=rank_rows,
+            _sq_offsets=sq_offsets,
+        )
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_margin", (k_spread, k_norm, k_0))
 
     @property
     def N(self) -> int:
@@ -312,6 +342,7 @@ class RendezvousPayload:
         return self.positions.shape[2]
 
 
+@lru_cache(maxsize=8)
 def circle_formation(
     N: int, radius: float = 0.2, thetas: Optional[tuple] = None
 ) -> RendezvousPayload:
@@ -319,6 +350,9 @@ def circle_formation(
 
     Member ``theta`` places agent ``i`` (1-based) at
     ``radius * [cos(2*pi*(i + theta)/N), sin(2*pi*(i + theta)/N)]``.
+
+    A family is built once per process for each ``(N, radius, thetas)``;
+    the payload is immutable, so every caller shares it.
     """
     if thetas is None:
         thetas = tuple(range(1, N + 1))
@@ -354,6 +388,82 @@ def rendezvous_objective(
     if smooth_eps is None:
         return float(sq.min() / (N * N))
     return smooth_min(sq / (N * N), smooth_eps)
+
+
+def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray) -> float:
+    """Hard-minimum ``rendezvous_objective`` from one matrix-vector product
+    and one formation's row, with the same output bits.
+
+    With ``D`` taking the pairwise differences ``(Dx)[i, j, d] = x[i, d] -
+    x[j, d]`` and the stored offsets ``r_t``, formation ``t``'s exact sum is
+
+        S_t = |Dx - r_t|**2 = |Dx|**2 + w_t.x + C_t,
+        w_t = -2 D' r_t,  C_t = |r_t|**2.
+
+    The payload's ``(T + n, n*N)`` ``_rank_rows`` hold the ``w_t`` and, below
+    them, one row per axis that sums the agents' coordinates, so one product
+    gives every ``w_t.x`` and the sums ``s_d`` that make up ``|Dx|**2 =
+    2N x.x - 2 s.s``.  The common ``|Dx|**2`` does not change the ranking,
+    so the scores are ``g_t = w_t.x + C_t``.  When no other score lies
+    within ``margin`` of the lowest, ``g_b``, every other sum is provably
+    larger, and the value is formation ``b``'s row alone, computed with
+    ``_formation_sq_errors``' operations: the slot gathers, minus the offsets
+    row, ``einsum`` over the flat 1-D row, and the division by ``N*N``.
+    Otherwise (a tie within the margin, or a margin that is NaN or not below
+    ``2**900``) it returns ``rendezvous_objective(payload, x)``.
+
+    Rounding.  Let ``u = 2**-53``, ``m = N*N*n`` terms, ``p = n*N``, ``q =
+    x.x``, ``Delta = |Dx|**2`` and ``C = max_t C_t``, and read every ``gamma_k
+    = k*u/(1 - k*u)`` as ``k*u`` up to a relative ``2**-19``: ``m < 2**30``
+    for any family whose ``(T, m)`` offsets fit in memory.
+
+    - The reference row.  Each error entry ``fl(fl(x_i - x_j) - r)`` is within
+      ``u(|x_i - x_j| + |e|)`` of the exact ``e``, and a sum of ``m``
+      nonnegative squares in any order is within ``gamma_m`` of its terms'
+      sum; with Cauchy-Schwarz the computed row is within ``a = (m+5)u(S_t +
+      Delta)`` of ``S_t``, and ``S_t <= 2 Delta + 2C`` gives ``a <= (m+5)u(3
+      Delta + 2C)``.
+    - The score.  The stored ``w_t`` sums ``N`` offsets per entry (error
+      ``gamma_N``), the product sums ``p`` terms (``gamma_p``), ``|w_t| <=
+      4 sqrt(N C)``, and ``4 sqrt(N C q) <= 2(C + Nq)``; ``C_t`` sums ``m``
+      squares (``gamma_m``), and the final addition rounds once.  So
+      ``g_t`` is within ``b = 2(p+N+1)u(C + Nq) + (m+1)uC`` of ``w_t.x +
+      C_t``.
+    - The spread.  The computed ``2N x.x - 2 s.s`` is within ``2(p+2N+n+3)u
+      N q + u Delta`` of ``Delta``, so ``Delta`` is at most its nonnegative
+      part plus ``2(p+2N+n+3)uNq``, up to a relative ``u``.
+
+    A rival ``t`` excluded by ``g_t > fl(g_b + margin)`` has ``S_t - S_b >
+    margin - 2b`` (both scores' rounding), above ``2a`` (both rows'
+    rounding), so its computed row exceeds row ``b`` and the minimum is row
+    ``b``.  That needs ``margin >= 2a + 2b``, and ``margin = 8u[(m+p+N+5)
+    (max(spread, 0) + C) + (p+2N+n+4)Nq] + 2**-1000`` exceeds it with a third
+    to spare, which covers the rounding of the margin and of ``g_b +
+    margin``.  Every absolute error from underflow is below ``(m+p) *
+    2**-1074``, under the ``2**-1000``, which also keeps the margin positive,
+    so an exact tie is never certified.  Below ``2**900`` the margin bounds
+    ``q``, ``C`` and ``Delta`` far under the overflow threshold, and a
+    finite ``q`` means a finite ``x``, so every score is finite; a NaN or
+    infinite entry of ``x`` makes ``q`` and the margin non-finite.
+    """
+    rows, sq_offsets = payload._rank_rows, payload._sq_offsets
+    T, N, n = payload.positions.shape
+    flat = x.reshape(N * n)  # a wrong-length state raises here
+    v = rows.dot(flat)
+    sums = v[T:]
+    norm2 = float(flat.dot(flat))
+    spread = 2.0 * N * norm2 - 2.0 * float(sums.dot(sums))
+    k_spread, k_norm, k_0 = payload._margin
+    margin = k_spread * max(spread, 0.0) + k_norm * norm2 + k_0
+    if margin < 2.0**900:
+        scores = v[:T]
+        scores += sq_offsets
+        best = int(scores.argmin())
+        if np.count_nonzero(scores <= scores[best] + margin) == 1:
+            err = flat[payload._slot_i] - flat[payload._slot_j]
+            err -= payload._offsets[best]
+            return float(np.einsum("i,i->", err, err) / (N * N))
+    return rendezvous_objective(payload, x)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +675,8 @@ class QuadraticPayload:
 
 def quadratic_objective(payload: QuadraticPayload, x: np.ndarray) -> float:
     """Exact quadratic form ``x' H x`` (gradient ``2 H x``)."""
-    return float(x @ payload.H @ x)
+    # the BLAS gemv and dot of ``x @ H @ x`` without matmul's dispatch
+    return float(x.dot(payload.H).dot(x))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +750,9 @@ def make_objective_fn(spec: ObjectiveSpec):
     if spec.kind == COVERAGE and eps is None:
         # the same values as coverage_objective, with labels kept between calls
         task = _LabelledCoverage(payload, spec.N)
+    elif spec.kind == RENDEZVOUS and eps is None:
+        # the same values as rendezvous_objective, from one formation's row
+        task = partial(_certified_rendezvous, payload)
     l1, l2 = spec.l1, spec.l2
 
     def J(x: np.ndarray) -> float:

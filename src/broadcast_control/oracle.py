@@ -69,19 +69,22 @@ def enumerate_expected_gradient(x: np.ndarray, c: float, K: int, J) -> np.ndarra
     outcomes, so that smaller sum is what gets computed (it is the same
     number with less floating-point work).
     """
-    x = np.asarray(x, dtype=np.float64)
-    _outcomes(x.shape[0], K)
-    return _all_estimates(x, c, J).mean(axis=0)
+    return _estimates(x, c, K, J).mean(axis=0)
 
 
-def _iter_mean_estimates(x: np.ndarray, c: float, K: int, J):
+def _estimates(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
+    """``_all_estimates`` at ``x``, once the K-probe outcome space is known
+    to be within the cap."""
+    _outcomes(np.shape(x)[0], K)
+    return _all_estimates(x, c, J)
+
+
+def _iter_mean_estimates(g: np.ndarray, K: int):
     """Yield chunks of the K-probe mean estimate, one row per outcome of the
-    full 2**(d*K) product space, in fixed mixed-radix order."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    total = _outcomes(d, K)
-    g = _all_estimates(x, c, J)
-    base = 1 << d
+    full 2**(d*K) product space, in fixed mixed-radix order, from the
+    single-probe estimates ``g``."""
+    total = _outcomes(g.shape[1], K)
+    base = g.shape[0]
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         idx = np.empty((codes.shape[0], K), dtype=np.int64)
@@ -92,31 +95,38 @@ def _iter_mean_estimates(x: np.ndarray, c: float, K: int, J):
         yield g[idx].mean(axis=1)
 
 
-def _enumerated_mean(x: np.ndarray, c: float, K: int, J, term):
+def _enumerated_mean(g: np.ndarray, K: int, term):
     """Add up ``term(chunk)``, each chunk's sum of a quantity, over the
     chunks of the K-probe mean estimate in their fixed order, and divide by
     the ``2**(d*K)`` outcomes."""
     total = 0.0
-    for chunk in _iter_mean_estimates(x, c, K, J):
+    for chunk in _iter_mean_estimates(g, K):
         total = total + term(chunk)
-    return total / _outcomes(np.shape(x)[0], K)
+    return total / _outcomes(g.shape[1], K)
 
 
 def enumerate_estimator_variance(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
     """Componentwise variance of the K-probe mean estimate, enumerated over
     the full product space (this is the honest route; no 1/K shortcut)."""
     mean, square = _enumerated_mean(
-        x, c, K, J, lambda g: np.stack((g.sum(axis=0), (g * g).sum(axis=0)))
+        _estimates(x, c, K, J), K,
+        lambda g: np.stack((g.sum(axis=0), (g * g).sum(axis=0))),
     )
     return square - mean * mean
+
+
+def _next_cost(g: np.ndarray, x: np.ndarray, a: float, K: int, J) -> float:
+    return _enumerated_mean(g, K, lambda m: sum(float(J(v)) for v in x[None, :] - a * m))
+
+
+def _distance_power(g: np.ndarray, a: float, K: int, kappa: float) -> float:
+    return _enumerated_mean(g, K, lambda m: float((np.abs(-a * m) ** kappa).sum()))
 
 
 def expected_next_cost(x: np.ndarray, a: float, c: float, K: int, J) -> float:
     """Exact ``E[J(x - a * mean_k g(sigma_k))]`` by full enumeration."""
     x = np.asarray(x, dtype=np.float64)
-    return _enumerated_mean(
-        x, c, K, J, lambda g: sum(float(J(v)) for v in x[None, :] - a * g)
-    )
+    return _next_cost(_estimates(x, c, K, J), x, a, K, J)
 
 
 def expected_distance_power(
@@ -126,7 +136,7 @@ def expected_distance_power(
     ``u_i`` of the flat input, by enumeration."""
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    return _enumerated_mean(x, c, K, J, lambda g: float((np.abs(-a * g) ** kappa).sum()))
+    return _distance_power(_estimates(x, c, K, J), a, K, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +219,12 @@ def check_k_monotonicity(
     if direction not in ("convex", "concave"):
         raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
     K_list = tuple(int(k) for k in K_list)
-    costs = tuple(expected_next_cost(x, a, c, k, J) for k in K_list)
+    x = np.asarray(x, dtype=np.float64)
+    # one enumeration of the single-probe estimates serves every sum
+    g = _estimates(x, c, max(K_list, default=1), J)
+    costs = tuple(_next_cost(g, x, a, k, J) for k in K_list)
     dists = {
-        kappa: tuple(expected_distance_power(x, a, c, k, kappa, J) for k in K_list)
+        kappa: tuple(_distance_power(g, a, k, kappa) for k in K_list)
         for kappa in (1.0, 2.0)
     }
 

@@ -37,6 +37,10 @@ class CheckResult:
     note: str = ""
 
 
+# a paired check over no pairs fails: a bound that holds on no evidence shows nothing
+_NO_EVIDENCE = "no evidence: 0 paired seeds"
+
+
 def _pairs(seeds: int) -> list:
     """One ``(rec_bc, rec_pbc)`` pair of theorem-mode rendezvous runs per seed."""
     config = ExperimentConfig(law=LAW_PAIRED, mode="theorem")
@@ -115,29 +119,31 @@ def check_variance(**_) -> list:
 
 def check_twice_speed_runs(seeds: int = 3, **_) -> list:
     """Paired runs: the single-stage law at t retraces the two-stage law at 2t."""
-    rep = check_twice_speed(_pairs(seeds))
+    pairs = _pairs(seeds)
+    rep = check_twice_speed(pairs)
     worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
     return [
         CheckResult(
             name="twice-speed",
             bound="sup_t |x_pbc(t) - x_bc(2t)| <= 1e-6",
             measured=f"state {worst_x:.3e}, objective {worst_j:.3e}",
-            passed=worst_x <= 1e-6 and worst_j <= 1e-6,
-            note=f"{seeds} paired rendezvous seeds, 300 steps",
+            passed=bool(pairs) and worst_x <= 1e-6 and worst_j <= 1e-6,
+            note=f"{seeds} paired rendezvous seeds, 300 steps" if pairs else _NO_EVIDENCE,
         )
     ]
 
 
 def check_distance_runs(seeds: int = 3, **_) -> list:
     """Paired runs: the two-stage law never travels less, on any sample path."""
-    rep = check_distance_dominance(_pairs(seeds))
+    pairs = _pairs(seeds)
+    rep = check_distance_dominance(pairs)
     return [
         CheckResult(
             name="distance-dominance",
             bound="min_t (D_bc(2t) - D_pbc(t)) >= -1e-9",
             measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{seeds}",
-            passed=rep.min_margin >= -1e-9,
-            note="path-wise comparison on shared sample paths",
+            passed=bool(pairs) and rep.min_margin >= -1e-9,
+            note="path-wise comparison on shared sample paths" if pairs else _NO_EVIDENCE,
         )
     ]
 

@@ -10,6 +10,37 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from broadcast_control.objectives import barrier_weight, smooth_min
+
+
+def evaluate(spec, task, x):
+    """The barrier through ``np.linalg.norm`` around the task objective
+    ``task``, called directly: ``make_objective_fn(spec)`` must match it bit
+    for bit."""
+    r = float(np.linalg.norm(x))
+    if r <= spec.l1:
+        return task(x)
+    quad = float(np.dot(x, x))
+    if r >= spec.l2:
+        return quad
+    rho = barrier_weight(r, spec.l1, spec.l2)
+    return rho * task(x) + (1.0 - rho) * quad
+
+
+def rendezvous(payload, x, smooth_eps=None):
+    """The 4-D ``tijd`` formula whose value the rendezvous objective must
+    reproduce bit for bit: every formation's mean squared offset error, then
+    the minimum."""
+    pos = payload.positions
+    N, n = pos.shape[1], pos.shape[2]
+    offsets = pos[:, :, None, :] - pos[:, None, :, :]
+    pts = x.reshape(N, n)
+    err = (pts[:, None, :] - pts[None, :, :])[None] - offsets
+    per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
+    if smooth_eps is None:
+        return float(per_theta.min())
+    return smooth_min(per_theta, smooth_eps)
+
 
 def lexicographic_optimum(C) -> list:
     """First minimum-cost permutation in lexicographic order, by enumeration

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from broadcast_control import objectives as objectives_mod
 from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
     QuadraticPayload,
     RendezvousPayload,
+    _certified_rendezvous,
     _formation_sq_errors,
     _unique_optimum,
     assignment_objective,
@@ -28,6 +30,7 @@ from broadcast_control.objectives import (
     smooth_min,
     unit_cube_grid,
 )
+from broadcast_control.oracle import random_spd_matrix
 
 # ---------------------------------------------------------------------------
 # barrier
@@ -98,20 +101,6 @@ def test_evaluate_branches_bit_exact():
     assert min(j_obj, quad) < val < max(j_obj, quad)
 
 
-def _reference_evaluate(spec, task, x):
-    """The barrier through ``np.linalg.norm`` around the task objective
-    ``task``, called directly: ``make_objective_fn(spec)`` must match it bit
-    for bit."""
-    r = float(np.linalg.norm(x))
-    if r <= spec.l1:
-        return task(x)
-    quad = float(np.dot(x, x))
-    if r >= spec.l2:
-        return quad
-    rho = barrier_weight(r, spec.l1, spec.l2)
-    return rho * task(x) + (1.0 - rho) * quad
-
-
 def test_evaluate_matches_norm_barrier_bit_for_bit(rng):
     # every task beside its objective called directly, hard and smooth minima,
     # assignment re-solved and frozen: binding the wrong task, payload or
@@ -150,7 +139,7 @@ def test_evaluate_matches_norm_barrier_bit_for_bit(rng):
             for _ in range(200):
                 direction = rng.normal(size=objective_spec.nN)
                 x = radius * direction / np.linalg.norm(direction)
-                assert J(x) == _reference_evaluate(objective_spec, task, x)
+                assert J(x) == reference.evaluate(objective_spec, task, x)
                 r = float(np.linalg.norm(x))
                 branches.add("inside" if r <= l1 else "beyond" if r >= l2 else "blend")
         assert branches == {"inside", "blend", "beyond"}
@@ -293,7 +282,7 @@ def test_hard_coverage_reuses_labels_bit_for_bit(case):
     J = make_objective_fn(spec)
     task = partial(coverage_objective, spec.payload)
     for x in states:
-        assert J(x).hex() == _reference_evaluate(spec, task, x).hex()
+        assert J(x).hex() == reference.evaluate(spec, task, x).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +331,6 @@ def test_rendezvous_cyclic_relabeling_matches_parameter_shift(rng):
     assert value2 == pytest.approx(value, rel=1e-10, abs=1e-12)
 
 
-def _reference_rendezvous(payload, x, smooth_eps=None):
-    """The 4-D ``tijd`` formula whose value the rendezvous objective must
-    reproduce bit for bit."""
-    pos = payload.positions
-    N, n = pos.shape[1], pos.shape[2]
-    offsets = pos[:, :, None, :] - pos[:, None, :, :]
-    pts = x.reshape(N, n)
-    err = (pts[:, None, :] - pts[None, :, :])[None] - offsets
-    per_theta = np.einsum("tijd,tijd->t", err, err) / (N * N)
-    if smooth_eps is None:
-        return float(per_theta.min())
-    return smooth_min(per_theta, smooth_eps)
-
-
 @given(
     N=st.sampled_from([2, 3, 15]),
     formations=st.integers(1, 15),
@@ -377,7 +352,7 @@ def test_rendezvous_matches_reference_bit_for_bit(N, formations, log_scale, seed
     if ties:
         x = (pos[0] + rng.normal(size=2)).ravel()  # realizes member 0
     eps = -float(rng.uniform(0.5, 100.0)) / scale**2 if smooth else None
-    expected = _reference_rendezvous(payload, x, eps)
+    expected = reference.rendezvous(payload, x, eps)
     assert rendezvous_objective(payload, x, smooth_eps=eps) == expected
     spec = ObjectiveSpec(
         "rendezvous", 2, N, payload, l1=1e9, l2=2e9, smooth_min_epsilon=eps
@@ -391,6 +366,95 @@ def test_rendezvous_smooth_min_bound():
     hard = rendezvous_objective(payload, x)
     soft = rendezvous_objective(payload, x, smooth_eps=-50.0)
     assert hard + math.log(len(payload.positions)) / -50.0 <= soft <= hard
+
+
+@st.composite
+def _rendezvous_cases(draw):
+    """A formation family, states planted where the certificate's ranking is
+    hardest, and a workspace radius ``l1`` within a few ulps of the norm of
+    one of them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # the circle family: every member has the same C_t up to rounding
+        N = draw(st.integers(1, 15))
+        thetas = tuple(range(1, draw(st.integers(1, N)) + 1))
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        payload = circle_formation(N, radius=scale, thetas=thetas)
+    else:
+        T, N, n = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        pos = rng.normal(scale=scale, size=(T, N, n))
+        if T > 1 and draw(st.booleans()):
+            # repeated members, exactly or to within a few rounding errors
+            tiny = draw(st.sampled_from((0.0, 1e-16, 1e-15, 1e-14, 1e-13)))
+            pos[1::2] = pos[0] + rng.normal(scale=tiny * scale, size=pos[1::2].shape)
+        payload = RendezvousPayload(positions=pos)
+    pos = payload.positions
+    T, N, n = pos.shape
+    # a common translation, up to 1e6 times the family's scale: the
+    # product's rounding grows with it, the rows' rounding does not
+    shift = rng.normal(scale=scale, size=n) * 10.0 ** draw(st.floats(-3.0, 6.0))
+    noise = scale * 10.0 ** draw(st.floats(-16.0, -2.0))
+    states = [np.tile(shift, N)]  # all agents at one point: the circle members tie
+    for a in range(T):  # equidistant from two members, up to the noise
+        x = (pos[a] + pos[(a + 1) % T]) / 2 + shift
+        states.append((x + rng.normal(scale=noise, size=(N, n))).ravel())
+    member = pos[rng.integers(T)] + shift + rng.normal(scale=noise, size=(N, n))
+    states.append(member.ravel())
+    states.append(rng.normal(scale=scale * 10.0 ** draw(st.floats(-1.0, 1.0)), size=N * n))
+    states.append(states[-1].copy())
+    states[-1][rng.integers(N * n)] = np.nan
+    r = float(np.linalg.norm(member))
+    l1 = max(r + draw(st.integers(-3, 3)) * np.spacing(r), 1e-300)
+    return payload, states, l1
+
+
+@given(_rendezvous_cases())
+@settings(deadline=None)
+def test_certified_rendezvous_matches_reference(case):
+    # make_objective_fn binds hard-minimum rendezvous to an evaluator that
+    # ranks the formations by one product and computes only a certified
+    # winner's row; every value must carry the reference's bits, and J's
+    # those of the barrier around it, with |x| near l1 or far inside it
+    payload, states, l1 = case
+    task = partial(reference.rendezvous, payload)
+    for radius in (l1, 1e300):
+        spec = ObjectiveSpec("rendezvous", payload.n, payload.N, payload, l1=radius, l2=2.0 * radius)
+        J = make_objective_fn(spec)
+        for x in states:
+            assert _certified_rendezvous(payload, x).hex() == task(x).hex()
+            assert J(x).hex() == reference.evaluate(spec, task, x).hex()
+
+
+def test_certified_rendezvous_scans_only_near_ties(monkeypatch):
+    # off a tie the certificate computes one row; where every member ties it
+    # falls back to the full scan, which then runs once
+    payload = circle_formation(15, radius=0.2)
+    scans = []
+
+    def counted(p, x, smooth_eps=None):
+        scans.append(1)
+        return rendezvous_objective(p, x, smooth_eps)
+
+    monkeypatch.setattr(objectives_mod, "rendezvous_objective", counted)
+    near = (payload.positions[4] + 0.3 + 1e-3 * np.cos(np.arange(30.0)).reshape(15, 2)).ravel()
+    assert _certified_rendezvous(payload, near) == reference.rendezvous(payload, near)
+    assert scans == []
+    together = np.tile([0.3, -0.1], 15)
+    assert _certified_rendezvous(payload, together) == reference.rendezvous(payload, together)
+    assert scans == [1]
+
+
+def test_circle_formation_is_built_once_and_read_only():
+    family = circle_formation(7, radius=0.3, thetas=(1, 2, 3))
+    assert circle_formation(7, radius=0.3, thetas=(1, 2, 3)) is family
+    for arr in (family.positions, family._offsets, family._rank_rows, family._sq_offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # the payload copies what it is given; the caller's array stays writable
+    pos = np.zeros((1, 2, 2))
+    RendezvousPayload(positions=pos)
+    pos[0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +700,21 @@ def test_quadratic_examples():
     diag = QuadraticPayload(np.diag([1.0, 4.0]))
     assert quadratic_objective(diag, np.array([1.0, 1.0])) == 5.0
     assert quadratic_objective(QuadraticPayload([[0.5]]), np.array([2.0])) == 2.0
+
+
+@given(
+    d=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    strided=st.booleans(),
+)
+def test_quadratic_objective_has_the_bits_of_matmul(d, seed, log_scale, strided):
+    # x.dot(H).dot(x) makes the BLAS calls of x @ H @ x without its dispatch
+    rng = np.random.default_rng(seed)
+    H = random_spd_matrix(rng, d) * 10.0**log_scale
+    x = rng.normal(scale=10.0**-log_scale, size=2 * d)
+    x = x[::2] if strided else x[:d]
+    assert quadratic_objective(QuadraticPayload(H), x).hex() == float(x @ H @ x).hex()
 
 
 def test_quadratic_rejects_asymmetric():

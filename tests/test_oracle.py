@@ -13,6 +13,7 @@ from broadcast_control.objectives import (
     coverage_objective,
     quadratic_objective,
 )
+from broadcast_control import oracle as oracle_mod
 from broadcast_control.oracle import (
     DistanceDominanceReport,
     EnumerationTooLarge,
@@ -31,6 +32,7 @@ from broadcast_control.oracle import (
     random_spd_matrix,
 )
 from broadcast_control.state import draw_block
+from broadcast_control.verify import run_verify
 
 from conftest import scalar_state, unit_sched
 
@@ -268,6 +270,24 @@ def test_check_k_monotonicity_concave_reversal():
     assert rep.cost_values[0] < rep.cost_values[1] < rep.cost_values[2]
 
 
+def test_check_k_monotonicity_enumerates_once(monkeypatch):
+    # every sum over K and quantity reads the one enumeration at x
+    calls = []
+    original = oracle_mod._all_estimates
+
+    def counted(x, c, J):
+        calls.append(1)
+        return original(x, c, J)
+
+    monkeypatch.setattr(oracle_mod, "_all_estimates", counted)
+    J = quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))
+    rep = check_k_monotonicity(
+        np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J, direction="convex"
+    )
+    assert len(calls) == 1
+    assert rep.verdict is True
+
+
 def test_check_k_monotonicity_requires_a_direction():
     with pytest.raises(TypeError):
         check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE)
@@ -331,6 +351,14 @@ def test_paired_oracles_fold_to_the_worst_pair():
     nan_pbc = dataclasses.replace(rec_pbc, j_trace=np.full_like(rec_pbc.j_trace, np.nan))
     rep = check_twice_speed([(rec_bc, nan_pbc)] + pairs[1:])
     assert math.isnan(rep.max_objective_deviation)
+
+
+def test_paired_checks_without_pairs_fail():
+    # a paired check over no pairs has no evidence, so it cannot pass
+    report, ok = run_verify(["twice-speed", "distance"], seeds=0)
+    assert not ok
+    assert report.count("FAIL") == 3  # both rows and the overall line
+    assert report.count("no evidence") == 2
 
 
 def test_worked_single_step_distance_margin():
