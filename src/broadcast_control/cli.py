@@ -82,8 +82,9 @@ def _make_out_dir(path: str) -> bool:
     """Create the output directory, or say on one line why it cannot be."""
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        print(f"cannot create output directory {path}: {err.strerror}", file=sys.stderr)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        reason = err.strerror if isinstance(err, OSError) else err
+        print(f"cannot create output directory {path}: {reason}", file=sys.stderr)
         return False
     return True
 
@@ -103,7 +104,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for v in err.violations:
             print(f"  - {v}", file=sys.stderr)
         return 2
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return 2
     if not _make_out_dir(config.out_dir):
@@ -133,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_csv(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     return rows[0], rows[1:]
 
@@ -163,7 +164,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             for col, value in zip(header[2:], row[2:]):
                 lines.append(f"{t},agent{agent}_{col},{stem},{value}")
     try:
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as err:
         print(f"cannot write {out_path}: {err.strerror}", file=sys.stderr)

@@ -10,6 +10,8 @@ exactly.
 Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
 it and raises ``ConfigError`` listing every violation at once, so code handed
 a config trusts it.  ``x0`` and ``targets`` are stored as float tuples.
+The violations come in one order: each field's own rule (its type, then its
+range or form) in field order, then the rules across fields.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,118 +59,168 @@ class ConfigError(ValueError):
         self.violations = list(violations)
 
 
+def _is_int(value) -> bool:
+    # bool is an Integral, but True would serialize as "True"
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # likewise a bool is a Real, and True would serialize as "True"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_float(value):
+    # a numpy float32 or a Fraction would serialize in another format than
+    # the 17-digit float one that parse_config reads back
+    try:
+        return float(value) if _is_real(value) else value
+    except OverflowError:
+        return value  # an int beyond the float range: validate reports it
+
+
+def _as_floats(values):
+    # a list or array would serialize as its repr, not in the flat float
+    # format that parse_config reads back; anything but real numbers is left
+    # as it is, for validate to report
+    try:
+        # rows of unequal length stay lists, which are not real
+        flat = np.asarray(values, dtype=object).ravel()
+        if values is not None and all(map(_is_real, flat)):
+            return tuple(float(v) for v in flat)
+    except (ValueError, OverflowError):
+        pass  # arrays of unequal shape, or an int beyond the float range
+    return values
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
+def _g17(value) -> str:
+    return "" if value is None else format(value, ".17g")
+
+
+# Per annotation, as text (annotations are postponed in this module): how a
+# value is stored, the test of its type, how its text is parsed and rendered,
+# and the violation for a value of another type, as the text after
+# "<field> must ", formatted with the value
+_Kind = namedtuple("_Kind", "store test parse render must")
+_KINDS = {
+    "str": _Kind(lambda v: v, lambda v: isinstance(v, str), str, str, "be a string, got {!r}"),
+    "int": _Kind(lambda v: v, _is_int, int, str, "be an integer, got {!r}"),
+    "float": _Kind(
+        _as_float, lambda v: isinstance(v, float), _finite_float, _g17, "be a float, got {!r}"
+    ),
+    "Optional[float]": _Kind(
+        _as_float,
+        lambda v: isinstance(v, (float, type(None))),
+        lambda raw: None if raw == "" else float(raw),
+        _g17,
+        "be a float or None, got {!r}",
+    ),
+    "Optional[tuple]": _Kind(
+        _as_floats,
+        lambda v: v is None or isinstance(v, tuple) and all(type(x) is float for x in v),
+        lambda raw: None if raw == "" else tuple(map(float, raw.replace(",", " ").split())),
+        lambda v: "" if v is None else " ".join(map(_g17, v)),
+        "be a sequence of floats, got {!r}",
+    ),
+}
+
+
+def _rule(default, test, must: str, any_type: bool = False):
+    """A field whose value must pass ``test`` if it is of the annotation's type,
+    or always if ``any_type``; ``must`` formatted with the value follows
+    "<field> must " in the violation."""
+    return dataclasses.field(
+        default=default, metadata={"test": test, "must": must, "any_type": any_type}
+    )
+
+
+def _one_of(default: str, choices: tuple, must: str = ""):
+    # the choices are strings, so a value of another type fails the test too,
+    # and its violation names the choices
+    must = must or f"be one of {choices}, got {{!r}}"
+    return _rule(default, choices.__contains__, must, any_type=True)
+
+
+def _at_least(default: int, low: int):
+    return _rule(default, lambda v: v >= low, f"be >= {low}, got {{}}")
+
+
+def _all_finite(values) -> bool:
+    return values is None or all(map(math.isfinite, values))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    task: str = RENDEZVOUS
-    law: str = LAW_PBC
-    K: int = 1
-    N: int = 15
-    n: int = 2
-    steps: int = 300
-    trials: int = 1
-    master_seed: int = 0
-    mode: str = "figure"
-    out_dir: str = "out"
+    task: str = _one_of(RENDEZVOUS, TASKS)
+    law: str = _one_of(LAW_PBC, LAWS)
+    K: int = _at_least(1, 1)
+    N: int = _at_least(15, 1)
+    n: int = _at_least(2, 1)
+    steps: int = _at_least(300, 0)
+    trials: int = _at_least(1, 1)
+    # the sign hash reduces the seed modulo 2**64: outside this range two
+    # configs whose manifests differ would draw the same signs
+    master_seed: int = _rule(0, lambda v: 0 <= v < 2**64, "lie in [0, 2**64), got {}")
+    mode: str = _one_of("figure", MODES)
+    # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
+    out_dir: str = _rule(
+        "out",
+        lambda d: "#" not in d and d == d.strip() and len(d.splitlines()) <= 1,
+        "hold no '#', line break or edge whitespace, got {!r}",
+    )
     a0: float = 2.0
     a_p: float = 0.7
     c0: float = 0.003
     c_p: float = 0.16
     t_v: float = 20.0
     l1: float = 100.0
-    l2: float = 101.0
-    grid_spacing: float = 0.01
-    formation_radius: float = 0.2
-    formation_count: int = 15
-    targets: Optional[tuple] = None
-    reassignment: str = EVERY_STEP
-    smooth_min_eps: Optional[float] = None
-    x0: Optional[tuple] = None
-    retain_trajectories: str = "auto"
-    workers: int = 1
+    l2: float = _rule(101.0, math.isfinite, "be finite, got {}")
+    grid_spacing: float = _rule(0.01, lambda v: 0 < v < 1, "lie in (0, 1), got {}")
+    formation_radius: float = _rule(
+        0.2, lambda v: 0 < v < math.inf, "be positive and finite, got {}"
+    )
+    formation_count: int = _at_least(15, 1)
+    targets: Optional[tuple] = _rule(None, _all_finite, "be finite")
+    reassignment: str = _one_of(
+        EVERY_STEP,
+        (EVERY_STEP, ONCE_AT_START),
+        f"be {EVERY_STEP!r} or {ONCE_AT_START!r}, got {{!r}}",
+    )
+    smooth_min_eps: Optional[float] = _rule(
+        None, lambda v: v is None or -math.inf < v < 0, "be finite and negative, got {}"
+    )
+    x0: Optional[tuple] = _rule(None, _all_finite, "be finite")
+    retain_trajectories: str = _one_of("auto", RETAIN)
+    workers: int = _at_least(1, 1)
 
     # -- validation ---------------------------------------------------------
 
     def __post_init__(self):
-        # a numpy float32 or a Fraction would serialize in another format
-        # than the 17-digit float one that parse_config reads back
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if _is_real(value):
-                try:
-                    object.__setattr__(self, name, float(value))
-                except OverflowError:
-                    pass  # an int beyond the float range: validate reports it
-        # a list or array would serialize as its repr, not in the flat float
-        # format that parse_config reads back; anything but real numbers is
-        # left as it is, for validate to report
-        for name in ("x0", "targets"):
-            values = getattr(self, name)
-            try:
-                # rows of unequal length stay lists, which are not real
-                flat = np.asarray(values, dtype=object).ravel()
-                if values is not None and all(map(_is_real, flat)):
-                    object.__setattr__(self, name, tuple(float(v) for v in flat))
-            except (ValueError, OverflowError):
-                pass  # arrays of unequal shape, or an int beyond the float range
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _KINDS[f.type].store(getattr(self, f.name)))
         self.validate()
 
     def validate(self) -> "ExperimentConfig":
         """Raise ``ConfigError`` listing every violation, or return ``self``."""
-        out = []
-        if self.task not in TASKS:
-            out.append(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.law not in LAWS:
-            out.append(f"law must be one of {LAWS}, got {self.law!r}")
-        if self.mode not in MODES:
-            out.append(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.retain_trajectories not in RETAIN:
-            out.append(
-                f"retain_trajectories must be one of {RETAIN}, "
-                f"got {self.retain_trajectories!r}"
-            )
-        if self.reassignment not in (EVERY_STEP, ONCE_AT_START):
-            out.append(
-                f"reassignment must be {EVERY_STEP!r} or {ONCE_AT_START!r}, "
-                f"got {self.reassignment!r}"
-            )
+        out, typed = [], set()
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                out.append(f"{f.name} must be an integer, got {value!r}")
-            # __post_init__ stored each real value of a float field as a
-            # float, so anything else is a bool, a string or the like
-            if f.type == "float" and not isinstance(value, float):
-                out.append(f"{f.name} must be a float, got {value!r}")
-            if f.type == "Optional[float]" and not isinstance(value, (float, type(None))):
-                out.append(f"{f.name} must be a float or None, got {value!r}")
-        for name in ("K", "N", "n", "trials", "workers"):
-            value = getattr(self, name)
-            if _is_int(value) and value < 1:
-                out.append(f"{name} must be >= 1, got {value}")
-        # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
-        d = self.out_dir
-        if not isinstance(d, str):
-            out.append(f"out_dir must be a string, got {d!r}")
-        elif "#" in d or d != d.strip() or len(d.splitlines()) > 1:
-            out.append(f"out_dir must hold no '#', line break or edge whitespace, got {d!r}")
-        if _is_int(self.steps) and self.steps < 0:
-            out.append(f"steps must be >= 0, got {self.steps}")
-        # the sign hash reduces the seed modulo 2**64: outside this range two
-        # configs whose manifests differ would draw the same signs
-        if _is_int(self.master_seed) and not 0 <= self.master_seed < 2**64:
-            out.append(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+            value, kind, rule = getattr(self, f.name), _KINDS[f.type], f.metadata
+            if kind.test(value):
+                typed.add(f.name)
+            elif not rule.get("any_type"):
+                out.append(f"{f.name} must " + kind.must.format(value))
+                continue
+            if "test" in rule and not rule["test"](value):
+                out.append(f"{f.name} must " + rule["must"].format(value))
+        # the rules across fields skip a field of another type
         if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
-        # the range checks skip a float field of another type
-        typed = {k for k in _FLOAT_FIELDS if isinstance(getattr(self, k), float)}
-        if "grid_spacing" in typed and not 0 < self.grid_spacing < 1:
-            out.append(f"grid_spacing must lie in (0, 1), got {self.grid_spacing}")
-        if "formation_radius" in typed and not 0 < self.formation_radius < math.inf:
-            out.append(
-                f"formation_radius must be positive and finite, got {self.formation_radius}"
-            )
-        if _is_int(self.formation_count) and self.formation_count < 1:
-            out.append(f"formation_count must be >= 1, got {self.formation_count}")
         if typed >= {"a0", "a_p", "c0", "c_p", "t_v"}:
             try:
                 self.schedule()
@@ -175,24 +228,10 @@ class ExperimentConfig:
                 out.extend(err.violations)
         if typed >= {"l1", "l2"} and not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
-        if "smooth_min_eps" in typed and not -math.inf < self.smooth_min_eps < 0:
-            out.append(
-                f"smooth_min_eps must be finite and negative, got {self.smooth_min_eps}"
-            )
         for name in ("x0", "targets"):
             values = getattr(self, name)
-            if values is None:
-                continue
-            # __post_init__ stored real numbers as a tuple of floats
-            if not (isinstance(values, tuple) and all(type(v) is float for v in values)):
-                out.append(f"{name} must be a sequence of floats, got {values!r}")
-                continue
-            if _is_int(self.n) and _is_int(self.N) and len(values) != self.n * self.N:
-                out.append(
-                    f"{name} must hold n*N = {self.n * self.N} values, got {len(values)}"
-                )
-            if not all(math.isfinite(v) for v in values):
-                out.append(f"{name} must be finite")
+            if values is not None and typed >= {name, "n", "N"} and len(values) != self.n * self.N:
+                out.append(f"{name} must hold n*N = {self.n * self.N} values, got {len(values)}")
         if self.task == RENDEZVOUS and self.n != 2:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:
@@ -262,58 +301,13 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------------
 
     def serialize(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {_render(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{f.name} = {_KINDS[f.type].render(getattr(self, f.name))}\n"
+            for f in dataclasses.fields(self)
+        )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_FLOAT_FIELDS = tuple(n for n, f in _FIELDS.items() if f.type in ("float", "Optional[float]"))
-
-
-def _is_int(value) -> bool:
-    # bool is an Integral, but True would serialize as "True"
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # likewise a bool is a Real, and True would serialize as "True"
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        return " ".join(format(v, ".17g") for v in value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _parse_value(key: str, raw: str, violations: list):
-    raw = raw.strip()
-    # the field's annotation, as text: annotations are postponed in this module
-    kind = _FIELDS[key].type
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            v = float(raw)
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError("non-finite")
-            return v
-        if kind == "Optional[float]":
-            return None if raw == "" else float(raw)
-        if kind == "Optional[tuple]":
-            if raw == "":
-                return None
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        return raw
-    except ValueError:
-        violations.append(f"cannot parse {key} from {raw!r}")
-        return _FIELDS[key].default
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -330,11 +324,14 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELDS:
             violations.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in values:
+        elif key in values:
             violations.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        values[key] = _parse_value(key, raw, violations)
+        else:
+            try:
+                values[key] = _KINDS[_FIELDS[key].type].parse(raw)
+            except ValueError:
+                violations.append(f"cannot parse {key} from {raw!r}")
+                values[key] = _FIELDS[key].default
     try:
         config = ExperimentConfig(**values)
     except ConfigError as err:
@@ -345,5 +342,5 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -298,7 +298,8 @@ def write_manifest(
 
 
 def _write_lines(path: str, lines: list) -> None:
-    with open(path, "w", newline="\n") as fh:
+    # UTF-8 whatever the locale, as load_config reads a manifest back
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -40,27 +40,19 @@ class GainSchedule:
     t_v: float
 
     def __post_init__(self):
-        out = []
-        if not 0 < self.t_v < math.inf:
-            out.append(f"0 < t_v < inf violated (t_v = {self.t_v:g})")
-        if not (0 < self.a_p <= 1):
-            out.append(f"0 < a_p <= 1 violated (a_p = {self.a_p:g})")
-        if not self.c_p > 0:
-            out.append(f"c_p > 0 violated (c_p = {self.c_p:g})")
-        if not 2 * self.a_p - 2 * self.c_p > 1:
-            out.append(
-                "2*a_p - 2*c_p > 1 violated "
-                f"(2*{self.a_p:g} - 2*{self.c_p:g} = {2 * self.a_p - 2 * self.c_p:g})"
-            )
-        if not self.a_p + 2 * self.c_p > 1:
-            out.append(
-                "a_p + 2*c_p > 1 violated "
-                f"({self.a_p:g} + 2*{self.c_p:g} = {self.a_p + 2 * self.c_p:g})"
-            )
-        if not 0 < self.a0 < math.inf:
-            out.append(f"0 < a0 < inf violated (a0 = {self.a0:g})")
-        if not 0 < self.c0 < math.inf:
-            out.append(f"0 < c0 < inf violated (c0 = {self.c0:g})")
+        a_p, c_p = self.a_p, self.c_p
+        gap, reach = 2 * a_p - 2 * c_p, a_p + 2 * c_p
+        # (condition, whether it holds, the values it was tested on)
+        rows = (
+            ("0 < t_v < inf", 0 < self.t_v < math.inf, f"t_v = {self.t_v:g}"),
+            ("0 < a_p <= 1", 0 < a_p <= 1, f"a_p = {a_p:g}"),
+            ("c_p > 0", c_p > 0, f"c_p = {c_p:g}"),
+            ("2*a_p - 2*c_p > 1", gap > 1, f"2*{a_p:g} - 2*{c_p:g} = {gap:g}"),
+            ("a_p + 2*c_p > 1", reach > 1, f"{a_p:g} + 2*{c_p:g} = {reach:g}"),
+            ("0 < a0 < inf", 0 < self.a0 < math.inf, f"a0 = {self.a0:g}"),
+            ("0 < c0 < inf", 0 < self.c0 < math.inf, f"c0 = {self.c0:g}"),
+        )
+        out = [f"{cond} violated ({detail})" for cond, holds, detail in rows if not holds]
         if out:
             raise InvalidScheduleError(out)
 

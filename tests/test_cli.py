@@ -166,14 +166,28 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
     blocker.write_text("")
     bad = str(blocker / "sub")
     cfg = _write_config(tmp_path)
-    for argv in (
-        ["run", "--config", cfg, "--out", bad],
-        ["verify", "--check", "k-step", "--out", bad],
+    # a NUL byte passes the config's checks, and os.makedirs raises ValueError
+    nul = str(tmp_path / "a\x00b")
+    nul_cfg = _write_config(tmp_path, BASE + f"out_dir = {nul}\n", name="nul.cfg")
+    for argv, path in (
+        (["run", "--config", cfg, "--out", bad], bad),
+        (["verify", "--check", "k-step", "--out", bad], bad),
+        (["run", "--config", nul_cfg], nul),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"cannot create output directory {bad}: ")
+        assert err.startswith(f"cannot create output directory {path}: ")
         assert err.count("\n") == 1
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    # exit 1 is kept for a diverged trial; this was a UnicodeDecodeError
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"K = 1\n\xff\xfe\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_retention_policy(tmp_path):

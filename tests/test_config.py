@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
+from broadcast_control.config import EVERY_STEP, LAWS, MODES, ONCE_AT_START, RETAIN, TASKS
 from broadcast_control.engine import write_manifest
 
 
@@ -109,11 +112,13 @@ def test_smooth_min_eps_sign():
         ("smooth_min_eps", -math.inf),
         ("smooth_min_eps", math.nan),
         ("formation_radius", math.inf),
+        ("l2", math.inf),
     ],
 )
 def test_non_finite_floats_rejected(field, value):
     # the infinite values once passed validation and then ended every trial
-    # (or the whole run) at step 0
+    # (or the whole run) at step 0; l2 = inf built a config whose manifest
+    # line "l2 = inf" parse_config rejects
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{field: value})
     assert any(field in v for v in err.value.violations)
@@ -245,6 +250,41 @@ def test_out_dir_must_be_a_string(out_dir):
 
 def test_out_dir_inner_spaces_round_trip():
     config = ExperimentConfig(out_dir="my runs/run 1")
+    assert parse_config(config.serialize()) == config
+
+
+_FLOAT_EDGES = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
+)
+_INT_EDGES = st.integers(2**64 - 2, 2**64 + 1) | st.integers(-(2**64) - 1, -(2**64) + 1)
+# each annotation's edge values: every one either is rejected or must survive
+# the manifest text
+_EDGES = {
+    "str": st.text(st.sampled_from("ab #\x0b\x85\x00"), max_size=4)
+    | st.sampled_from(TASKS + LAWS + MODES + RETAIN + (EVERY_STEP, ONCE_AT_START)),
+    "int": _INT_EDGES | st.integers(-1, 3) | st.booleans(),
+    "float": _FLOAT_EDGES | _INT_EDGES | st.booleans(),
+}
+_EDGES["Optional[float]"] = st.none() | _EDGES["float"]
+_EDGES["Optional[tuple]"] = st.none() | st.lists(
+    _FLOAT_EDGES | st.floats(-1, 1), min_size=30, max_size=30
+).map(tuple)
+_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+@given(
+    st.sets(st.sampled_from(sorted(_TYPES)), min_size=1, max_size=3).flatmap(
+        lambda names: st.fixed_dictionaries({name: _EDGES[_TYPES[name]] for name in names})
+    )
+)
+@example({"l2": math.inf})
+def test_edge_values_rejected_or_round_trip(fields):
+    # the two entry points agree: a config that builds is read back from its
+    # manifest text as itself
+    try:
+        config = ExperimentConfig(**fields)
+    except ConfigError:
+        return
     assert parse_config(config.serialize()) == config
 
 
