@@ -12,11 +12,11 @@ its submodule (``broadcast_control.objectives``, ``.oracle``, ``.engine``...).
 
 Importing the package loads numpy and the standard library only.  scipy is
 loaded by the first ``hungarian`` call (the assignment task), and the
-process pool by the first run with ``workers > 1``.
+process pool by the first run with ``workers > 1`` and ``trials > 1``.
 """
 
 from ._version import __version__
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .controllers import bc_step, pbc_step
 from .engine import DivergenceError, run_and_write, run_monte_carlo, run_paired, run_trial
 from .gains import GainSchedule, InvalidScheduleError
@@ -36,7 +36,6 @@ __all__ = [
     # configuration
     "ConfigError",
     "ExperimentConfig",
-    "load_config",
     "parse_config",
     # runs
     "run_and_write",

@@ -1,16 +1,18 @@
 """Command-line entry point: run experiments, verify the law properties,
-and re-serialize run outputs for plotting."""
+and re-serialize run outputs for plotting.  ``run`` hands its flags' texts
+to ``config.parse_config``, which reads each like a config file's value and
+lets it win over that key's line."""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import os
 import sys
+from pathlib import Path
 
 from ._version import __version__
-from .config import LAWS, MODES, TASKS, ConfigError, ExperimentConfig, load_config
+from .config import LAWS, MODES, TASKS, ConfigError, parse_config
 from .engine import run_and_write
 from .verify import VERIFY_CHECKS, run_verify
 
@@ -33,13 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a configured experiment")
     run_p.add_argument("--config", metavar="PATH", help="config file (flat key = value)")
-    run_p.add_argument("--law", choices=LAWS)
-    run_p.add_argument("--task", choices=TASKS)
-    run_p.add_argument("--K", type=int, dest="K", metavar="INT")
-    run_p.add_argument("--trials", type=int, metavar="INT")
-    run_p.add_argument("--seed", type=int, metavar="U64", dest="master_seed")
-    run_p.add_argument("--steps", type=int, metavar="INT")
-    run_p.add_argument("--mode", choices=MODES)
+    # no type= or choices=: cmd_run reads each flag's text as parse_config
+    # reads a config line's value
+    run_p.add_argument("--law", metavar="{%s}" % ",".join(LAWS))
+    run_p.add_argument("--task", metavar="{%s}" % ",".join(TASKS))
+    run_p.add_argument("--K", dest="K", metavar="INT")
+    run_p.add_argument("--trials", metavar="INT")
+    run_p.add_argument("--seed", metavar="U64", dest="master_seed")
+    run_p.add_argument("--steps", metavar="INT")
+    run_p.add_argument("--mode", metavar="{%s}" % ",".join(MODES))
     run_p.add_argument("--out", metavar="DIR", dest="out_dir")
     run_p.add_argument(
         "--retain-trajectories",
@@ -47,10 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         const="true",
         dest="retain_trajectories",
     )
-    run_p.add_argument(
-        "--smooth-min-eps", type=float, metavar="NEG_REAL", dest="smooth_min_eps"
-    )
-    run_p.add_argument("--workers", type=int, metavar="INT")
+    run_p.add_argument("--smooth-min-eps", metavar="NEG_REAL", dest="smooth_min_eps")
+    run_p.add_argument("--workers", metavar="INT")
 
     ver_p = sub.add_parser("verify", help="run the exact/empirical law checks")
     ver_p.add_argument(
@@ -89,16 +91,28 @@ def _make_out_dir(path: str) -> bool:
     return True
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _or_unwritable(write, *args):
+    """Return ``write(*args)``, or None after naming the file it could not
+    write; an OSError naming no file, such as a failed pool start, propagates."""
     try:
-        if args.config:
-            config = load_config(args.config)
-        else:
-            config = ExperimentConfig()
-        # flags win over the config file; replace checks the new config again
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-        config = dataclasses.replace(config, **flags)
+        return write(*args)
+    except OSError as err:
+        if err.filename is None:
+            raise
+        print(f"cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+        return None
+
+
+def _write_text(path: str, text: str) -> int:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return fh.write(text)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        config = parse_config(text, flags)
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
         for v in err.violations:
@@ -110,7 +124,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not _make_out_dir(config.out_dir):
         return 2
 
-    result = run_and_write(config)
+    result = _or_unwritable(run_and_write, config)
+    if result is None:
+        return 2
     done = len(result.records)
     print(f"completed {done} trial(s), excluded {len(result.excluded)}; wrote {config.out_dir}")
     for idx, reason in result.excluded:
@@ -127,8 +143,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report, end="")
     path = os.path.join(args.out_dir, "verify_report.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report)
+    if _or_unwritable(_write_text, path, report) is None:
+        return 2
     print(f"report written to {path}")
     return 0 if all_ok else 1
 
@@ -163,11 +179,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             t, agent = row[0], row[1]
             for col, value in zip(header[2:], row[2:]):
                 lines.append(f"{t},agent{agent}_{col},{stem},{value}")
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        print(f"cannot write {out_path}: {err.strerror}", file=sys.stderr)
+    if _or_unwritable(_write_text, out_path, "\n".join(lines) + "\n") is None:
         return 2
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
     return 0

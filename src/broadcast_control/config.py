@@ -7,6 +7,9 @@ default, so the empty document is a valid configuration (the standard
 floats at 17 significant digits, so ``parse_config(cfg.serialize()) == cfg``
 exactly.
 
+``parse_config`` is the one reader of a run's settings: a file's text, and
+value texts (the ``run`` flags) that are read alike and win over its lines.
+
 Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
 it and raises ``ConfigError`` listing every violation at once, so code handed
 a config trusts it.  ``x0`` and ``targets`` are stored as float tuples.
@@ -92,13 +95,6 @@ def _as_floats(values):
     return values
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("non-finite")
-    return value
-
-
 def _g17(value) -> str:
     return "" if value is None else format(value, ".17g")
 
@@ -112,7 +108,7 @@ _KINDS = {
     "str": _Kind(lambda v: v, lambda v: isinstance(v, str), str, str, "be a string, got {!r}"),
     "int": _Kind(lambda v: v, _is_int, int, str, "be an integer, got {!r}"),
     "float": _Kind(
-        _as_float, lambda v: isinstance(v, float), _finite_float, _g17, "be a float, got {!r}"
+        _as_float, lambda v: isinstance(v, float), float, _g17, "be a float, got {!r}"
     ),
     "Optional[float]": _Kind(
         _as_float,
@@ -310,10 +306,20 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key/value format, reporting every violation at once."""
+def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Parse the flat key/value format, reporting every violation at once.
+    ``overrides`` maps field names to value texts, each read like a line's
+    and winning over it; the config is built once, from the merged values."""
     violations: list = []
     values: dict = {}
+
+    def read(key: str, raw: str) -> None:
+        try:
+            values[key] = _KINDS[_FIELDS[key].type].parse(raw)
+        except ValueError:
+            violations.append(f"cannot parse {key} from {raw!r}")
+            values[key] = _FIELDS[key].default
+
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -327,11 +333,9 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key in values:
             violations.append(f"line {lineno}: duplicate key {key!r}")
         else:
-            try:
-                values[key] = _KINDS[_FIELDS[key].type].parse(raw)
-            except ValueError:
-                violations.append(f"cannot parse {key} from {raw!r}")
-                values[key] = _FIELDS[key].default
+            read(key, raw)
+    for key, raw in (overrides or {}).items():
+        read(key, raw)
     try:
         config = ExperimentConfig(**values)
     except ConfigError as err:
@@ -339,8 +343,3 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     return config
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -209,21 +209,24 @@ def _trial_job(args):
 
 def _map_trials(job, config: ExperimentConfig):
     """Run ``job(config, i)`` for every trial index ``i``, in a process pool
-    of ``config.workers`` when that is more than 1.
+    of ``min(config.workers, config.trials)`` when that is more than 1.
 
     Returns the results of the finished trials in index order and the
     ``(trial_index, reason)`` pairs of the diverged ones.
     """
     jobs = [(job, config, i) for i in range(config.trials)]
-    if config.workers > 1:
+    # a worker beyond the trial count would get no trial, and a forked pool
+    # starts every worker at its first submit
+    workers = min(config.workers, config.trials)
+    if workers > 1:
         # imported here, not at module level: a workers = 1 run never loads
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # about four chunks per worker: every worker gets work even when
         # trials are few, and large runs still ship trials in batches
-        chunksize = max(1, config.trials // (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunksize = max(1, config.trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_trial_job, jobs, chunksize=chunksize))
     else:
         outcomes = map(_trial_job, jobs)
@@ -298,7 +301,7 @@ def write_manifest(
 
 
 def _write_lines(path: str, lines: list) -> None:
-    # UTF-8 whatever the locale, as load_config reads a manifest back
+    # UTF-8 whatever the locale, as the CLI reads a manifest back
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,6 +1,17 @@
-import pytest
+import contextlib
+import errno
+import io
+import os
+from types import SimpleNamespace
+from unittest import mock
 
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from broadcast_control import ConfigError, cli, parse_config
 from broadcast_control.cli import main
+from broadcast_control.config import LAWS, MODES, TASKS
 
 BASE = "N = 3\nformation_count = 3\nsteps = 5\ntrials = 2\n"
 
@@ -143,6 +154,76 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "paired law requires K = 1, got K = 3" in capsys.readouterr().err
 
 
+def test_flag_wins_before_the_rules_across_fields(tmp_path):
+    # the file's K = 3 breaks the paired law's rule, but the flag replaces it
+    # before any rule runs
+    cfg = _write_config(tmp_path, "law = paired\nK = 3\nsteps = 2\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--K", "1", "--out", str(out)]) == 0
+    assert "K = 1" in _read(out / "manifest").decode().split("\n")
+
+
+def test_bad_flags_listed_with_config_wording(tmp_path, capsys):
+    argv = ["run", "--K", "x", "--law", "bogus", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:",
+        "  - cannot parse K from 'x'",
+        "  - law must be one of ('bc', 'pbc', 'paired'), got 'bogus'",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+# every run flag that takes a value, with the config key it sets
+_FLAG_KEYS = {
+    "--law": "law", "--task": "task", "--K": "K", "--trials": "trials",
+    "--seed": "master_seed", "--steps": "steps", "--mode": "mode", "--out": "out_dir",
+    "--smooth-min-eps": "smooth_min_eps", "--workers": "workers",
+}
+# no '/' or NUL: an --out text is made a directory under the working one
+_VALUE_TEXTS = (
+    st.text(st.sampled_from("0123456789+-._eEinfatxb ,"), max_size=6)
+    | st.sampled_from(LAWS + TASKS + MODES + ("-5", "-0.25", "1e400", "18446744073709551616"))
+).filter(lambda text: text == text.strip())
+
+
+@given(st.sampled_from(sorted(_FLAG_KEYS)), _VALUE_TEXTS)
+@example("--K", "1.5")
+@example("--smooth-min-eps", "-inf")
+@example("--smooth-min-eps", "")
+def test_flag_text_reads_like_a_config_line(tmp_path_factory, flag, text):
+    # --flag=TEXT and the line "key = TEXT" give equal configs or equal
+    # violations; the run itself is stubbed, as a drawn workers or trials
+    # could start that many processes
+    key = _FLAG_KEYS[flag]
+    assume(not (key == "out_dir" and text == ""))  # builds, but names no directory
+    try:
+        expected = parse_config(f"{key} = {text}\n")
+    except ConfigError as err:
+        expected = [f"  - {v}" for v in err.violations]
+    built = []
+
+    def run_and_write(config):
+        built.append(config)
+        return SimpleNamespace(records=[], excluded=[])
+
+    err = io.StringIO()
+    cwd = tmp_path_factory.getbasetemp() / "flag_text"
+    cwd.mkdir(exist_ok=True)
+    old = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with mock.patch.object(cli, "run_and_write", run_and_write), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", f"{flag}={text}"])
+    finally:
+        os.chdir(old)
+    if code == 0:
+        assert built == [expected]
+    else:
+        assert code == 2 and err.getvalue().splitlines()[1:] == expected
+
+
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
     # --seed takes a U64; -1 once ran with the signs of seed 2**64 - 1
     for seed in ("-1", str(2**64)):
@@ -178,6 +259,32 @@ def test_uncreatable_out_dir_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"cannot create output directory {path}: ")
         assert err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    # a directory squats on a file the run or the report would write; exit 1
+    # stays for a diverged trial or a failed check
+    cfg = _write_config(tmp_path, BASE.replace("trials = 2", "trials = 1"))
+    run_out, verify_out = tmp_path / "r", tmp_path / "v"
+    (run_out / "manifest").mkdir(parents=True)
+    (verify_out / "verify_report.txt").mkdir(parents=True)
+    for argv, path in (
+        (["run", "--config", cfg, "--out", str(run_out)], run_out / "manifest"),
+        (["verify", "--check", "k-step", "--out", str(verify_out)],
+         verify_out / "verify_report.txt"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    # an OSError that names no file is no unwritable output
+    def failed_pool_start(config):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "run_and_write", failed_pool_start)
+    with pytest.raises(OSError):
+        main(["run", "--config", cfg, "--out", str(run_out)])
 
 
 def test_config_not_utf8_exits_2(tmp_path, capsys):

@@ -165,6 +165,18 @@ def test_float_fields_reject_bools_and_strings(field):
         assert any(v.startswith(f"{field} must be a float") for v in err.value.violations)
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_non_finite_float_text_reads_as_its_value(field, text):
+    # a line's "inf" once got "cannot parse" where the value itself got the
+    # field's own rule; every float field's rules refuse each of these
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**{field: float(text)})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"{field} = {text}\n")
+    assert parsed.value.violations == built.value.violations
+
+
 def test_float_fields_stored_as_floats():
     # a numpy float32 serialized as its short repr, which parses back to
     # another float64; every real value is stored as a Python float

@@ -321,6 +321,25 @@ def test_two_trials_use_both_workers(tmp_path):
     assert len(set(pids)) == 2
 
 
+@pytest.mark.parametrize("workers, trials, started", [(4, 1, 0), (3, 2, 2)])
+def test_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, started):
+    # a forked pool starts every worker at its first submit, so a worker
+    # beyond the trial count was a process started for nothing
+    import multiprocessing.process
+
+    starts = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self)
+        return original(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    result = run_monte_carlo(small_config(trials=trials, workers=workers, steps=2))
+    assert len(result.records) == trials
+    assert len(starts) == started
+
+
 def test_run_trial_rejects_paired_and_invalid():
     with pytest.raises(ValueError):
         run_trial(small_config(law="paired"), 0)
