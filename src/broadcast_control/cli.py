@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import LAWS, MODES, TASKS, ConfigError, parse_config
-from .engine import run_and_write
+from .engine import _write_lines, run_and_write
 from .verify import VERIFY_CHECKS, run_verify
 
 
@@ -103,11 +103,6 @@ def _or_unwritable(write, *args):
         return None
 
 
-def _write_text(path: str, text: str) -> int:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        return fh.write(text)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
     try:
@@ -143,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report, end="")
     path = os.path.join(args.out_dir, "verify_report.txt")
-    if _or_unwritable(_write_text, path, report) is None:
+    if _or_unwritable(_write_lines, path, report.splitlines()) is None:
         return 2
     print(f"report written to {path}")
     return 0 if all_ok else 1
@@ -179,7 +174,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             t, agent = row[0], row[1]
             for col, value in zip(header[2:], row[2:]):
                 lines.append(f"{t},agent{agent}_{col},{stem},{value}")
-    if _or_unwritable(_write_text, out_path, "\n".join(lines) + "\n") is None:
+    if _or_unwritable(_write_lines, out_path, lines) is None:
         return 2
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
     return 0

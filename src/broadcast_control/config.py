@@ -30,11 +30,6 @@ import numpy as np
 
 from .gains import GainSchedule, InvalidScheduleError
 from .objectives import (
-    ASSIGNMENT,
-    COVERAGE,
-    QUADRATIC,
-    RENDEZVOUS,
-    TASKS,
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
@@ -44,6 +39,11 @@ from .objectives import (
     unit_cube_grid,
 )
 
+COVERAGE = "coverage"
+RENDEZVOUS = "rendezvous"
+ASSIGNMENT = "assignment"
+QUADRATIC = "quadratic"
+TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
 LAW_BC = "bc"
 LAW_PBC = "pbc"
 LAW_PAIRED = "paired"
@@ -127,10 +127,11 @@ _KINDS = {
 }
 
 
-def _rule(default, test, must: str, any_type: bool = False):
+def _rule(default, test, must, any_type: bool = False):
     """A field whose value must pass ``test`` if it is of the annotation's type,
-    or always if ``any_type``; ``must`` formatted with the value follows
-    "<field> must " in the violation."""
+    or always if ``any_type``; ``must`` formatted with the value, or called
+    with it, follows "<field> must " in the violation."""
+    must = must.format if isinstance(must, str) else must
     return dataclasses.field(
         default=default, metadata={"test": test, "must": must, "any_type": any_type}
     )
@@ -164,11 +165,12 @@ class ExperimentConfig:
     # configs whose manifests differ would draw the same signs
     master_seed: int = _rule(0, lambda v: 0 <= v < 2**64, "lie in [0, 2**64), got {}")
     mode: str = _one_of("figure", MODES)
-    # serialize writes out_dir as it is; the parser cuts lines at '#' and strips them
+    # serialize writes out_dir as it is; the parser cuts lines at '#' and strips
+    # them.  An empty one names no directory
     out_dir: str = _rule(
         "out",
-        lambda d: "#" not in d and d == d.strip() and len(d.splitlines()) <= 1,
-        "hold no '#', line break or edge whitespace, got {!r}",
+        lambda d: d != "" and "#" not in d and d == d.strip() and len(d.splitlines()) <= 1,
+        lambda d: f"hold no '#', line break or edge whitespace, got {d!r}" if d else "not be empty",
     )
     a0: float = 2.0
     a_p: float = 0.7
@@ -213,7 +215,7 @@ class ExperimentConfig:
                 out.append(f"{f.name} must " + kind.must.format(value))
                 continue
             if "test" in rule and not rule["test"](value):
-                out.append(f"{f.name} must " + rule["must"].format(value))
+                out.append(f"{f.name} must " + rule["must"](value))
         # the rules across fields skip a field of another type
         if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
@@ -262,20 +264,13 @@ class ExperimentConfig:
         if self.task == COVERAGE:
             payload = CoveragePayload(grid=unit_cube_grid(self.n, self.grid_spacing))
         elif self.task == RENDEZVOUS:
-            payload = circle_formation(
-                self.N,
-                radius=self.formation_radius,
-                thetas=tuple(range(1, self.formation_count + 1)),
-            )
+            thetas = tuple(range(1, self.formation_count + 1))
+            payload = circle_formation(self.N, self.formation_radius, thetas)
         elif self.task == ASSIGNMENT:
-            if self.targets is not None:
-                targets = np.asarray(self.targets).reshape(self.N, self.n)
-            else:
-                ang = 2.0 * np.pi * np.arange(1, self.N + 1) / self.N
-                targets = self.formation_radius * np.column_stack(
-                    [np.cos(ang), np.sin(ang)]
-                )
-            payload = AssignmentPayload(targets=targets)
+            targets = self.targets
+            if targets is None:  # the circle family's rotation 0
+                targets = circle_formation(self.N, self.formation_radius, (0,)).positions[0]
+            payload = AssignmentPayload(targets=np.reshape(targets, (self.N, self.n)))
             if self.reassignment == ONCE_AT_START:
                 payload = freeze_assignment(payload, self.initial_state())
         else:
@@ -284,15 +279,7 @@ class ExperimentConfig:
             # times the curvature scale)
             d = self.n * self.N
             payload = QuadraticPayload(H=np.eye(d) / d)
-        return ObjectiveSpec(
-            kind=self.task,
-            n=self.n,
-            N=self.N,
-            payload=payload,
-            l1=self.l1,
-            l2=self.l2,
-            smooth_min_epsilon=self.smooth_min_eps,
-        )
+        return ObjectiveSpec(payload, self.l1, self.l2, self.smooth_min_eps)
 
     # -- serialization -------------------------------------------------------
 

@@ -300,10 +300,12 @@ def write_manifest(
     _write_lines(path, lines)
 
 
-def _write_lines(path: str, lines: list) -> None:
-    # UTF-8 whatever the locale, as the CLI reads a manifest back
+def _write_lines(path: str, lines: list) -> int:
+    """Write each line and a newline, in UTF-8 whatever the locale, as the CLI
+    reads a manifest back.  Returns the count of characters written, never
+    None, which the CLI's ``_or_unwritable`` reads as a failure."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        return fh.write("\n".join(lines) + "\n")
 
 
 def _should_retain(config: ExperimentConfig) -> bool:

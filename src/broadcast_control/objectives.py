@@ -16,16 +16,18 @@ The inner hard minima (over agents in coverage, over formations in
 rendezvous) can optionally be replaced by the stable log-sum-exp smooth
 minimum for strictly C2 experiments.
 
-``make_objective_fn`` binds a spec once: it picks the task function with its
-payload and epsilon, and returns the barrier-wrapped ``J(x) -> float``, so an
-evaluation dispatches on nothing and checks nothing.
+``make_objective_fn`` binds a spec once: the payload's type names the task,
+and with the epsilon it picks the one evaluator that is built and returned,
+wrapped in the barrier as ``J(x) -> float``.  An evaluation dispatches on
+nothing and checks nothing: ``ExperimentConfig`` has checked the barrier
+radii, the epsilon and the layout, and a state of the wrong length fails to
+reshape.
 
-Hard-minimum coverage is bound to ``_LabelledCoverage``, which keeps each
-grid point's nearest agent from its last full scan.  A call scans every agent
+Hard-minimum coverage is ``_LabelledCoverage``, which keeps each grid
+point's nearest agent from its last full scan.  A call scans every agent
 only at the points whose label the agents' displacement since then could
 have changed, which is few of them for the probes ``x + c*sigma`` of a PBC
-step.  Its values carry the bits of ``coverage_objective``, which stays the
-plain scan and the smooth-minimum path.
+step.  Its values carry the bits of the plain scan over every agent.
 
 Hard-minimum rendezvous is bound to ``_certified_rendezvous``.  Formation
 ``t``'s sum of squared offset errors is ``|Dx|**2 + w_t.x + C_t``, with
@@ -61,7 +63,7 @@ from .state import NonFiniteError
 def barrier_weight(r: float, l1: float, l2: float) -> float:
     """C2 blend weight: 1 for ``r <= l1``, 0 for ``r >= l2``, quintic between.
 
-    Assumes ``l1 < l2``, which ``ObjectiveSpec`` checks once."""
+    Assumes ``l1 < l2``, which ``ExperimentConfig`` checks."""
     if r <= l1:
         return 1.0
     if r >= l2:
@@ -72,7 +74,7 @@ def barrier_weight(r: float, l1: float, l2: float) -> float:
 
 def smooth_min(values, epsilon: float):
     """Smooth minimum ``(1/eps) * log(sum(exp(eps * f_j)))`` along axis 0,
-    for ``eps < 0`` (``ObjectiveSpec`` checks the sign once).
+    for ``eps < 0`` (``ExperimentConfig`` checks the sign).
 
     Computed shift-stably by factoring out the hard minimum, which keeps all
     exponents nonpositive.  The result satisfies
@@ -121,10 +123,8 @@ class CoveragePayload:
 
 
 def unit_cube_grid(n: int, spacing: float) -> np.ndarray:
-    """Axis-aligned grid over ``[0, 1]**n`` at the given spacing, endpoints
-    included (spacing 0.01 gives 101 points per axis)."""
-    if not 0 < spacing < 1:
-        raise ValueError(f"grid spacing must lie in (0, 1), got {spacing}")
+    """Axis-aligned grid over ``[0, 1]**n`` at a spacing in ``(0, 1)``,
+    endpoints included (spacing 0.01 gives 101 points per axis)."""
     m = int(round(1.0 / spacing))
     axis = np.arange(m + 1) * spacing
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -144,42 +144,35 @@ def _squared_distances(grid_cols: tuple, pt, out=None, tmp=None) -> np.ndarray:
     return d2
 
 
-def coverage_objective(
-    payload: CoveragePayload, x: np.ndarray, smooth_eps: Optional[float] = None
-) -> float:
-    """Mean over the grid of squared distance to the nearest agent.  Adding
-    an agent can only decrease the value."""
+def coverage_objective(payload: CoveragePayload, x: np.ndarray, smooth_eps: float) -> float:
+    """Mean over the grid of the smooth minimum over agents of the squared
+    distance.  The hard minimum is ``_LabelledCoverage``."""
     pts = x.reshape(-1, payload.n)
     cols = payload._grid_cols
-    if smooth_eps is None:
-        nearest = _squared_distances(cols, pts[0])
-        for i in range(1, pts.shape[0]):
-            np.minimum(nearest, _squared_distances(cols, pts[i]), out=nearest)
-    else:
-        d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
-        nearest = smooth_min(d2, smooth_eps)
-    return float(nearest.mean())
+    d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
+    return float(smooth_min(d2, smooth_eps).mean())
 
 
 class _LabelledCoverage:
-    """Hard-minimum ``coverage_objective`` that reuses nearest-agent labels
-    from call to call, with the same output bits.
+    """Hard-minimum coverage, the mean over the grid of the squared distance
+    to the nearest agent, reusing nearest-agent labels from call to call.
 
-    A full pass scans every agent, as ``coverage_objective`` does, and keeps
-    a reference: the agents' positions ``p``, each grid point's nearest agent
-    ``l`` (its label) and the gap ``r2 - r1`` between its second-nearest and
-    nearest distances.  A later call at positions ``p'`` takes the largest
-    agent displacement ``delta = max_i |p'_i - p_i|``.  Every distance moves
-    by at most ``delta``, so a point whose gap exceeds ``2*delta + slack`` is
-    certified: agent ``l`` is still its nearest, and its value is the squared
-    distance to ``l``, computed with ``_squared_distances``' operations in
-    the same order.  Every other point scans all agents; ``min`` is exact, so
-    the scan's order does not matter.  The mean runs over the whole 1-D
-    array in grid order, so the value has the bits of
-    ``coverage_objective(payload, x)``.  A call relabels (takes the full
-    pass) when it has no reference, or when more than ``_RELABEL_FRACTION``
-    of the grid would be left uncertified.  It holds state between calls, so
-    each ``J`` gets its own.
+    A full pass scans every agent in order, keeping the running minimum, and
+    keeps a reference: the agents' positions ``p``, each grid point's nearest
+    agent ``l`` (its label) and the gap ``r2 - r1`` between its
+    second-nearest and nearest distances.  A later call at positions ``p'``
+    takes the largest agent displacement ``delta = max_i |p'_i - p_i|``.
+    Every distance moves by at most ``delta``, so a point whose gap exceeds
+    ``2*delta + slack`` is certified: agent ``l`` is still its nearest, and
+    its value is the squared distance to ``l``, computed with
+    ``_squared_distances``' operations in the same order.  Every other point
+    scans all agents; ``min`` is exact, so the scan's order does not matter.
+    The mean runs over the whole 1-D array in grid order, so every value has
+    the bits of a full pass.  A call relabels (takes the full pass) when it
+    has no reference, or when more than ``_RELABEL_FRACTION`` of the grid
+    would be left uncertified.  It holds state between calls, so each ``J``
+    gets its own.  The first call also sizes the buffers for its state's
+    agent count, which every later state keeps.
 
     Rounding.  Let ``u = 2**-53`` and ``S = max|g| + |x_ref| + |x|``, which
     bounds every distance ``r`` and every displacement.  A computed squared
@@ -203,27 +196,31 @@ class _LabelledCoverage:
 
     _RELABEL_FRACTION = 0.15
 
-    def __init__(self, payload: CoveragePayload, N: int) -> None:
+    def __init__(self, payload: CoveragePayload) -> None:
         grid = payload.grid
         self._cols = payload._grid_cols
-        self._shape = (N, payload.n)
         self._n = payload.n
         self._grid_radius = math.sqrt(float(np.einsum("gd,gd->g", grid, grid).max()))
         G = grid.shape[0]
         self._max_uncertified = int(self._RELABEL_FRACTION * G)
-        # buffers owned for the evaluator's life.  Each of the two work rows
-        # holds one agent's distances to the grid, or an (agents, points)
-        # block of the scan at up to ``_max_uncertified`` points: no call
-        # allocates grid-sized temporaries, which the allocator may hand back
-        # to the system and fault in again on the next call
+        # buffers owned for the evaluator's life: no call allocates
+        # grid-sized temporaries, which the allocator may hand back to the
+        # system and fault in again on the next call
         self._value = np.empty(G)
         self._gap = np.empty(G)
         self._label = np.empty(G, dtype=np.intp)
         self._mask = np.empty(G, dtype=bool)
+        self._ref = None  # no reference yet: the first call sizes and relabels
+        self._ref_norm = math.inf
+
+    def _size(self, N: int) -> None:
+        # each of the two work rows holds one agent's distances to the grid,
+        # or an (agents, points) block of the scan at up to
+        # ``_max_uncertified`` points
+        G = self._value.shape[0]
+        self._shape = (N, self._n)
         self._work = np.empty((2, max(G, N * self._max_uncertified)))
         self._dist, self._tmp = self._work[0, :G], self._work[1, :G]
-        self._ref = None
-        self._ref_norm = math.inf  # no reference yet: the first call relabels
 
     def _relabel(self, pts: np.ndarray, norm: float) -> float:
         best, second, dist, tmp = self._value, self._gap, self._dist, self._tmp
@@ -247,6 +244,8 @@ class _LabelledCoverage:
         return value
 
     def __call__(self, x: np.ndarray) -> float:
+        if self._ref is None:
+            self._size(x.shape[0] // self._n)
         pts = x.reshape(self._shape)  # a wrong-length state raises here
         norm = math.sqrt(float(x.dot(x)))
         scale = self._grid_radius + self._ref_norm + norm
@@ -487,8 +486,6 @@ class AssignmentPayload:
         targets = np.asarray(self.targets, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[0] == 0:
             raise ValueError("assignment targets must be a non-empty (N, n) array")
-        if not np.all(np.isfinite(targets)):
-            raise ValueError("assignment targets must be finite")
         object.__setattr__(self, "targets", targets)
         if self.fixed_indices is not None:
             if sorted(self.fixed_indices) != list(range(targets.shape[0])):
@@ -683,76 +680,44 @@ def quadratic_objective(payload: QuadraticPayload, x: np.ndarray) -> float:
 # barrier-wrapped objective
 
 
-COVERAGE = "coverage"
-RENDEZVOUS = "rendezvous"
-ASSIGNMENT = "assignment"
-QUADRATIC = "quadratic"
-
-TASKS = (COVERAGE, RENDEZVOUS, ASSIGNMENT, QUADRATIC)
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """A task objective plus its barrier parameters.
+    """A task's payload plus the barrier parameters.  The payload's type
+    names the task.
 
-    ``smooth_min_epsilon`` of ``None`` keeps the hard inner minima; a strictly
-    negative value switches coverage and rendezvous to the log-sum-exp smooth
-    minimum.
-
-    Every run-fixed invariant, the payload's layout included, is checked here
-    once, so evaluations take a flat ``float64`` state of length ``n*N`` and
-    check nothing.
+    ``smooth_min_epsilon`` of ``None`` keeps the hard inner minima; a
+    negative value switches coverage and rendezvous to the log-sum-exp
+    smooth minimum.
     """
 
-    kind: str
-    n: int
-    N: int
     payload: object
-    l1: float = 100.0
-    l2: float = 101.0
+    l1: float
+    l2: float
     smooth_min_epsilon: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in TASKS:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        if not 0 < self.l1 < self.l2:
-            raise ValueError(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
-        if self.smooth_min_epsilon is not None and not -np.inf < self.smooth_min_epsilon < 0:
-            raise ValueError("smooth_min_epsilon must be finite and strictly negative")
-        if self.kind == QUADRATIC:
-            layout = self.payload.H.shape == (self.nN, self.nN)
-        elif self.kind == COVERAGE:
-            layout = self.payload.n == self.n
-        else:
-            layout = (self.payload.N, self.payload.n) == (self.N, self.n)
-        if not layout:
-            raise ValueError(f"{self.kind} payload does not match n={self.n}, N={self.N}")
-
-    @property
-    def nN(self) -> int:
-        return self.n * self.N
 
 
 def make_objective_fn(spec: ObjectiveSpec):
     """Bind a spec into a plain ``J(values) -> float`` callable: the
-    barrier-wrapped objective, with its task, payload and epsilon bound once.
+    barrier-wrapped objective, with the one evaluator of the payload's task
+    built once.
 
     ``J`` equals the task objective exactly inside radius ``l1`` and ``x.x``
     exactly outside radius ``l2``; blends with the C2 weight in between.
     """
     payload, eps = spec.payload, spec.smooth_min_epsilon
-    task = {
-        COVERAGE: partial(coverage_objective, payload, smooth_eps=eps),
-        RENDEZVOUS: partial(rendezvous_objective, payload, smooth_eps=eps),
-        ASSIGNMENT: lambda x: assignment_objective(payload, x)[0],
-        QUADRATIC: partial(quadratic_objective, payload),
-    }[spec.kind]
-    if spec.kind == COVERAGE and eps is None:
-        # the same values as coverage_objective, with labels kept between calls
-        task = _LabelledCoverage(payload, spec.N)
-    elif spec.kind == RENDEZVOUS and eps is None:
+    if isinstance(payload, CoveragePayload) and eps is None:
+        task = _LabelledCoverage(payload)
+    elif isinstance(payload, CoveragePayload):
+        task = partial(coverage_objective, payload, smooth_eps=eps)
+    elif isinstance(payload, RendezvousPayload) and eps is None:
         # the same values as rendezvous_objective, from one formation's row
         task = partial(_certified_rendezvous, payload)
+    elif isinstance(payload, RendezvousPayload):
+        task = partial(rendezvous_objective, payload, smooth_eps=eps)
+    elif isinstance(payload, AssignmentPayload):
+        task = lambda x: assignment_objective(payload, x)[0]
+    else:
+        task = partial(quadratic_objective, payload)
     l1, l2 = spec.l1, spec.l2
 
     def J(x: np.ndarray) -> float:

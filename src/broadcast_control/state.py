@@ -24,7 +24,6 @@ float64 signs per process: 128 KB unless one block alone is larger.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -134,13 +133,12 @@ def apply_input(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``u`` has the state's shape, as every step law builds it.  Returns the
     new state ``x + u``; raises ``NonFiniteError`` when it is not finite,
-    which ends the trial at this step.  Entries beyond about 1e154 overflow
-    the sum of squares of the fast test; numpy warns of that overflow unless
-    the caller ignores it, as the engine's step loop does.
+    which ends the trial at this step.  The test raises no floating-point
+    flag, so a finite state of any size passes silently; a sum that
+    overflows to infinity warns unless the caller ignores overflow, as the
+    engine's step loop does.
     """
     out = x + u
-    # a square is >= 0 or NaN, so a finite sum of squares proves every entry
-    # finite; finite entries whose squares overflow take the full test
-    if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
+    if not np.isfinite(out).all():
         raise NonFiniteError("collective state contains non-finite entries")
     return out

@@ -10,6 +10,7 @@ its pairs into a list and hands the list to one oracle call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,8 +38,10 @@ class CheckResult:
     note: str = ""
 
 
-# a paired check over no pairs fails: a bound that holds on no evidence shows nothing
+# a check over no pairs or no finished trials fails: a bound that holds on no
+# evidence shows nothing
 _NO_EVIDENCE = "no evidence: 0 paired seeds"
+_NO_TRIALS = "no evidence: 0 finished trials"
 
 
 def _pairs(seeds: int) -> list:
@@ -192,16 +195,18 @@ def check_k_multistep(trials: int = 20, **_) -> list:
             task="quadratic", law=LAW_PBC, K=K, trials=trials, master_seed=11
         )
         res = run_monte_carlo(config)
-        finals.append(float(res.stats.j_mean[-1]))
+        finals.append(math.nan if res.stats is None else float(res.stats.j_mean[-1]))
     slack = 1.02  # Monte Carlo noise allowance on an inequality of means
+    # a NaN mean, from a K with no finished trial, fails both comparisons
     ok = finals[1] <= finals[0] * slack and finals[2] <= finals[1] * slack
+    evidence = not any(map(math.isnan, finals))
     return [
         CheckResult(
             name="k-multistep-ordering",
             bound="mean J(T) non-increasing in K (2% MC slack)",
             measured=", ".join(f"{v:.4e}" for v in finals),
             passed=ok,
-            note=f"quadratic task, K in (1, 3, 10), {trials} trials",
+            note=f"quadratic task, K in (1, 3, 10), {trials} trials" if evidence else _NO_TRIALS,
         )
     ]
 
@@ -218,15 +223,15 @@ def check_descent(trials: int = 20, **_) -> list:
         config = ExperimentConfig(
             task=task, law=LAW_PBC, K=1, trials=trials, master_seed=5, a0=a0
         )
-        res = run_monte_carlo(config)
-        frac = descent_fraction(np.stack([r.j_trace for r in res.records]))
+        records = run_monte_carlo(config).records
+        frac = descent_fraction(np.stack([r.j_trace for r in records])) if records else math.nan
         out.append(
             CheckResult(
                 name=f"descent-{task}",
                 bound="trailing-50 mean < leading-50 mean in >= 95%",
                 measured=f"{frac:.2%}",
                 passed=frac >= 0.95,
-                note=f"{trials} trials",
+                note=f"{trials} trials" if records else _NO_TRIALS,
             )
         )
     return out

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from broadcast_control import ConfigError, cli, parse_config
@@ -191,12 +191,12 @@ _VALUE_TEXTS = (
 @example("--K", "1.5")
 @example("--smooth-min-eps", "-inf")
 @example("--smooth-min-eps", "")
+@example("--out", "")
 def test_flag_text_reads_like_a_config_line(tmp_path_factory, flag, text):
     # --flag=TEXT and the line "key = TEXT" give equal configs or equal
     # violations; the run itself is stubbed, as a drawn workers or trials
     # could start that many processes
     key = _FLAG_KEYS[flag]
-    assume(not (key == "out_dir" and text == ""))  # builds, but names no directory
     try:
         expected = parse_config(f"{key} = {text}\n")
     except ConfigError as err:
@@ -231,6 +231,15 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         assert f"master_seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    # --out= names no directory: a violation, not a failed makedirs
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--out="]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid configuration:", "  - out_dir must not be empty"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_with_hash_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
 from broadcast_control.config import EVERY_STEP, LAWS, MODES, ONCE_AT_START, RETAIN, TASKS
 from broadcast_control.engine import write_manifest
+from broadcast_control.objectives import RendezvousPayload
 
 
 def test_empty_document_gives_standard_defaults():
@@ -90,16 +91,18 @@ def test_rendezvous_needs_planar_state():
 
 
 def test_grid_spacing_range():
-    with pytest.raises(ConfigError):
-        parse_config("task = coverage\ngrid_spacing = 1.0\n")
+    # the one check of the spacing: unit_cube_grid trusts it
+    for spacing in ("1.0", "1.5", "0", "-0.1"):
+        with pytest.raises(ConfigError, match="grid_spacing must lie in"):
+            parse_config(f"task = coverage\ngrid_spacing = {spacing}\n")
 
 
 def test_smooth_min_eps_sign():
+    # the one check of epsilon: the objectives trust it
     assert parse_config("smooth_min_eps = -5\n").smooth_min_eps == -5.0
-    with pytest.raises(ConfigError):
-        parse_config("smooth_min_eps = 0.5\n")
-    with pytest.raises(ConfigError, match="smooth_min_eps must be finite"):
-        parse_config("smooth_min_eps = -inf\n")
+    for eps in ("0.5", "1.0", "0.0", "-inf", "nan"):
+        with pytest.raises(ConfigError, match="smooth_min_eps must be finite and negative"):
+            parse_config(f"smooth_min_eps = {eps}\n")
 
 
 @pytest.mark.parametrize(
@@ -260,6 +263,14 @@ def test_out_dir_must_be_a_string(out_dir):
     assert err.value.violations == [f"out_dir must be a string, got {out_dir!r}"]
 
 
+def test_empty_out_dir_rejected():
+    # an empty out_dir names no directory: the run could only fail to make it
+    for build in (lambda: ExperimentConfig(out_dir=""), lambda: parse_config("out_dir =\n")):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.violations == ["out_dir must not be empty"]
+
+
 def test_out_dir_inner_spaces_round_trip():
     config = ExperimentConfig(out_dir="my runs/run 1")
     assert parse_config(config.serialize()) == config
@@ -370,7 +381,7 @@ def test_initial_state_defaults():
 def test_objective_spec_building():
     config = ExperimentConfig(N=4, n=2, formation_count=4)
     spec = config.objective_spec()
-    assert spec.kind == "rendezvous"
+    assert isinstance(spec.payload, RendezvousPayload)
     assert spec.payload.positions.shape == (4, 4, 2)
 
     cov = dataclasses.replace(config, task="coverage", grid_spacing=0.5)
@@ -385,6 +396,10 @@ def test_objective_spec_building():
     targets = asg.objective_spec().payload.targets
     assert targets.shape == (4, 2)
     assert np.allclose(np.hypot(targets[:, 0], targets[:, 1]), 0.2)
+    # rotation 0 of the circle family: agent i's target at angle 2*pi*i/N,
+    # with the bits of the formula written out
+    ang = 2.0 * np.pi * np.arange(1, 5) / 4
+    assert np.array_equal(targets, 0.2 * np.column_stack([np.cos(ang), np.sin(ang)]))
 
     frozen = dataclasses.replace(asg, reassignment="once-at-start")
     assert frozen.objective_spec().payload.fixed_indices is not None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from broadcast_control.controllers import (
     bc_step,
     pbc_broadcast,
@@ -164,17 +165,6 @@ def test_pbc_local_input_k2_exact_gradient_scalar():
     assert u[0] == pytest.approx(-a * 2 * H * 0.7, rel=1e-12)
 
 
-def _reference_local_input(nu, block, a, c):
-    """The out-of-place sum ``pbc_local_input`` must reproduce bit for bit:
-    each term ``(-a) * ((nu[k] / c) * sigma_k)``, summed in ``k`` order, then
-    divided by ``K``."""
-    K = block.shape[0]
-    acc = (-a) * ((nu[0] / c) * block[0])
-    for k in range(1, K):
-        acc += (-a) * ((nu[k] / c) * block[k])
-    return acc / K
-
-
 @pytest.mark.parametrize("K", [1, 2, 3, 10])
 def test_pbc_local_input_matches_reference_bit_for_bit(K, rng):
     for row in range(300):
@@ -183,7 +173,7 @@ def test_pbc_local_input_matches_reference_bit_for_bit(K, rng):
         nu = rng.normal(size=K) * 10.0 ** rng.uniform(-12, 4, size=K)
         a, c = 10.0 ** rng.uniform(-4, 0, size=2)
         u = pbc_local_input(nu, block, a, c)
-        assert np.array_equal(u, _reference_local_input(nu, block, a, c))
+        assert np.array_equal(u, reference.local_input(nu, block, a, c))
         assert not np.shares_memory(u, block)
 
 
@@ -238,22 +228,12 @@ def test_pbc_virtual_states_never_returned():
 
 
 def _equivalence_objectives():
-    coverage = ObjectiveSpec(
-        kind="coverage",
-        n=2,
-        N=3,
-        payload=CoveragePayload(grid=unit_cube_grid(2, 0.1)),
-    )
-    rendezvous = ObjectiveSpec(
-        kind="rendezvous", n=2, N=3, payload=circle_formation(3, radius=0.2)
-    )
-    assignment = ObjectiveSpec(
-        kind="assignment",
-        n=2,
-        N=3,
-        payload=AssignmentPayload(targets=np.array([[0.0, 0.0], [0.4, 0.1], [0.2, 0.6]])),
-    )
-    return {"coverage": coverage, "rendezvous": rendezvous, "assignment": assignment}
+    targets = np.array([[0.0, 0.0], [0.4, 0.1], [0.2, 0.6]])
+    return {
+        "coverage": ObjectiveSpec(CoveragePayload(grid=unit_cube_grid(2, 0.1)), 100.0, 101.0),
+        "rendezvous": ObjectiveSpec(circle_formation(3, radius=0.2), 100.0, 101.0),
+        "assignment": ObjectiveSpec(AssignmentPayload(targets=targets), 100.0, 101.0),
+    }
 
 
 @pytest.mark.parametrize("name", ["coverage", "rendezvous", "assignment"])
@@ -278,7 +258,7 @@ def test_one_step_equivalence(name, rng):
 def test_quadratic_enumeration_equivalence():
     # every probe sign on a small quadratic instance, exact agreement
     H = np.diag([1.0, 4.0])
-    spec = ObjectiveSpec(kind="quadratic", n=1, N=2, payload=QuadraticPayload(H))
+    spec = ObjectiveSpec(QuadraticPayload(H), 100.0, 101.0)
     J = make_objective_fn(spec)
     sched = unit_sched(0.1, 0.5)
     for s0 in (1.0, -1.0):

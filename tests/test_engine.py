@@ -7,12 +7,28 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import broadcast_control.controllers as controllers_mod
 import broadcast_control.engine as engine_mod
 import broadcast_control.state as state_mod
-from broadcast_control.config import ConfigError, ExperimentConfig
-from broadcast_control.engine import moving_distance, run_monte_carlo, run_paired, run_trial
+import reference
+from broadcast_control.config import (
+    EVERY_STEP,
+    MODES,
+    ONCE_AT_START,
+    TASKS,
+    ConfigError,
+    ExperimentConfig,
+)
+from broadcast_control.engine import (
+    DivergenceError,
+    moving_distance,
+    run_monte_carlo,
+    run_paired,
+    run_trial,
+)
 from broadcast_control.gains import gain_c
 from broadcast_control.oracle import check_twice_speed
 from broadcast_control.state import draw_block
@@ -282,7 +298,7 @@ def test_objective_error_propagates_instead_of_excluding(monkeypatch):
 
     def one_agent_short(spec):
         J = original(spec)
-        return lambda values: J(values[: -spec.n])
+        return lambda values: J(values[:-2])  # small_config has n = 2
 
     monkeypatch.setattr(engine_mod, "make_objective_fn", one_agent_short)
     with pytest.raises(ValueError, match="cannot reshape"):
@@ -345,3 +361,55 @@ def test_run_trial_rejects_paired_and_invalid():
         run_trial(small_config(law="paired"), 0)
     with pytest.raises(ConfigError):
         run_trial(ExperimentConfig(task="nope"), 0)
+
+
+@st.composite
+def _small_configs(draw):
+    """A small config of either single law, and a trial index."""
+    task = draw(st.sampled_from(TASKS))
+    N = draw(st.integers(1, 4))
+    n = 2 if task in ("rendezvous", "assignment") else draw(st.integers(1, 2))
+    fields = dict(
+        task=task,
+        law=draw(st.sampled_from(("bc", "pbc"))),
+        K=draw(st.integers(1, 10)),
+        N=N,
+        n=n,
+        steps=draw(st.integers(0, 3)),
+        mode=draw(st.sampled_from(MODES)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        smooth_min_eps=draw(st.sampled_from((None, -10.0, -1e3))),
+        reassignment=draw(st.sampled_from((EVERY_STEP, ONCE_AT_START))),
+        grid_spacing=draw(st.sampled_from((0.25, 0.1))),
+        formation_count=draw(st.integers(1, 5)),
+        # step sizes that overflow the objective, or the state itself, within
+        # a step or two: a diverged trial
+        a0=draw(st.sampled_from((2.0, 0.2, 1e300, 1e308))),
+    )
+    if draw(st.booleans()):
+        # a drawn start, which with the radii below may sit in the barrier's
+        # blend or beyond it
+        fields["x0"] = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * N, max_size=n * N))
+    if draw(st.booleans()):
+        l1 = draw(st.floats(0.05, 2.0))
+        fields.update(l1=l1, l2=l1 * draw(st.sampled_from((1.01, 1.5, 3.0))))
+    return ExperimentConfig(**fields), draw(st.integers(0, 5))
+
+
+@given(_small_configs())
+@settings(deadline=None)
+def test_run_trial_matches_reference_trial(case):
+    # the whole trial, every fast path at once: the states and the J and D
+    # traces equal the plain loop's byte for byte, or both diverge at one step
+    config, trial_index = case
+    try:
+        expected = reference.trial(config, trial_index)
+    except reference.Diverged as err:
+        with pytest.raises(DivergenceError) as got:
+            run_trial(config, trial_index)
+        assert got.value.step == err.step
+        return
+    record = run_trial(config, trial_index)
+    got = (record.states, record.j_trace, record.d_trace)
+    for array, want in zip(got, expected):
+        assert array.shape == want.shape and array.tobytes() == want.tobytes()

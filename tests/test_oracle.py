@@ -6,14 +6,16 @@ import pytest
 
 from broadcast_control.config import ExperimentConfig
 from broadcast_control.controllers import bc_step, pbc_step
-from broadcast_control.engine import run_paired
+from broadcast_control.engine import MonteCarloResult, run_paired
 from broadcast_control.objectives import (
     CoveragePayload,
+    ObjectiveSpec,
     QuadraticPayload,
-    coverage_objective,
+    make_objective_fn,
     quadratic_objective,
 )
 from broadcast_control import oracle as oracle_mod
+from broadcast_control import verify as verify_mod
 from broadcast_control.oracle import (
     DistanceDominanceReport,
     EnumerationTooLarge,
@@ -168,7 +170,7 @@ def test_finite_difference_matches_coverage_piecewise_gradient():
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     payload = CoveragePayload(grid=grid)
     x = np.array([0.21, 0.2, 0.83, 0.78])  # generic point, partition stable
-    J = lambda v: coverage_objective(payload, v)
+    J = make_objective_fn(ObjectiveSpec(payload, 100.0, 101.0))
     fd = finite_difference_gradient(J, x, 1e-6)
     pts = x.reshape(2, 2)
     d2 = ((grid[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2)
@@ -359,6 +361,21 @@ def test_paired_checks_without_pairs_fail():
     assert not ok
     assert report.count("FAIL") == 3  # both rows and the overall line
     assert report.count("no evidence") == 2
+
+
+@pytest.mark.parametrize("check,rows", [("k-multistep", 1), ("descent", 3)])
+def test_monte_carlo_checks_without_finished_trials_fail(monkeypatch, check, rows):
+    # every trial excluded: a Monte Carlo check has no evidence either
+    def all_excluded(config):
+        excluded = [(i, f"trial {i} diverged at step 0: stub") for i in range(config.trials)]
+        return MonteCarloResult(stats=None, records=[], excluded=excluded)
+
+    monkeypatch.setattr(verify_mod, "run_monte_carlo", all_excluded)
+    report, ok = run_verify([check], trials=2)
+    assert not ok
+    lines = [line for line in report.splitlines() if "bound:" in line]
+    assert len(lines) == rows and all("  FAIL  " in line for line in lines)
+    assert report.count("no evidence: 0 finished trials") == rows
 
 
 def test_worked_single_step_distance_margin():

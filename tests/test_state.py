@@ -1,32 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from broadcast_control import state
-from broadcast_control.state import (
-    NonFiniteError,
-    _hash_key,
-    _signs_from_hash,
-    apply_input,
-    draw_block,
-)
-
-
-def draw_sign(master_seed, trial, t, agent, dim, k):
-    """The single sign keyed by ``(master_seed, trial, t, agent, dim, k)``:
-    the scalar layout oracle for ``draw_block``."""
-    return float(_signs_from_hash(_hash_key(master_seed, trial, t, agent, dim, k)))
-
-
-def oracle_block(master_seed, trial, t, n, N, K):
-    """``draw_sign`` at every ``(k, agent, dim)``, laid out as ``[k, agent*n +
-    dim]``: one step's block with no chunking."""
-    k, agent, dim = (a.astype(np.uint64) for a in np.indices((K, N, n)))
-    h = _hash_key(master_seed, trial, t, agent, dim, k)
-    return _signs_from_hash(h).reshape(K, n * N)
+from broadcast_control.state import NonFiniteError, _hash_key, apply_input, draw_block
 
 
 def chunk_steps(n, N, K):
@@ -39,13 +21,15 @@ def test_hash_pinned_values():
     assert int(_hash_key(1, 0, 0, 0, 0, 0)) == 0x30D6C75D023DCBA0
     assert int(_hash_key(123, 4, 5, 6, 0, 2)) == 0xBDF77C01C9466AEF
     assert int(_hash_key(2**64 - 1, 7, 300, 14, 1, 9)) == 0x46A2E2E2ADC1168D
+    # the top bit picks the sign, in the hash and in the plain integer form
+    assert [reference.sign(1, 0, 0, 0, 0, 0), reference.sign(123, 4, 5, 6, 0, 2)] == [-1.0, 1.0]
     block = draw_block(master_seed=2024, trial=3, t=17, n=2, N=4, K=4)
     rows = ["".join("+" if v > 0 else "-" for v in row) for row in block]
     assert rows == ["--+-++++", "-+-++---", "--------", "+---++-+"]
 
 
 def test_draw_sign_deterministic():
-    first = draw_sign(123, 4, 5, agent=6, dim=0, k=2)
+    first = reference.sign(123, 4, 5, agent=6, dim=0, k=2)
     assert first == 1.0
     assert all(
         draw_block(master_seed=123, trial=4, t=5, n=1, N=7, K=3)[2, 6] == first
@@ -113,7 +97,7 @@ def test_draw_block_matches_draw_sign_layout():
     for k in range(2):
         for i in range(3):
             for j in range(2):
-                assert block[k, i * 2 + j] == draw_sign(42, 1, 3, agent=i, dim=j, k=k)
+                assert block[k, i * 2 + j] == reference.sign(42, 1, 3, agent=i, dim=j, k=k)
 
 
 def test_draw_block_across_chunk_boundaries():
@@ -122,7 +106,7 @@ def test_draw_block_across_chunk_boundaries():
         assert S > 1
         for t in (0, S - 1, S, S + 1, 2 * S - 1, 2 * S, 5 * S + 3):
             block = draw_block(master_seed=11, trial=2, t=t, n=n, N=N, K=K)
-            assert np.array_equal(block, oracle_block(11, 2, t, n, N, K))
+            assert np.array_equal(block, reference.block(11, 2, t, n, N, K))
 
 
 def test_draw_block_layout_above_chunk_budget():
@@ -132,7 +116,7 @@ def test_draw_block_layout_above_chunk_budget():
     for t in (0, 1, 2, 40):
         block = draw_block(master_seed=5, trial=1, t=t, n=n, N=N, K=K)
         assert block.shape == (K, n * N)
-        assert np.array_equal(block, oracle_block(5, 1, t, n, N, K))
+        assert np.array_equal(block, reference.block(5, 1, t, n, N, K))
 
 
 def test_k0_row_matches_k1_block_across_chunk_boundary():
@@ -159,7 +143,7 @@ def test_draw_block_random_key_order_matches_fresh_draws():
     ]
     assert len(keys) > 4 * state._CHUNK_CACHE
     for i in rng.permutation(2 * len(keys)) % len(keys):
-        assert np.array_equal(draw_block(*keys[i]), oracle_block(*keys[i]))
+        assert np.array_equal(draw_block(*keys[i]), reference.block(*keys[i]))
 
 
 def test_returned_block_does_not_alias_the_cache():
@@ -173,7 +157,7 @@ def test_returned_block_does_not_alias_the_cache():
     # the neighbouring step of the same chunk is untouched as well
     assert np.array_equal(
         draw_block(master_seed=21, trial=0, t=4, n=2, N=5, K=2),
-        oracle_block(21, 0, 4, 2, 5, 2),
+        reference.block(21, 0, 4, 2, 5, 2),
     )
 
 
@@ -183,7 +167,7 @@ def test_draw_block_beyond_horizon_is_the_keyed_block():
     for n, N, K, horizon in ((1, 2, 1, 1), (2, 15, 1, 60), (2, 15, 10, 5), (3, 7, 4, 0)):
         for t in {0, max(0, horizon - 1), horizon, horizon + 1, 3 * horizon + 7, 500}:
             block = draw_block(11, 2, t, n, N, K, horizon=horizon)
-            assert np.array_equal(block, oracle_block(11, 2, t, n, N, K))
+            assert np.array_equal(block, reference.block(11, 2, t, n, N, K))
 
 
 def test_draw_block_rejects_negative_trial_or_step():
@@ -271,13 +255,26 @@ def test_apply_input_errors():
 
 
 def test_apply_input_accepts_entries_whose_squares_overflow():
-    # the sum of squares overflows, so the full finiteness test decides; the
-    # engine steps under np.errstate(over="ignore"), as here
+    # a finite state passes without a floating-point warning, even where its
+    # sum of squares would overflow; tier-1 makes a RuntimeWarning an error
     x = np.array([1e200, -1e200, 3.0])
     u = np.array([1e199, 0.0, -1.0])
-    with np.errstate(over="ignore"):
-        out = apply_input(x, u)
-    assert np.array_equal(out, x + u)
+    assert np.array_equal(apply_input(x, u), x + u)
+    assert np.array_equal(apply_input(x, np.zeros(3)), x)
+
+
+_HUGE = st.floats(min_value=-(2.0**1022), max_value=2.0**1022, allow_nan=False)
+
+
+@given(st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_apply_input_is_silent_on_huge_finite_states(pairs):
+    # entries up to 2**1022 add without overflow, and beyond about 1e154
+    # their squares overflow: apply_input must pass them without a warning
+    x, u = (np.array(v) for v in zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(apply_input(x, u), x + u)
 
 
 @given(
