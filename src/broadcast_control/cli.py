@@ -104,7 +104,12 @@ def _or_unwritable(write, *args):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
+    # argparse hands --flag=-- over as [], having dropped the "--" it read
+    flags = {
+        k: "--" if v == [] else v
+        for k, v in vars(args).items()
+        if k not in ("command", "config") and v is not None
+    }
     try:
         text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
         config = parse_config(text, flags)
@@ -131,6 +136,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = args.check or sorted(VERIFY_CHECKS)
+    if not args.out_dir:  # names no directory, as run's out_dir rule says
+        print("out_dir must not be empty", file=sys.stderr)
+        return 2
     if not _make_out_dir(args.out_dir):
         return 2
     report, all_ok = run_verify(

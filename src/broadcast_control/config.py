@@ -9,6 +9,8 @@ exactly.
 
 ``parse_config`` is the one reader of a run's settings: a file's text, and
 value texts (the ``run`` flags) that are read alike and win over its lines.
+It also reads the trailer that a run's ``manifest`` adds to these lines, so
+``run --config <dir>/manifest`` replays that run.
 
 Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
 it and raises ``ConfigError`` listing every violation at once, so code handed
@@ -22,12 +24,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._version import __version__
 from .gains import GainSchedule, InvalidScheduleError
 from .objectives import (
     AssignmentPayload,
@@ -38,6 +42,7 @@ from .objectives import (
     freeze_assignment,
     unit_cube_grid,
 )
+from .state import SIGN_GENERATOR_ID
 
 COVERAGE = "coverage"
 RENDEZVOUS = "rendezvous"
@@ -291,6 +296,10 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# a manifest's trailer: what made the run, which must be this package, and
+# what the run produced, which shapes nothing
+_PROVENANCE = {"generator": SIGN_GENERATOR_ID, "package_version": __version__}
+_OUTPUTS = re.compile(r"excluded_trials|excluded_trial_\d+|trajectories_written")
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -299,6 +308,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfi
     and winning over it; the config is built once, from the merged values."""
     violations: list = []
     values: dict = {}
+    trailer: dict = {}
 
     def read(key: str, raw: str) -> None:
         try:
@@ -315,12 +325,23 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfi
             violations.append(f"line {lineno}: expected 'key = value', got {line!r}")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _FIELDS and key not in _PROVENANCE and not _OUTPUTS.fullmatch(key):
             violations.append(f"line {lineno}: unknown key {key!r}")
-        elif key in values:
+        elif key in values or key in trailer:
             violations.append(f"line {lineno}: duplicate key {key!r}")
-        else:
+        elif key in _FIELDS:
             read(key, raw)
+        else:
+            trailer[key] = (lineno, raw)
+    made_by = tuple(trailer.pop(key, (0, None))[1] for key in _PROVENANCE)
+    if made_by == (None, None):
+        # output lines without a manifest's provenance are a config's typos
+        violations += [f"line {lineno}: unknown key {key!r}" for key, (lineno, _) in trailer.items()]
+    elif made_by != tuple(_PROVENANCE.values()):
+        violations.append(
+            "a manifest replays only with generator = {} and package_version = {}, "
+            "got {!r} and {!r}".format(*_PROVENANCE.values(), *made_by)
+        )
     for key, raw in (overrides or {}).items():
         read(key, raw)
     try:

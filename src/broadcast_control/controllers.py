@@ -13,6 +13,10 @@ replaces the physical probe with ``K`` virtual perturbed states evaluated
 centrally; the supervisor broadcasts the ``K`` objective differences and
 each agent moves once per step, combining them with its own private signs.
 
+The caller measures ``J`` at the state once per step and hands the value
+down as ``j_x``: BC evaluates nothing, and PBC evaluates only its ``K``
+probes.
+
 Local inputs are computed from the broadcast vector, the agent's own signs,
 and the gains alone; no agent-to-agent information exists anywhere in these
 functions.
@@ -45,51 +49,42 @@ def bc_step(
     sched: GainSchedule,
     sigma: np.ndarray,
     j_even: float,
-    J,
-    j_x: float | None = None,
+    j_x: float,
 ):
     """One step of the two-stage law.  Returns ``(x', u)``.
 
     ``sigma`` and ``j_even`` are the law's memory: the signs and the
-    objective value ``J(x)`` of the even step that opens the pair.  Even
-    ``t``: every agent takes the probe ``u = c*sigma``, and ``J`` is not
-    evaluated.  Odd ``t``: the probe is cancelled and the objective
-    difference, scaled by ``a/c`` and the remembered signs, is descended:
+    objective value ``J(x)`` of the even step that opens the pair; ``j_x``
+    is the value the caller measured at ``x``.  Even ``t``: every agent
+    takes the probe ``u = c*sigma``, and ``j_x`` is not read.  Odd ``t``:
+    the probe is cancelled and the objective difference, scaled by ``a/c``
+    and the remembered signs, is descended:
 
-        u = -c*sigma - a * (J(x) - j_even)/c * sigma
-
-    ``j_x`` may carry a precomputed ``J(x)`` so a caller tracing the
-    objective costs one evaluation per step.
+        u = -c*sigma - a * (j_x - j_even)/c * sigma
     """
     a, c = bc_gains_at(sched, t)
     if t % 2 == 0:
         u = c * sigma
     else:
-        nu = _checked_j(J, x) if j_x is None else float(j_x)
         # the descent term is (-a) * ((delta_j / c) * sigma); pbc_local_input
         # keeps this association, so paired runs agree bit for bit wherever
         # the algebra does
-        u = (-c) * sigma + (-a) * (((nu - j_even) / c) * sigma)
+        u = (-c) * sigma + (-a) * (((j_x - j_even) / c) * sigma)
     return apply_input(x, u), u
 
 
 def pbc_broadcast(
-    x: np.ndarray,
-    block: np.ndarray,
-    c: float,
-    J,
-    j_x: float | None = None,
+    x: np.ndarray, block: np.ndarray, c: float, J, j_x: float
 ) -> np.ndarray:
     """Evaluate the K virtual probes: the broadcast ``(K,)`` array
-    ``nu[k] = J(x + c*sigma_k) - J(x)``.
+    ``nu[k] = J(x + c*sigma_k) - j_x``, with ``j_x`` the measured ``J(x)``.
 
-    Exactly ``K + 1`` objective evaluations (``K`` when ``j_x`` is supplied).
-    The virtual states are local temporaries; agents never visit them.
+    Exactly ``K`` objective evaluations.  The virtual states are local
+    temporaries; agents never visit them.
     """
-    base = _checked_j(J, x) if j_x is None else float(j_x)
     nu = np.empty(block.shape[0])
     for k, sigma in enumerate(block):
-        nu[k] = _checked_j(J, x + c * sigma) - base
+        nu[k] = _checked_j(J, x + c * sigma) - j_x
     return nu
 
 
@@ -123,14 +118,15 @@ def pbc_step(
     sched: GainSchedule,
     block: np.ndarray,
     J,
-    j_x: float | None = None,
+    j_x: float,
 ):
-    """One step of the virtual-perturbation law.  Returns ``(x', u)``.
+    """One step of the virtual-perturbation law from ``x``, whose measured
+    objective value is ``j_x``.  Returns ``(x', u)``.
 
     Single-stage: broadcast the K probe differences, form the local input,
     and move once.
     """
     a, c = gain_a(sched, t), gain_c(sched, t)
-    nu = pbc_broadcast(x, block, c, J, j_x=j_x)
+    nu = pbc_broadcast(x, block, c, J, j_x)
     u = pbc_local_input(nu, block, a, c)
     return apply_input(x, u), u

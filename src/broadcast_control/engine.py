@@ -129,13 +129,13 @@ def _simulate(
                             config.n, config.N, 1, sign_steps,
                         )[0]
                         j_even = jx
-                    x, u = bc_step(x, t, sched, sigma, j_even, J, j_x=jx)
+                    x, u = bc_step(x, t, sched, sigma, j_even, jx)
                 else:
                     block = draw_block(
                         config.master_seed, trial_index, t,
                         config.n, config.N, config.K, sign_steps,
                     )
-                    x, u = pbc_step(x, t, sched, block, J, j_x=jx)
+                    x, u = pbc_step(x, t, sched, block, J, jx)
                 inputs[t] = u
                 states[t + 1] = x
             j_trace[steps] = _checked_j(J, x)
@@ -207,17 +207,26 @@ def _trial_job(args):
         return None, str(err)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_trials(job, config: ExperimentConfig):
     """Run ``job(config, i)`` for every trial index ``i``, in a process pool
-    of ``min(config.workers, config.trials)`` when that is more than 1.
+    of ``min(config.workers, config.trials, _cpus())`` when that is more
+    than 1.
 
     Returns the results of the finished trials in index order and the
     ``(trial_index, reason)`` pairs of the diverged ones.
     """
     jobs = [(job, config, i) for i in range(config.trials)]
-    # a worker beyond the trial count would get no trial, and a forked pool
-    # starts every worker at its first submit
-    workers = min(config.workers, config.trials)
+    # a worker beyond the trial count would get no trial, one beyond the CPUs
+    # would only wait for one, and a forked pool starts every worker at its
+    # first submit
+    workers = min(config.workers, config.trials, _cpus())
     if workers > 1:
         # imported here, not at module level: a workers = 1 run never loads
         # multiprocessing

@@ -172,7 +172,8 @@ class _LabelledCoverage:
     has no reference, or when more than ``_RELABEL_FRACTION`` of the grid
     would be left uncertified.  It holds state between calls, so each ``J``
     gets its own.  The first call also sizes the buffers for its state's
-    agent count, which every later state keeps.
+    agent count, which every later state keeps.  A call takes the state and
+    the barrier's ``quad = x.x``, whose root is ``|x|``.
 
     Rounding.  Let ``u = 2**-53`` and ``S = max|g| + |x_ref| + |x|``, which
     bounds every distance ``r`` and every displacement.  A computed squared
@@ -243,11 +244,11 @@ class _LabelledCoverage:
         self._ref_norm = norm
         return value
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray, quad: float) -> float:
         if self._ref is None:
             self._size(x.shape[0] // self._n)
         pts = x.reshape(self._shape)  # a wrong-length state raises here
-        norm = math.sqrt(float(x.dot(x)))
+        norm = math.sqrt(quad)
         scale = self._grid_radius + self._ref_norm + norm
         if not scale < 2.0**500:
             return self._relabel(pts, norm)
@@ -308,17 +309,14 @@ class RendezvousPayload:
         flat_offsets = offsets.reshape(T, N * N * n)
         i, j, d = np.indices((N, N, n))
         # ``_certified_rendezvous``'s data.  Rounding is odd, so r[j, i] is
-        # exactly -r[i, j] and the rows w_t = -2 D' r_t are -4 sum_j r[i, j];
-        # below them, one row per axis sums the agents' coordinates
-        rank_rows = np.zeros((T + n, N * n))
-        rank_rows[:T] = -4.0 * offsets.sum(axis=2).reshape(T, N * n)
-        for axis in range(n):
-            rank_rows[T + axis, axis::n] = 1.0
+        # exactly -r[i, j] and the rows w_t = -2 D' r_t are -4 sum_j r[i, j]
+        rank_rows = -4.0 * offsets.sum(axis=2).reshape(T, N * n)
         sq_offsets = np.einsum("ti,ti->t", flat_offsets, flat_offsets)
-        u = 2.0**-53
-        k_spread = 8 * (N * N * n + N * n + N + 5) * u
-        k_norm = 8 * (N * n + 2 * N + n + 4) * N * u
-        k_0 = k_spread * float(sq_offsets.max()) + 2.0**-1000
+        # the margin 8u(m+p+N+5)(2Nq + C) + 2**-1000 as k_quad * q + k_0
+        m, p, u = N * N * n, N * n, 2.0**-53
+        k_c = 8 * (m + p + N + 5) * u
+        k_quad = 2 * N * k_c
+        k_0 = k_c * float(sq_offsets.max()) + 2.0**-1000
         arrays = dict(
             positions=pos,
             _offsets=flat_offsets,
@@ -330,7 +328,7 @@ class RendezvousPayload:
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_margin", (k_spread, k_norm, k_0))
+        object.__setattr__(self, "_margin", (k_quad, k_0))
 
     @property
     def N(self) -> int:
@@ -389,9 +387,10 @@ def rendezvous_objective(
     return smooth_min(sq / (N * N), smooth_eps)
 
 
-def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray) -> float:
+def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray, quad: float) -> float:
     """Hard-minimum ``rendezvous_objective`` from one matrix-vector product
-    and one formation's row, with the same output bits.
+    and one formation's row, with the same output bits.  ``quad`` is the
+    barrier's ``x.x``.
 
     With ``D`` taking the pairwise differences ``(Dx)[i, j, d] = x[i, d] -
     x[j, d]`` and the stored offsets ``r_t``, formation ``t``'s exact sum is
@@ -399,64 +398,59 @@ def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray) -> float:
         S_t = |Dx - r_t|**2 = |Dx|**2 + w_t.x + C_t,
         w_t = -2 D' r_t,  C_t = |r_t|**2.
 
-    The payload's ``(T + n, n*N)`` ``_rank_rows`` hold the ``w_t`` and, below
-    them, one row per axis that sums the agents' coordinates, so one product
-    gives every ``w_t.x`` and the sums ``s_d`` that make up ``|Dx|**2 =
-    2N x.x - 2 s.s``.  The common ``|Dx|**2`` does not change the ranking,
-    so the scores are ``g_t = w_t.x + C_t``.  When no other score lies
-    within ``margin`` of the lowest, ``g_b``, every other sum is provably
-    larger, and the value is formation ``b``'s row alone, computed with
-    ``_formation_sq_errors``' operations: the slot gathers, minus the offsets
-    row, ``einsum`` over the flat 1-D row, and the division by ``N*N``.
-    Otherwise (a tie within the margin, or a margin that is NaN or not below
-    ``2**900``) it returns ``rendezvous_objective(payload, x)``.
+    The payload's ``(T, n*N)`` ``_rank_rows`` hold the ``w_t``, so one
+    product gives every ``w_t.x``.  The common ``|Dx|**2`` does not change
+    the ranking, so the scores are ``g_t = w_t.x + C_t``.  When no other
+    score lies within ``margin`` of the lowest, ``g_b``, every other sum is
+    provably larger, and the value is formation ``b``'s row alone, computed
+    with ``_formation_sq_errors``' operations: the slot gathers, minus the
+    offsets row, ``einsum`` over the flat 1-D row, and the division by
+    ``N*N``.  Otherwise (a tie within the margin, or a margin that is NaN or
+    not below ``2**900``) it returns ``rendezvous_objective(payload, x)``.
 
     Rounding.  Let ``u = 2**-53``, ``m = N*N*n`` terms, ``p = n*N``, ``q =
-    x.x``, ``Delta = |Dx|**2`` and ``C = max_t C_t``, and read every ``gamma_k
-    = k*u/(1 - k*u)`` as ``k*u`` up to a relative ``2**-19``: ``m < 2**30``
-    for any family whose ``(T, m)`` offsets fit in memory.
+    quad``, ``Delta = |Dx|**2`` and ``C = max_t C_t``, and read every
+    ``gamma_k = k*u/(1 - k*u)`` as ``k*u`` up to a relative ``2**-19``: ``m <
+    2**30`` for any family whose ``(T, m)`` offsets fit in memory.  With the
+    agents' coordinate sums ``s``, ``Delta = 2N x.x - 2 s.s <= 2N x.x``, and
+    ``q`` is within ``gamma_p`` of ``x.x``, so ``Delta <= 2Nq`` up to a
+    relative ``(p+1)u``.
 
     - The reference row.  Each error entry ``fl(fl(x_i - x_j) - r)`` is within
       ``u(|x_i - x_j| + |e|)`` of the exact ``e``, and a sum of ``m``
       nonnegative squares in any order is within ``gamma_m`` of its terms'
       sum; with Cauchy-Schwarz the computed row is within ``a = (m+5)u(S_t +
-      Delta)`` of ``S_t``, and ``S_t <= 2 Delta + 2C`` gives ``a <= (m+5)u(3
-      Delta + 2C)``.
+      Delta)`` of ``S_t``, and ``S_t <= 2 Delta + 2C`` gives ``a <= (m+5)u(6
+      Nq + 2C)``.
     - The score.  The stored ``w_t`` sums ``N`` offsets per entry (error
       ``gamma_N``), the product sums ``p`` terms (``gamma_p``), ``|w_t| <=
       4 sqrt(N C)``, and ``4 sqrt(N C q) <= 2(C + Nq)``; ``C_t`` sums ``m``
       squares (``gamma_m``), and the final addition rounds once.  So
       ``g_t`` is within ``b = 2(p+N+1)u(C + Nq) + (m+1)uC`` of ``w_t.x +
       C_t``.
-    - The spread.  The computed ``2N x.x - 2 s.s`` is within ``2(p+2N+n+3)u
-      N q + u Delta`` of ``Delta``, so ``Delta`` is at most its nonnegative
-      part plus ``2(p+2N+n+3)uNq``, up to a relative ``u``.
 
     A rival ``t`` excluded by ``g_t > fl(g_b + margin)`` has ``S_t - S_b >
     margin - 2b`` (both scores' rounding), above ``2a`` (both rows'
     rounding), so its computed row exceeds row ``b`` and the minimum is row
-    ``b``.  That needs ``margin >= 2a + 2b``, and ``margin = 8u[(m+p+N+5)
-    (max(spread, 0) + C) + (p+2N+n+4)Nq] + 2**-1000`` exceeds it with a third
-    to spare, which covers the rounding of the margin and of ``g_b +
-    margin``.  Every absolute error from underflow is below ``(m+p) *
-    2**-1074``, under the ``2**-1000``, which also keeps the margin positive,
-    so an exact tie is never certified.  Below ``2**900`` the margin bounds
-    ``q``, ``C`` and ``Delta`` far under the overflow threshold, and a
-    finite ``q`` means a finite ``x``, so every score is finite; a NaN or
-    infinite entry of ``x`` makes ``q`` and the margin non-finite.
+    ``b``.  That needs ``margin >= 2a + 2b``, and ``margin = 8u(m+p+N+5)
+    (2Nq + C) + 2**-1000`` exceeds it with a third to spare (on ``Nq``,
+    ``16(m+p+N+5) >= (4/3)(12m+4p+4N+64)``; on ``C``, ``8(m+p+N+5) >=
+    (4/3)(6m+4p+4N+26)``), which covers the rounding of the margin and of
+    ``g_b + margin``.
+    Every absolute error from underflow is below ``(m+p) * 2**-1074``, under
+    the ``2**-1000``, which also keeps the margin positive, so an exact tie
+    is never certified.  Below ``2**900`` the margin bounds ``q``, ``C`` and
+    ``Delta`` far under the overflow threshold, and a finite ``q`` means a
+    finite ``x``, so every score is finite; a NaN or infinite entry of ``x``
+    makes ``q`` and the margin non-finite.
     """
-    rows, sq_offsets = payload._rank_rows, payload._sq_offsets
     T, N, n = payload.positions.shape
     flat = x.reshape(N * n)  # a wrong-length state raises here
-    v = rows.dot(flat)
-    sums = v[T:]
-    norm2 = float(flat.dot(flat))
-    spread = 2.0 * N * norm2 - 2.0 * float(sums.dot(sums))
-    k_spread, k_norm, k_0 = payload._margin
-    margin = k_spread * max(spread, 0.0) + k_norm * norm2 + k_0
+    k_quad, k_0 = payload._margin
+    margin = k_quad * quad + k_0
     if margin < 2.0**900:
-        scores = v[:T]
-        scores += sq_offsets
+        scores = payload._rank_rows.dot(flat)
+        scores += payload._sq_offsets
         best = int(scores.argmin())
         if np.count_nonzero(scores <= scores[best] + margin) == 1:
             err = flat[payload._slot_i] - flat[payload._slot_j]
@@ -699,7 +693,8 @@ class ObjectiveSpec:
 def make_objective_fn(spec: ObjectiveSpec):
     """Bind a spec into a plain ``J(values) -> float`` callable: the
     barrier-wrapped objective, with the one evaluator of the payload's task
-    built once.
+    built once.  The barrier computes ``quad = x.x`` and hands it to the
+    evaluator as ``task(x, quad)``, so no evaluator computes it again.
 
     ``J`` equals the task objective exactly inside radius ``l1`` and ``x.x``
     exactly outside radius ``l2``; blends with the C2 weight in between.
@@ -708,16 +703,16 @@ def make_objective_fn(spec: ObjectiveSpec):
     if isinstance(payload, CoveragePayload) and eps is None:
         task = _LabelledCoverage(payload)
     elif isinstance(payload, CoveragePayload):
-        task = partial(coverage_objective, payload, smooth_eps=eps)
+        task = lambda x, quad: coverage_objective(payload, x, eps)
     elif isinstance(payload, RendezvousPayload) and eps is None:
         # the same values as rendezvous_objective, from one formation's row
         task = partial(_certified_rendezvous, payload)
     elif isinstance(payload, RendezvousPayload):
-        task = partial(rendezvous_objective, payload, smooth_eps=eps)
+        task = lambda x, quad: rendezvous_objective(payload, x, eps)
     elif isinstance(payload, AssignmentPayload):
-        task = lambda x: assignment_objective(payload, x)[0]
+        task = lambda x, quad: assignment_objective(payload, x)[0]
     else:
-        task = partial(quadratic_objective, payload)
+        task = lambda x, quad: quadratic_objective(payload, x)
     l1, l2 = spec.l1, spec.l2
 
     def J(x: np.ndarray) -> float:
@@ -725,10 +720,10 @@ def make_objective_fn(spec: ObjectiveSpec):
         quad = float(x.dot(x))
         r = math.sqrt(quad)
         if r <= l1:
-            return task(x)
+            return task(x, quad)
         if r >= l2:
             return quad
         rho = barrier_weight(r, l1, l2)
-        return rho * task(x) + (1.0 - rho) * quad
+        return rho * task(x, quad) + (1.0 - rho) * quad
 
     return J

@@ -1,17 +1,21 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import os
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadcast_control import ConfigError, cli, parse_config
 from broadcast_control.cli import main
-from broadcast_control.config import LAWS, MODES, TASKS
+from broadcast_control.config import LAWS, MODES, RETAIN, TASKS, ExperimentConfig
+from broadcast_control.engine import run_and_write
 
 BASE = "N = 3\nformation_count = 3\nsteps = 5\ntrials = 2\n"
 
@@ -192,6 +196,7 @@ _VALUE_TEXTS = (
 @example("--smooth-min-eps", "-inf")
 @example("--smooth-min-eps", "")
 @example("--out", "")
+@example("--K", "--")
 def test_flag_text_reads_like_a_config_line(tmp_path_factory, flag, text):
     # --flag=TEXT and the line "key = TEXT" give equal configs or equal
     # violations; the run itself is stubbed, as a drawn workers or trials
@@ -234,12 +239,17 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys):
 
 
 def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
-    # --out= names no directory: a violation, not a failed makedirs
+    # --out= names no directory: a violation, not a failed makedirs; verify,
+    # whose --out is no config field, refuses it before it runs any check
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "--out="]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["invalid configuration:", "  - out_dir must not be empty"]
-    assert list(tmp_path.iterdir()) == []
+    for argv, err in (
+        (["run", "--out="], ["invalid configuration:", "  - out_dir must not be empty"]),
+        (["verify", "--check", "k-step", "--out="], ["out_dir must not be empty"]),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_out_dir_with_hash_exits_2(tmp_path, capsys):
@@ -328,10 +338,6 @@ def test_paired_run_outputs(tmp_path):
 
 
 def test_manifest_echoes_every_config_field(tmp_path):
-    import dataclasses
-
-    from broadcast_control import ExperimentConfig
-
     cfg = _write_config(tmp_path)
     out = tmp_path / "m"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
@@ -340,6 +346,73 @@ def test_manifest_echoes_every_config_field(tmp_path):
         assert f"{field.name} = " in manifest
     assert "generator = splitmix64-keyed-v1" in manifest
     assert "excluded_trials = 0" in manifest
+
+
+@st.composite
+def _small_runs(draw):
+    """A config of a few short trials over every task, law and option that
+    the manifest echoes; some start far out, so every trial diverges."""
+    task, law = draw(st.sampled_from(TASKS)), draw(st.sampled_from(LAWS))
+    N = draw(st.integers(1, 4))
+    fields = dict(
+        task=task,
+        law=law,
+        K=1 if law == "paired" else draw(st.integers(1, 3)),
+        N=N,
+        steps=draw(st.integers(0, 3)),
+        trials=draw(st.integers(1, 3)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        mode=draw(st.sampled_from(MODES)),
+        grid_spacing=0.25,
+        formation_count=draw(st.integers(1, N)),
+        reassignment=draw(st.sampled_from(("every-step", "once-at-start"))),
+        smooth_min_eps=draw(st.none() | st.floats(-100.0, -0.5)),
+        retain_trajectories=draw(st.sampled_from(RETAIN)),
+    )
+    if task == "assignment":
+        fields["a0"] = 0.2
+    if draw(st.booleans()):
+        fields["x0"] = (draw(st.sampled_from((0.3, 1e200))),) * (2 * N)
+    return ExperimentConfig(**fields)
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@given(_small_runs())
+@settings(deadline=None)
+def test_manifest_replays_the_run(config):
+    # run --config DIR/manifest --out DIR2 reruns the run: every file is equal
+    # byte for byte, apart from the manifest's out_dir line
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        # the first run is built from the config itself, not from its text
+        result = run_and_write(dataclasses.replace(config, out_dir=str(first)))
+        code = main(["run", "--config", str(first / "manifest"), "--out", str(second)])
+        assert code == (1 if result.excluded else 0)
+        original, replayed = _files(first), _files(second)
+    assert sorted(original) == sorted(replayed)
+    for name, data in original.items():
+        if name == "manifest":
+            data = data.replace(f"out_dir = {first}\n".encode(), f"out_dir = {second}\n".encode())
+        assert replayed[name] == data, name
+
+
+def test_manifest_of_another_generator_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    manifest = (out / "manifest").read_text().replace("splitmix64-keyed-v1", "other-v2")
+    (tmp_path / "manifest").write_text(manifest)
+    replay = tmp_path / "replay"
+    assert main(["run", "--config", str(tmp_path / "manifest"), "--out", str(replay)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "  - a manifest replays only with generator = splitmix64-keyed-v1 and "
+        "package_version = 0.1.0, got 'other-v2' and '0.1.0'"
+    ]
+    assert not replay.exists()
 
 
 def test_seed_changes_summary_bytes(tmp_path):

@@ -53,6 +53,20 @@ def test_unknown_and_duplicate_keys_rejected():
     assert "duplicate key 'K'" in joined
 
 
+def test_output_keys_need_a_manifest():
+    # a manifest's output lines are read only beside its provenance lines
+    outputs = "K = 2\nexcluded_trials = 0\nexcluded_trial_0 = x\ntrajectories_written = 5\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(outputs)
+    assert err.value.violations == [
+        "line 2: unknown key 'excluded_trials'",
+        "line 3: unknown key 'excluded_trial_0'",
+        "line 4: unknown key 'trajectories_written'",
+    ]
+    provenance = "generator = splitmix64-keyed-v1\npackage_version = 0.1.0\n"
+    assert parse_config(outputs + provenance).K == 2
+
+
 def test_all_violations_reported_at_once():
     text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\nn = 0\nN = 0\nlawz = pbc\n"
     with pytest.raises(ConfigError) as err:

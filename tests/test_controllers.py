@@ -35,10 +35,11 @@ def _block(*signs: float) -> np.ndarray:
 
 def _bc_pair(x, sched, sigma, J):
     """The state after an even step and the odd step that follows it, the
-    caller keeping ``(sigma, J(x))`` between them."""
+    caller measuring J at each state and keeping ``(sigma, J(x))`` between
+    them."""
     j_even = J(x)
-    x1, _ = bc_step(x, 0, sched, sigma, j_even, J)
-    return bc_step(x1, 1, sched, sigma, j_even, J)[0]
+    x1, _ = bc_step(x, 0, sched, sigma, j_even, j_even)
+    return bc_step(x1, 1, sched, sigma, j_even, J(x1))[0]
 
 
 def test_bc_step_hand_trace():
@@ -48,30 +49,26 @@ def test_bc_step_hand_trace():
     sched = unit_sched(0.1, 0.5)
     x = scalar_state(1.0)
     sigma = _block(1.0)[0]
-    x1, u0 = bc_step(x, 0, sched, sigma, SQUARE(x), SQUARE)
+    x1, u0 = bc_step(x, 0, sched, sigma, SQUARE(x), SQUARE(x))
     assert u0[0] == 0.5
     assert x1[0] == 1.5
 
-    x2, u1 = bc_step(x1, 1, sched, sigma, 1.0, SQUARE)
+    x2, u1 = bc_step(x1, 1, sched, sigma, 1.0, SQUARE(x1))
     assert u1[0] == pytest.approx(-0.75, abs=1e-15)
     assert x2[0] == pytest.approx(0.75, abs=1e-15)
 
 
-def test_bc_step_evaluation_count():
-    # the parity comes from t: an even step evaluates J never, an odd step
-    # once, and a supplied j_x replaces that one evaluation
-    calls = []
-    J = lambda v: (calls.append(1), SQUARE(v))[1]
+def test_bc_step_reads_only_the_handed_values():
+    # bc_step takes no objective: the parity comes from t, an even step moves
+    # by c*sigma whatever j_x is, and an odd step by the handed j_x - j_even
     sched = unit_sched(0.1, 0.5)
     sigma = _block(1.0)[0]
-    x1, _ = bc_step(scalar_state(1.0), 0, sched, sigma, None, J)
-    assert calls == []
-    bc_step(x1, 1, sched, sigma, 1.0, J)
-    assert len(calls) == 1
-    calls.clear()
-    x2, _ = bc_step(x1, 1, sched, sigma, 1.0, J, j_x=SQUARE(x1))
-    assert calls == []
+    x1, _ = bc_step(scalar_state(1.0), 0, sched, sigma, 1.0, 1.0)
+    assert np.array_equal(bc_step(scalar_state(1.0), 0, sched, sigma, 1.0, 9e9)[0], x1)
+    x2, _ = bc_step(x1, 1, sched, sigma, 1.0, 2.25)
     assert x2[0] == pytest.approx(0.75, abs=1e-15)
+    x3, _ = bc_step(x1, 1, sched, sigma, 1.0, 1.0)
+    assert x3[0] == 1.0  # no difference: the probe is cancelled exactly
 
 
 def test_bc_perturbation_cancellation():
@@ -98,10 +95,10 @@ def test_bc_zero_gradient_point_enumeration():
 
 
 def test_bc_rejects_non_finite_objective():
-    # the odd step is the one that evaluates J
-    bad = lambda v: float("nan")
+    # the odd step is the one that reads the measured value; a NaN makes the
+    # input, and so the state, non-finite
     with pytest.raises(NonFiniteError):
-        bc_step(scalar_state(1.0), 1, unit_sched(0.1, 0.5), _block(1.0)[0], 1.0, bad)
+        bc_step(scalar_state(1.0), 1, unit_sched(0.1, 0.5), _block(1.0)[0], 1.0, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +106,13 @@ def test_bc_rejects_non_finite_objective():
 
 
 def test_pbc_broadcast_worked_example():
-    nu = pbc_broadcast(scalar_state(1.0), _block(1.0), 0.5, SQUARE)
+    nu = pbc_broadcast(scalar_state(1.0), _block(1.0), 0.5, SQUARE, 1.0)
     assert nu.shape == (1,)
     assert nu[0] == pytest.approx(1.25, abs=1e-15)
 
 
 def test_pbc_broadcast_constant_objective():
-    nu = pbc_broadcast(scalar_state(1.0), _block(1.0, -1.0, 1.0), 0.5, lambda v: 4.0)
+    nu = pbc_broadcast(scalar_state(1.0), _block(1.0, -1.0, 1.0), 0.5, lambda v: 4.0, 4.0)
     assert np.array_equal(nu, np.zeros(3))
 
 
@@ -126,23 +123,21 @@ def test_pbc_broadcast_opposite_probes_cancel_linear_part():
     sigma = draw_block(0, 0, 0, 2, 3, 1)[0]
     block = np.array([sigma, -sigma])
     c = 0.25
-    nu = pbc_broadcast(x, block, c, dot)
+    nu = pbc_broadcast(x, block, c, dot, dot(x))
     assert nu.sum() == pytest.approx(2 * c * c * 6, rel=1e-10)
 
 
 def test_pbc_broadcast_evaluation_count():
+    # the K probes only: J(x) is the caller's measured value
     calls = []
-    J = lambda v: (calls.append(1), float(v[0] ** 2))[1]
-    x = scalar_state(1.0)
-    pbc_broadcast(x, _block(1.0, -1.0, 1.0), 0.5, J)
-    assert len(calls) == 4  # K + 1
-    calls.clear()
-    pbc_broadcast(x, _block(1.0, -1.0, 1.0), 0.5, J, j_x=1.0)
-    assert len(calls) == 3  # K when the base value is supplied
+    J = lambda v: (calls.append(float(v[0])), float(v[0] ** 2))[1]
+    nu = pbc_broadcast(scalar_state(1.0), _block(1.0, -1.0, 1.0), 0.5, J, 1.0)
+    assert calls == [1.5, 0.5, 1.5]
+    assert nu.tolist() == [1.25, -0.75, 1.25]
 
 
 def test_pbc_local_input_worked_example():
-    nu = pbc_broadcast(scalar_state(1.0), _block(1.0), 0.5, SQUARE)
+    nu = pbc_broadcast(scalar_state(1.0), _block(1.0), 0.5, SQUARE, 1.0)
     u = pbc_local_input(nu, _block(1.0), 0.1, 0.5)
     assert u[0] == pytest.approx(-0.25, abs=1e-15)
 
@@ -160,7 +155,7 @@ def test_pbc_local_input_k2_exact_gradient_scalar():
     x = scalar_state(0.7)
     block = _block(1.0, -1.0)
     a, c = 0.1, 0.25
-    nu = pbc_broadcast(x, block, c, J)
+    nu = pbc_broadcast(x, block, c, J, J(x))
     u = pbc_local_input(nu, block, a, c)
     assert u[0] == pytest.approx(-a * 2 * H * 0.7, rel=1e-12)
 
@@ -186,25 +181,25 @@ def test_step_laws_reject_invalid_schedule(law):
     with pytest.raises(InvalidScheduleError, match="a0"):
         bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
         if law == "pbc":
-            pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J)
+            pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J, 1.0)
         else:
-            bc_step(scalar_state(1.0), 1, bad, _block(1.0)[0], 1.0, J)
+            bc_step(scalar_state(1.0), 1, bad, _block(1.0)[0], 1.0, 2.25)
     assert calls == []
 
 
 def test_pbc_step_worked_examples():
     sched = unit_sched(0.1, 0.5)
-    x1, u = pbc_step(scalar_state(1.0), 0, sched, _block(1.0), SQUARE)
+    x1, u = pbc_step(scalar_state(1.0), 0, sched, _block(1.0), SQUARE, 1.0)
     assert x1[0] == pytest.approx(0.75, abs=1e-15)
     assert u[0] == pytest.approx(-0.25, abs=1e-15)
 
     # sigma = -1: nu = J(0.5) - J(1) = -0.75, g = 1.5, x' = 0.85
-    x2, _ = pbc_step(scalar_state(1.0), 0, sched, _block(-1.0), SQUARE)
+    x2, _ = pbc_step(scalar_state(1.0), 0, sched, _block(-1.0), SQUARE, 1.0)
     assert x2[0] == pytest.approx(0.85, abs=1e-15)
 
 
 def test_pbc_step_constant_objective_rests():
-    x1, u = pbc_step(scalar_state(3.0), 0, unit_sched(0.1, 0.5), _block(1.0), lambda v: 2.0)
+    x1, u = pbc_step(scalar_state(3.0), 0, unit_sched(0.1, 0.5), _block(1.0), lambda v: 2.0, 2.0)
     assert x1[0] == 3.0
     assert u[0] == 0.0
 
@@ -217,9 +212,9 @@ def test_pbc_virtual_states_never_returned():
     c = 0.5
     seen = []
     J = lambda v: (seen.append(float(v[0])), float(v[0] ** 2))[1]
-    x1, u = pbc_step(x, 0, unit_sched(0.1, c), block, J)
-    assert seen == [1.0, 1.5]  # base state and the single virtual probe
-    assert x1[0] not in seen[1:]
+    x1, u = pbc_step(x, 0, unit_sched(0.1, c), block, J, 1.0)
+    assert seen == [1.5]  # the single virtual probe; J(x) is handed in
+    assert x1[0] not in seen
     assert x1[0] == x[0] + u[0]
 
 
@@ -250,7 +245,7 @@ def test_one_step_equivalence(name, rng):
         block = draw_block(master_seed=trial, trial=0, t=0, n=2, N=3, K=1)
 
         xb2 = _bc_pair(x, sched, block[0], J)
-        xp, _ = pbc_step(x, 0, sched, block, J)
+        xp, _ = pbc_step(x, 0, sched, block, J, J(x))
         scale = 1.0 + np.abs(x).max()
         assert np.abs(xp - xb2).max() <= 1e-12 * scale
 
@@ -266,5 +261,5 @@ def test_quadratic_enumeration_equivalence():
             x = np.array([1.0, -0.5])
             block = np.array([[s0, s1]])
             xb2 = _bc_pair(x, sched, block[0], J)
-            xp, _ = pbc_step(x, 0, sched, block, J)
+            xp, _ = pbc_step(x, 0, sched, block, J, J(x))
             assert np.abs(xp - xb2).max() <= 1e-14

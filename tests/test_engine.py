@@ -330,17 +330,16 @@ def _pid_after_rendezvous(meeting_dir, config, trial_index):
     return os.getpid()
 
 
-def test_two_trials_use_both_workers(tmp_path):
+def test_two_trials_use_both_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine_mod, "_cpus", lambda: 8)  # whatever the host has
     job = functools.partial(_pid_after_rendezvous, tmp_path)
     pids, excluded = engine_mod._map_trials(job, small_config(trials=2, workers=2))
     assert excluded == []
     assert len(set(pids)) == 2
 
 
-@pytest.mark.parametrize("workers, trials, started", [(4, 1, 0), (3, 2, 2)])
-def test_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, started):
-    # a forked pool starts every worker at its first submit, so a worker
-    # beyond the trial count was a process started for nothing
+def _count_starts(monkeypatch) -> list:
+    """The processes started from now on, as a list that grows."""
     import multiprocessing.process
 
     starts = []
@@ -351,8 +350,29 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, star
         return original(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return starts
+
+
+@pytest.mark.parametrize("workers, trials, started", [(4, 1, 0), (3, 2, 2)])
+def test_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, started):
+    # a forked pool starts every worker at its first submit, so a worker
+    # beyond the trial count was a process started for nothing; the CPU
+    # count is stubbed above the workers, whatever the host has
+    monkeypatch.setattr(engine_mod, "_cpus", lambda: 8)
+    starts = _count_starts(monkeypatch)
     result = run_monte_carlo(small_config(trials=trials, workers=workers, steps=2))
     assert len(result.records) == trials
+    assert len(starts) == started
+
+
+@pytest.mark.parametrize("cpus, started", [(1, 0), (2, 2)])
+def test_pool_has_no_more_workers_than_cpus(monkeypatch, cpus, started):
+    # workers = 2**64 is a valid config; the pool is still bounded by the
+    # CPUs the process may run on
+    monkeypatch.setattr(engine_mod, "_cpus", lambda: cpus)
+    starts = _count_starts(monkeypatch)
+    result = run_monte_carlo(small_config(trials=3, workers=2**64, steps=2))
+    assert len(result.records) == 3
     assert len(starts) == started
 
 

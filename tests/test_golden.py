@@ -3,7 +3,7 @@
 Each case runs ``steps = 20, trials = 3`` with trajectories retained, at
 workers 1 and 2, and the hashes must equal ``golden_outputs.json``.  The
 manifest is hashed without its ``workers`` line, the one value that must
-not change output bytes.  Two ``verify`` reports are hashed as well.
+not change output bytes.  Three ``verify`` reports are hashed as well.
 
 The hashes change only when output bytes change on purpose; such a change
 bumps ``package_version``.  Regenerate them with
@@ -58,6 +58,7 @@ VERIFY_CASES = {
         "--check", "twice-speed", "--check", "distance", "--seeds", "1",
     ],
     "verify-k-step-concave": ["--check", "k-step", "--concave"],
+    "verify-k-multistep": ["--check", "k-multistep"],
 }
 
 

@@ -155,7 +155,7 @@ def test_evaluate_standard_workspace_is_task_objective():
 def hard_coverage(payload, x):
     """Hard-minimum coverage from a fresh evaluator: its first call scans
     every agent."""
-    return _LabelledCoverage(payload)(x)
+    return _LabelledCoverage(payload)(x, float(x.dot(x)))
 
 
 def test_coverage_single_agent_center_closed_form():
@@ -380,6 +380,10 @@ def _rendezvous_cases(draw):
         states.append((x + rng.normal(scale=noise, size=(N, n))).ravel())
     member = pos[rng.integers(T)] + shift + rng.normal(scale=noise, size=(N, n))
     states.append(member.ravel())
+    # a near-tie and the member translated far from the origin, up to 1e9
+    # times the family's scale, where the margin's 2N x.x term dominates
+    far = np.tile(rng.normal(scale=scale, size=n) * 10.0 ** draw(st.floats(0.0, 9.0)), N)
+    states += [states[1] + far, states[-1] + far]
     states.append(rng.normal(scale=scale * 10.0 ** draw(st.floats(-1.0, 1.0)), size=N * n))
     states.append(states[-1].copy())
     states[-1][rng.integers(N * n)] = np.nan
@@ -401,7 +405,7 @@ def test_certified_rendezvous_matches_reference(case):
         spec = ObjectiveSpec(payload, l1=radius, l2=2.0 * radius)
         J = make_objective_fn(spec)
         for x in states:
-            assert _certified_rendezvous(payload, x).hex() == task(x).hex()
+            assert _certified_rendezvous(payload, x, float(x.dot(x))).hex() == task(x).hex()
             assert J(x).hex() == reference.evaluate(spec, task, x).hex()
 
 
@@ -417,16 +421,18 @@ def test_certified_rendezvous_scans_only_near_ties(monkeypatch):
 
     monkeypatch.setattr(objectives_mod, "rendezvous_objective", counted)
     near = (payload.positions[4] + 0.3 + 1e-3 * np.cos(np.arange(30.0)).reshape(15, 2)).ravel()
-    assert _certified_rendezvous(payload, near) == reference.rendezvous(payload, near)
+    certified = lambda x: _certified_rendezvous(payload, x, float(x.dot(x)))
+    assert certified(near) == reference.rendezvous(payload, near)
     assert scans == []
     together = np.tile([0.3, -0.1], 15)
-    assert _certified_rendezvous(payload, together) == reference.rendezvous(payload, together)
+    assert certified(together) == reference.rendezvous(payload, together)
     assert scans == [1]
 
 
 def test_circle_formation_is_built_once_and_read_only():
     family = circle_formation(7, radius=0.3, thetas=(1, 2, 3))
     assert circle_formation(7, radius=0.3, thetas=(1, 2, 3)) is family
+    assert family._rank_rows.shape == (3, 14)  # one row per formation
     for arr in (family.positions, family._offsets, family._rank_rows, family._sq_offsets):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

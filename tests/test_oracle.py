@@ -385,10 +385,10 @@ def test_worked_single_step_distance_margin():
     for sigma, expected in ((1.0, 1.0), (-1.0, 0.7)):
         x = scalar_state(1.0)
         block = np.array([[sigma]])
-        x1, u0 = bc_step(x, 0, sched, block[0], SQUARE(x), SQUARE)
-        x2, u1 = bc_step(x1, 1, sched, block[0], SQUARE(x), SQUARE)
+        x1, u0 = bc_step(x, 0, sched, block[0], SQUARE(x), SQUARE(x))
+        x2, u1 = bc_step(x1, 1, sched, block[0], SQUARE(x), SQUARE(x1))
         d_bc = abs(u0[0]) + abs(u1[0])
-        _, up = pbc_step(scalar_state(1.0), 0, sched, block, SQUARE)
+        _, up = pbc_step(x, 0, sched, block, SQUARE, SQUARE(x))
         margin = d_bc - abs(up[0])
         assert margin == pytest.approx(expected, abs=1e-14)
 
@@ -417,10 +417,11 @@ def test_engine_sampling_matches_enumerated_expectation():
     a, c = 0.1, 0.3
     expected = expected_next_cost(x0, a, c, 1, J)
     sched = unit_sched(a, c)
+    j0 = J(x0)
     samples = np.empty(10**5)
     for i in range(samples.shape[0]):
         block = draw_block(master_seed=42, trial=i, t=0, n=1, N=2, K=1, horizon=1)
-        nxt, _ = pbc_step(x0, 0, sched, block, J)
+        nxt, _ = pbc_step(x0, 0, sched, block, J, j0)
         samples[i] = J(nxt)
     se = samples.std(ddof=1) / math.sqrt(samples.shape[0])
     assert abs(samples.mean() - expected) <= 4 * se
