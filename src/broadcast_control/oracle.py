@@ -6,7 +6,8 @@ exact and fast), and the paired-run claims are measured directly on
 trajectories.  Each oracle folds over everything it is given: the paired
 checks take a list of ``(rec_bc, rec_pbc)`` pairs and report the worst pair,
 and the enumerations sum over every outcome.  None of these code paths share
-arithmetic with the controllers they certify.
+arithmetic with the controllers they certify.  The oracles only measure:
+``verify`` holds every claim's bound and judges it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .engine import TrialRecord
 
 ENUMERATION_CAP = 22  # outcome space 2**(nN*K); beyond this we refuse, never sample
 _CHUNK = 1 << 16
@@ -49,18 +48,6 @@ def enumerate_signs(d: int) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0)
 
 
-def _all_estimates(x: np.ndarray, c: float, J) -> np.ndarray:
-    """Gradient estimates for every sign vector: (2**d, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    signs = enumerate_signs(d)
-    base = float(J(x))
-    probes = x + c * signs
-    vals = np.array([float(J(probes[m])) for m in range(probes.shape[0])])
-    # the same IEEE operations as the per-row scalar form, row by row
-    return ((vals - base) / c)[:, None] * signs
-
-
 def enumerate_expected_gradient(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
     """Exact expectation of the K-probe mean estimate over all sign draws.
 
@@ -73,36 +60,35 @@ def enumerate_expected_gradient(x: np.ndarray, c: float, K: int, J) -> np.ndarra
 
 
 def _estimates(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
-    """``_all_estimates`` at ``x``, once the K-probe outcome space is known
-    to be within the cap."""
-    _outcomes(np.shape(x)[0], K)
-    return _all_estimates(x, c, J)
+    """Gradient estimates for every sign vector, ``(2**d, d)``, once the
+    K-probe outcome space is known to be within the cap."""
+    x = np.asarray(x, dtype=np.float64)
+    _outcomes(x.shape[0], K)
+    signs = enumerate_signs(x.shape[0])
+    base = float(J(x))
+    probes = x + c * signs
+    vals = np.array([float(J(probes[m])) for m in range(probes.shape[0])])
+    # the same IEEE operations as the per-row scalar form, row by row
+    return ((vals - base) / c)[:, None] * signs
 
 
-def _iter_mean_estimates(g: np.ndarray, K: int):
-    """Yield chunks of the K-probe mean estimate, one row per outcome of the
-    full 2**(d*K) product space, in fixed mixed-radix order, from the
-    single-probe estimates ``g``."""
-    total = _outcomes(g.shape[1], K)
+def _enumerated_mean(g: np.ndarray, K: int, term):
+    """Add up ``term(chunk)``, each chunk's sum of a quantity, over chunks of
+    the K-probe mean estimate built from the single-probe estimates ``g``,
+    one row per outcome of the full 2**(d*K) product space in fixed
+    mixed-radix order, and divide by the outcome count."""
+    count = _outcomes(g.shape[1], K)
     base = g.shape[0]
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    total = 0.0
+    for start in range(0, count, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
         idx = np.empty((codes.shape[0], K), dtype=np.int64)
         rem = codes
         for k in range(K - 1, -1, -1):
             idx[:, k] = rem % base
             rem = rem // base
-        yield g[idx].mean(axis=1)
-
-
-def _enumerated_mean(g: np.ndarray, K: int, term):
-    """Add up ``term(chunk)``, each chunk's sum of a quantity, over the
-    chunks of the K-probe mean estimate in their fixed order, and divide by
-    the ``2**(d*K)`` outcomes."""
-    total = 0.0
-    for chunk in _iter_mean_estimates(g, K):
-        total = total + term(chunk)
-    return total / _outcomes(g.shape[1], K)
+        total = total + term(g[idx].mean(axis=1))
+    return total / count
 
 
 def enumerate_estimator_variance(x: np.ndarray, c: float, K: int, J) -> np.ndarray:
@@ -152,7 +138,7 @@ class TwiceSpeedReport:
     max_objective_deviation: float  # relative: |dJ| / (1 + J)
 
 
-def _paired_horizon(rec_bc: TrialRecord, rec_pbc: TrialRecord) -> int:
+def _paired_horizon(rec_bc, rec_pbc) -> int:
     """The single-stage horizon ``T``; the two-stage record must hold ``2T`` steps."""
     T = rec_pbc.steps
     if rec_bc.steps < 2 * T:
@@ -202,40 +188,22 @@ def check_distance_dominance(pairs) -> DistanceDominanceReport:
 class KMonotonicityReport:
     cost_values: tuple  # one per entry of K_list, in its order
     distance_values: dict  # kappa -> tuple of values
-    verdict: bool
 
 
-def check_k_monotonicity(
-    x: np.ndarray, a: float, c: float, K_list, J, direction: str
-) -> KMonotonicityReport:
-    """Enumerate expected next cost and per-step distance powers (``kappa``
-    1 and 2) across probe counts, and judge their ordering in K.
-
-    With ``direction='convex'`` the verdict asserts the expected cost is
-    non-increasing in K; ``'concave'`` asserts the reversed ordering.
-    Distance powers must be non-increasing in K in either case and are
-    folded into the verdict.
-    """
-    if direction not in ("convex", "concave"):
-        raise ValueError(f"direction must be 'convex' or 'concave', got {direction!r}")
+def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> KMonotonicityReport:
+    """Enumerate the expected next cost and the per-step distance powers
+    (``kappa`` 1 and 2) at each probe count of ``K_list``."""
     K_list = tuple(int(k) for k in K_list)
     x = np.asarray(x, dtype=np.float64)
     # one enumeration of the single-probe estimates serves every sum
     g = _estimates(x, c, max(K_list, default=1), J)
-    costs = tuple(_next_cost(g, x, a, k, J) for k in K_list)
-    dists = {
-        kappa: tuple(_distance_power(g, a, k, kappa) for k in K_list)
-        for kappa in (1.0, 2.0)
-    }
-
-    def non_increasing(values, sign=1.0):
-        v = [sign * val for _, val in sorted(zip(K_list, values), key=lambda kv: kv[0])]
-        return all(b <= a_ + 1e-12 * (1 + abs(a_)) for a_, b in zip(v, v[1:]))
-
-    verdict = non_increasing(costs, 1.0 if direction == "convex" else -1.0) and all(
-        non_increasing(vals) for vals in dists.values()
+    return KMonotonicityReport(
+        cost_values=tuple(_next_cost(g, x, a, k, J) for k in K_list),
+        distance_values={
+            kappa: tuple(_distance_power(g, a, k, kappa) for k in K_list)
+            for kappa in (1.0, 2.0)
+        },
     )
-    return KMonotonicityReport(cost_values=costs, distance_values=dists, verdict=verdict)
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

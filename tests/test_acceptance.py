@@ -13,15 +13,20 @@ import pytest
 from broadcast_control import (
     ExperimentConfig,
     check_distance_dominance,
-    check_twice_speed,
     hungarian,
     run_monte_carlo,
     run_paired,
 )
 from broadcast_control.cli import main
 from broadcast_control.objectives import smooth_min
-from broadcast_control.oracle import descent_fraction
-from broadcast_control.verify import check_estimator, check_k_step, check_variance
+from broadcast_control.verify import (
+    _descent_row,
+    _distance_row,
+    _twice_speed_row,
+    check_estimator,
+    check_k_step,
+    check_variance,
+)
 
 PAIRED_SEEDS = 100
 TREND_TRIALS = 100
@@ -78,33 +83,29 @@ def assignment_mc():
 # criteria
 
 
+def _verify_rows(num: int, rows, own=()) -> None:
+    """Report and assert the rows of one ``broadcast-control verify`` check,
+    and the criterion's ``own`` bounds that no row states, as (text, held)."""
+    ok = all(r.passed for r in rows) and all(held for _, held in own)
+    detail = [f"{r.name} {r.measured} ({r.note})" for r in rows]
+    detail += [f"{text}: {'yes' if held else 'no'}" for text, held in own]
+    _report(num, ok, "; ".join(detail))
+    for r in rows:
+        assert r.passed, (r.name, r.bound, r.measured)
+    for text, held in own:
+        assert held, text
+
+
 def test_criterion_1_twice_speed_equivalence(paired_runs):
-    rep = check_twice_speed(paired_runs[:10])
-    worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
-    ok = worst_x <= 1e-6 and worst_j <= 1e-6
-    _report(1, ok, f"sup state dev {worst_x:.3e}, sup relative J dev {worst_j:.3e} (10 seeds)")
-    assert worst_x <= 1e-6
-    assert worst_j <= 1e-6
+    _verify_rows(1, [_twice_speed_row(paired_runs[:10])])
 
 
 def test_criterion_2_distance_dominance(paired_runs):
-    rep = check_distance_dominance(paired_runs)
-    ok = rep.min_margin >= -1e-9 and rep.strict >= 95
-    _report(
-        2, ok,
-        f"min margin {rep.min_margin:.3e} over {PAIRED_SEEDS} seeds, "
-        f"strictly positive at T in {rep.strict}/{PAIRED_SEEDS}",
+    strict = check_distance_dominance(paired_runs).strict
+    _verify_rows(
+        2, [_distance_row(paired_runs)],
+        [(f"strict at T on >= 95 of {PAIRED_SEEDS}", strict >= 95)],
     )
-    assert rep.min_margin >= -1e-9
-    assert rep.strict >= 95
-
-
-def _verify_rows(num: int, rows) -> None:
-    """Report and assert the rows of one ``broadcast-control verify`` check."""
-    ok = all(r.passed for r in rows)
-    _report(num, ok, "; ".join(f"{r.name} {r.measured} ({r.note})" for r in rows))
-    for r in rows:
-        assert r.passed, (r.name, r.bound, r.measured)
 
 
 def test_criterion_3_estimator_exactness():
@@ -146,22 +147,17 @@ def test_criterion_6_figure_trends(rendezvous_mc, coverage_mc):
 
 
 def test_criterion_7_empirical_convergence(rendezvous_mc, coverage_mc, assignment_mc):
-    fractions = {}
-    medians_down = {}
-    for name, res in (
-        ("rendezvous", rendezvous_mc[1]),
-        ("coverage", coverage_mc[1]),
-        ("assignment", assignment_mc),
-    ):
+    runs = {
+        "rendezvous": rendezvous_mc[1],
+        "coverage": coverage_mc[1],
+        "assignment": assignment_mc,
+    }
+    rows = [_descent_row(name, res.records, TREND_TRIALS) for name, res in runs.items()]
+    down = []
+    for name, res in runs.items():
         traces = np.stack([r.j_trace for r in res.records])
-        fractions[name] = descent_fraction(traces)
-        medians_down[name] = np.median(traces[:, -1]) < np.median(traces[:, 0])
-    ok = all(f >= 0.95 for f in fractions.values()) and all(medians_down.values())
-    detail = ", ".join(f"{k} {v:.0%}" for k, v in fractions.items())
-    _report(7, ok, f"trailing-50 below leading-50: {detail} ({TREND_TRIALS} trials)")
-    for name, frac in fractions.items():
-        assert frac >= 0.95, name
-        assert medians_down[name], name
+        down.append((f"{name} median J down", np.median(traces[:, -1]) < np.median(traces[:, 0])))
+    _verify_rows(7, rows, down)
 
 
 def test_criterion_8_hungarian_optimality():

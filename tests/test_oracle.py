@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcast_control.config import ExperimentConfig
 from broadcast_control.controllers import bc_step, pbc_step
-from broadcast_control.engine import MonteCarloResult, run_paired
+from broadcast_control.engine import MonteCarloResult, TrialRecord, run_paired
 from broadcast_control.objectives import (
     CoveragePayload,
     ObjectiveSpec,
@@ -20,7 +23,7 @@ from broadcast_control.oracle import (
     DistanceDominanceReport,
     EnumerationTooLarge,
     TwiceSpeedReport,
-    _all_estimates,
+    _estimates,
     _outcomes,
     check_distance_dominance,
     check_k_monotonicity,
@@ -133,7 +136,7 @@ def test_quartic_bias_decays_quadratically():
         assert 3.5 <= b1 / b2 <= 4.5
 
 
-def test_all_estimates_match_per_row_formula_bitwise(rng):
+def test_estimates_match_per_row_formula_bitwise(rng):
     # the whole-array estimates against the single-probe formula evaluated
     # row by row, compared as bytes so that a sign of zero counts too
     quartic = lambda v: float(v[0] ** 4)  # check_estimator's bias-decay objective
@@ -143,7 +146,7 @@ def test_all_estimates_match_per_row_formula_bitwise(rng):
             c = 10.0 ** rng.uniform(-3, 0)
             for J in (quadratic(random_spd_matrix(rng, d)), quartic):
                 want = np.array([spsa_estimate(x, s, c, J) for s in enumerate_signs(d)])
-                assert _all_estimates(x, c, J).tobytes() == want.tobytes()
+                assert _estimates(x, c, 1, J).tobytes() == want.tobytes()
 
 
 def test_enumeration_cap_enforced():
@@ -242,59 +245,61 @@ def test_variance_scaling_identity(rng):
             assert np.abs(varK - var1 / K).max() <= 1e-12
 
 
-def test_check_k_monotonicity_convex_verdict():
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE, direction="convex")
-    assert rep.verdict is True
+def test_check_k_monotonicity_convex_values():
+    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
     assert rep.cost_values[0] == pytest.approx(0.6425, abs=1e-12)
     assert rep.cost_values[1] == pytest.approx(0.64125, abs=1e-12)
     assert rep.cost_values[2] < rep.cost_values[1]
+    # the kappa = 2 powers by hand: 0.0425 and 0.04125, as for the cost
+    d1, d2 = rep.distance_values[1.0], rep.distance_values[2.0]
+    assert d2[0] == pytest.approx(0.0425, abs=1e-15)
+    assert d2[1] == pytest.approx(0.04125, abs=1e-15)
+    assert d1[0] >= d1[1] >= d1[2] and d2[0] > d2[1] > d2[2]
 
 
 def test_check_k_monotonicity_equal_k():
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (2, 2), SQUARE, direction="convex")
+    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (2, 2), SQUARE)
     assert rep.cost_values[0] == rep.cost_values[1]
-    assert rep.verdict is True
+    for kappa in (1.0, 2.0):
+        assert rep.distance_values[kappa][0] == rep.distance_values[kappa][1]
 
 
 def test_check_k_monotonicity_diag_quadratic():
     J = quadratic(np.diag([1.0, 4.0]))
-    rep = check_k_monotonicity(
-        np.array([1.0, -0.5]), 0.05, 0.3, (1, 2, 3), J, direction="convex"
-    )
-    assert rep.verdict is True
+    x = np.array([1.0, -0.5])
+    rep = check_k_monotonicity(x, 0.05, 0.3, (1, 2, 3), J)
     assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
+    for kappa in (1.0, 2.0):
+        d = rep.distance_values[kappa]
+        assert d[0] >= d[1] >= d[2]
+        # each value is the single-quantity oracle's at its K
+        assert d == tuple(expected_distance_power(x, 0.05, 0.3, K, kappa, J) for K in (1, 2, 3))
+    assert rep.cost_values == tuple(expected_next_cost(x, 0.05, 0.3, K, J) for K in (1, 2, 3))
 
 
 def test_check_k_monotonicity_concave_reversal():
     J = lambda v: 10.0 - float(v[0] ** 2)
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J, direction="concave")
-    assert rep.verdict is True
+    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J)
     assert rep.cost_values[0] < rep.cost_values[1] < rep.cost_values[2]
+    for kappa in (1.0, 2.0):
+        d = rep.distance_values[kappa]
+        assert d[0] >= d[1] >= d[2]
 
 
 def test_check_k_monotonicity_enumerates_once(monkeypatch):
     # every sum over K and quantity reads the one enumeration at x
     calls = []
-    original = oracle_mod._all_estimates
+    original = oracle_mod._estimates
 
-    def counted(x, c, J):
-        calls.append(1)
-        return original(x, c, J)
+    def counted(x, c, K, J):
+        calls.append(K)
+        return original(x, c, K, J)
 
-    monkeypatch.setattr(oracle_mod, "_all_estimates", counted)
+    monkeypatch.setattr(oracle_mod, "_estimates", counted)
     J = quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))
-    rep = check_k_monotonicity(
-        np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J, direction="convex"
-    )
-    assert len(calls) == 1
-    assert rep.verdict is True
-
-
-def test_check_k_monotonicity_requires_a_direction():
-    with pytest.raises(TypeError):
-        check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE)
-    with pytest.raises(ValueError, match="direction"):
-        check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE, direction="flat")
+    rep = check_k_monotonicity(np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J)
+    assert calls == [3]
+    assert len(rep.cost_values) == 3
 
 
 def _paired_records(steps=40, seed=0):
@@ -376,6 +381,104 @@ def test_monte_carlo_checks_without_finished_trials_fail(monkeypatch, check, row
     lines = [line for line in report.splitlines() if "bound:" in line]
     assert len(lines) == rows and all("  FAIL  " in line for line in lines)
     assert report.count("no evidence: 0 finished trials") == rows
+
+
+def test_verify_without_checks_fails():
+    # no check run is no evidence
+    assert run_verify([]) == ("overall: FAIL\n", False)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_k_multistep_compares_the_trials_finished_at_every_k(data):
+    # each K's run loses its own drawn set of trials; the row's means are
+    # over the trials left at all three K, or it fails for want of evidence
+    Ks = (1, 3, 10)
+    trials = data.draw(st.integers(1, 6), label="trials")
+    ids = st.integers(0, trials - 1)
+    excluded = {K: data.draw(st.sets(ids), label=f"excluded at K={K}") for K in Ks}
+    # integer finals: every mean is exact, whatever the summation order
+    finals = {
+        K: data.draw(st.lists(st.integers(1, 10**6), min_size=trials, max_size=trials))
+        for K in Ks
+    }
+
+    def run(config):
+        K = config.K
+        records = [
+            TrialRecord(
+                trial=i, n=1, N=1, states=np.zeros((2, 1)),
+                j_trace=np.array([0.0, float(finals[K][i])]), d_trace=np.zeros(2),
+            )
+            for i in range(trials) if i not in excluded[K]
+        ]
+        gone = [(i, f"trial {i} diverged at step 0: stub") for i in sorted(excluded[K])]
+        return MonteCarloResult(stats=None, records=records, excluded=gone)
+
+    with mock.patch.object(verify_mod, "run_monte_carlo", run):
+        (row,) = verify_mod.check_k_multistep(trials=trials)
+    common = set(range(trials)).difference(*excluded.values())
+    if not common:
+        assert not row.passed
+        assert row.measured == "nan, nan, nan"
+        assert row.note == "no evidence: 0 finished trials"
+        return
+    m1, m3, m10 = (sum(finals[K][i] for i in common) / len(common) for K in Ks)
+    assert row.measured == f"{m1:.4e}, {m3:.4e}, {m10:.4e}"
+    assert row.passed == (m3 <= m1 * 1.02 and m10 <= m3 * 1.02)
+
+
+def _k_step_passes(monkeypatch, concave, plant):
+    """Whether ``check_k_step``'s row passes when its enumerated report goes
+    through ``plant`` first."""
+    real = oracle_mod.check_k_monotonicity
+    monkeypatch.setattr(verify_mod, "check_k_monotonicity", lambda *args: plant(real(*args)))
+    (row,) = verify_mod.check_k_step(concave=concave)
+    return row.passed
+
+
+def _last_moved(values, step):
+    """``values`` with its last entry set ``step`` above the one before it."""
+    return values[:-1] + (values[-2] + step,)
+
+
+def _power_moved(kappa, step):
+    def plant(rep):
+        dists = dict(rep.distance_values)
+        dists[kappa] = _last_moved(dists[kappa], step)
+        return dataclasses.replace(rep, distance_values=dists)
+
+    return plant
+
+
+# Each planted report breaks one ordering that check_k_step states, and the
+# comment names the test in check_k_step that alone catches it there.
+@pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
+def test_k_step_fails_on_a_growing_kappa1_power(monkeypatch, concave):
+    # _non_increasing(d1), on both instances
+    assert _k_step_passes(monkeypatch, concave, lambda rep: rep)
+    assert not _k_step_passes(monkeypatch, concave, _power_moved(1.0, 1e-6))
+
+
+@pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
+def test_k_step_fails_on_a_growing_kappa2_power(monkeypatch, concave):
+    # _non_increasing(d2) on the concave instance; the convex instance's
+    # strict kappa = 2 order catches it as well
+    assert not _k_step_passes(monkeypatch, concave, _power_moved(2.0, 1e-6))
+
+
+def test_k_step_fails_on_a_flat_kappa2_power_on_the_convex_instance(monkeypatch):
+    # _rises(d2, -1.0): flat is non-increasing, but not strictly decreasing
+    assert not _k_step_passes(monkeypatch, False, _power_moved(2.0, 0.0))
+
+
+@pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
+def test_k_step_fails_on_a_cost_out_of_order(monkeypatch, concave):
+    # _rises(costs, sign): the K = 3 cost steps back against the curvature's
+    # order, which the exact K = 1, 2 values do not cover
+    step = -1e-6 if concave else 1e-6
+    plant = lambda rep: dataclasses.replace(rep, cost_values=_last_moved(rep.cost_values, step))
+    assert not _k_step_passes(monkeypatch, concave, plant)
 
 
 def test_worked_single_step_distance_margin():
