@@ -136,27 +136,26 @@ def _twice_speed_row(pairs) -> CheckResult:
     )
 
 
-def _distance_row(pairs) -> CheckResult:
-    """Judge distance dominance on a list of ``(rec_bc, rec_pbc)`` pairs."""
-    rep = check_distance_dominance(pairs)
+def _distance_row(rep, pairs: int) -> CheckResult:
+    """Judge distance dominance on its report over ``pairs`` paired runs."""
     return CheckResult(
         name="distance-dominance",
         bound="min_t (D_bc(2t) - D_pbc(t)) >= -1e-9",
-        measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{len(pairs)}",
-        passed=bool(pairs) and rep.min_margin >= -1e-9,
+        measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{pairs}",
+        passed=pairs > 0 and rep.min_margin >= -1e-9,
         note="path-wise comparison on shared sample paths" if pairs else _NO_EVIDENCE,
     )
 
 
-def _descent_row(task: str, records, trials: int) -> CheckResult:
-    """Judge the descent trend on the finished records of a ``trials``-trial run."""
-    frac = descent_fraction(np.stack([r.j_trace for r in records])) if records else math.nan
+def _descent_row(task: str, traces) -> CheckResult:
+    """Judge the descent trend on the objective traces of a run's finished trials."""
+    frac = descent_fraction(traces) if len(traces) else math.nan
     return CheckResult(
         name=f"descent-{task}",
         bound="trailing-50 mean < leading-50 mean in >= 95%",
         measured=f"{frac:.2%}",
         passed=frac >= 0.95,
-        note=f"{trials} trials" if records else _NO_TRIALS,
+        note=f"{len(traces)} trials" if len(traces) else _NO_TRIALS,
     )
 
 
@@ -167,7 +166,8 @@ def check_twice_speed_runs(seeds: int = 3, **_) -> list:
 
 def check_distance_runs(seeds: int = 3, **_) -> list:
     """Paired runs: the two-stage law never travels less, on any sample path."""
-    return [_distance_row(_pairs(seeds))]
+    pairs = _pairs(seeds)
+    return [_distance_row(check_distance_dominance(pairs), len(pairs))]
 
 
 # the scalar enumeration instance x=1, a=0.1, c=0.5 under each curvature: its
@@ -230,7 +230,7 @@ def check_k_multistep(trials: int = 20, **_) -> list:
             bound="mean J(T) non-increasing in K (2% MC slack)",
             measured=", ".join(f"{v:.4e}" for v in finals),
             passed=ok,
-            note=f"quadratic task, K in (1, 3, 10), {trials} trials" if common else _NO_TRIALS,
+            note=f"quadratic task, K in (1, 3, 10), {len(common)} trials" if common else _NO_TRIALS,
         )
     ]
 
@@ -245,7 +245,7 @@ def check_descent(trials: int = 20, **_) -> list:
     out = []
     for task, a0 in (("coverage", 2.0), ("rendezvous", 2.0), ("assignment", 0.2)):
         config = ExperimentConfig(task=task, law=LAW_PBC, K=1, trials=trials, master_seed=5, a0=a0)
-        out.append(_descent_row(task, run_monte_carlo(config).records, trials))
+        out.append(_descent_row(task, [r.j_trace for r in run_monte_carlo(config).records]))
     return out
 
 

@@ -299,7 +299,11 @@ def test_check_k_monotonicity_enumerates_once(monkeypatch):
     J = quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))
     rep = check_k_monotonicity(np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J)
     assert calls == [3]
-    assert len(rep.cost_values) == 3
+    # and the 4-D convex instance keeps the orderings the scalar ones show
+    assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
+    for kappa in (1.0, 2.0):
+        d = rep.distance_values[kappa]
+        assert d[0] >= d[1] >= d[2]
 
 
 def _paired_records(steps=40, seed=0):
@@ -383,6 +387,20 @@ def test_monte_carlo_checks_without_finished_trials_fail(monkeypatch, check, row
     assert report.count("no evidence: 0 finished trials") == rows
 
 
+def test_descent_note_counts_the_finished_trials(monkeypatch):
+    # one of two trials excluded: the row is judged, and says so, on one
+    def one_left(config):
+        kept = TrialRecord(
+            trial=0, n=1, N=1, states=np.zeros((2, 1)),
+            j_trace=np.linspace(1.0, 0.0, 120), d_trace=np.zeros(120),
+        )
+        return MonteCarloResult(stats=None, records=[kept], excluded=[(1, "stub")])
+
+    monkeypatch.setattr(verify_mod, "run_monte_carlo", one_left)
+    rows = verify_mod.check_descent(trials=2)
+    assert [(r.measured, r.passed, r.note) for r in rows] == [("100.00%", True, "1 trials")] * 3
+
+
 def test_verify_without_checks_fails():
     # no check run is no evidence
     assert run_verify([]) == ("overall: FAIL\n", False)
@@ -425,6 +443,7 @@ def test_k_multistep_compares_the_trials_finished_at_every_k(data):
         return
     m1, m3, m10 = (sum(finals[K][i] for i in common) / len(common) for K in Ks)
     assert row.measured == f"{m1:.4e}, {m3:.4e}, {m10:.4e}"
+    assert row.note == f"quadratic task, K in (1, 3, 10), {len(common)} trials"
     assert row.passed == (m3 <= m1 * 1.02 and m10 <= m3 * 1.02)
 
 
