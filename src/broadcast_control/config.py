@@ -157,6 +157,12 @@ def _all_finite(values) -> bool:
     return values is None or all(map(math.isfinite, values))
 
 
+def _divides_one(v: float) -> bool:
+    # 1/v is within a few ulps of the whole m when v is 1/m rounded
+    m = 1.0 / v
+    return math.isfinite(m) and abs(m - round(m)) <= 2.0**-50 * m
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str = _one_of(RENDEZVOUS, TASKS)
@@ -184,7 +190,13 @@ class ExperimentConfig:
     t_v: float = 20.0
     l1: float = 100.0
     l2: float = _rule(101.0, math.isfinite, "be finite, got {}")
-    grid_spacing: float = _rule(0.01, lambda v: 0 < v < 1, "lie in (0, 1), got {}")
+    # unit_cube_grid takes round(1/spacing) steps, which end at 1 only when
+    # the spacing divides it
+    grid_spacing: float = _rule(
+        0.01,
+        lambda v: 0 < v < 1 and _divides_one(v),
+        lambda v: f"divide 1 evenly, got {v}" if 0 < v < 1 else f"lie in (0, 1), got {v}",
+    )
     formation_radius: float = _rule(
         0.2, lambda v: 0 < v < math.inf, "be positive and finite, got {}"
     )

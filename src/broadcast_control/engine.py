@@ -78,10 +78,8 @@ def moving_distance(inputs: np.ndarray, n: int) -> np.ndarray:
     ``D(0) = 0`` and the trace is non-decreasing.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.size == 0:
-        return np.zeros(inputs.shape[0] + 1)
     steps = inputs.shape[0]
-    per_agent = np.linalg.norm(inputs.reshape(steps, -1, n), axis=2)
+    per_agent = np.linalg.norm(inputs.reshape(steps, inputs.shape[1] // n, n), axis=2)
     d = np.empty(steps + 1)
     d[0] = 0.0
     np.cumsum(per_agent.sum(axis=1), out=d[1:])

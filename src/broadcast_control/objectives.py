@@ -33,9 +33,9 @@ Hard-minimum rendezvous is bound to ``_certified_rendezvous``.  Formation
 ``t``'s sum of squared offset errors is ``|Dx|**2 + w_t.x + C_t``, with
 ``D`` the pairwise differences, so one product of ``x`` with a matrix built
 with the family ranks every formation.  When one formation leads the rest
-by more than a rounding margin, only its row is computed, with the
-operations of ``rendezvous_objective``; on a near-tie the full scan runs.
-Its values carry the bits of ``rendezvous_objective``.
+by more than a rounding margin, only its row is computed; on a near-tie
+every formation's row is.  Its values carry the bits of the scan over every
+formation.
 
 ``hungarian`` solves the assignment task's pairing once per evaluation and
 certifies that the optimum is unique by one minimum-cycle pass over the
@@ -123,8 +123,10 @@ class CoveragePayload:
 
 
 def unit_cube_grid(n: int, spacing: float) -> np.ndarray:
-    """Axis-aligned grid over ``[0, 1]**n`` at a spacing in ``(0, 1)``,
-    endpoints included (spacing 0.01 gives 101 points per axis)."""
+    """Axis-aligned grid over ``[0, 1]**n``, endpoints included, at a spacing
+    ``1/m`` for a whole ``m >= 2`` up to rounding, which ``ExperimentConfig``
+    checks: ``m + 1`` points per axis (spacing 0.01 gives 101), the last at
+    ``m * spacing``, which is 1 up to rounding."""
     m = int(round(1.0 / spacing))
     axis = np.arange(m + 1) * spacing
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -148,8 +150,7 @@ def coverage_objective(payload: CoveragePayload, x: np.ndarray, smooth_eps: floa
     """Mean over the grid of the smooth minimum over agents of the squared
     distance.  The hard minimum is ``_LabelledCoverage``."""
     pts = x.reshape(-1, payload.n)
-    cols = payload._grid_cols
-    d2 = np.stack([_squared_distances(cols, pts[i]) for i in range(pts.shape[0])])
+    d2 = _squared_distances(payload._grid_cols, pts.T[:, :, None])
     return float(smooth_min(d2, smooth_eps).mean())
 
 
@@ -340,9 +341,7 @@ class RendezvousPayload:
 
 
 @lru_cache(maxsize=8)
-def circle_formation(
-    N: int, radius: float = 0.2, thetas: Optional[tuple] = None
-) -> RendezvousPayload:
+def circle_formation(N: int, radius: float, thetas: tuple) -> RendezvousPayload:
     """Planar circular formations rotated by an integer parameter.
 
     Member ``theta`` places agent ``i`` (1-based) at
@@ -351,8 +350,6 @@ def circle_formation(
     A family is built once per process for each ``(N, radius, thetas)``;
     the payload is immutable, so every caller shares it.
     """
-    if thetas is None:
-        thetas = tuple(range(1, N + 1))
     idx = np.arange(1, N + 1)
     pos = np.empty((len(thetas), N, 2))
     for t_i, theta in enumerate(thetas):
@@ -370,27 +367,20 @@ def _formation_sq_errors(payload: RendezvousPayload, x: np.ndarray) -> np.ndarra
     return np.einsum("ti,ti->t", err, err)
 
 
-def rendezvous_objective(
-    payload: RendezvousPayload, x: np.ndarray, smooth_eps: Optional[float] = None
-) -> float:
-    """Best formation fit: minimum over the family of the mean squared
-    pairwise-offset error.  Zero exactly when the agents realize some family
-    member up to a common translation.
-
-    The hard minimum is taken before the division by ``N*N``: division by a
-    positive constant is monotone under rounding, so the bits are those of
-    dividing first."""
+def rendezvous_objective(payload: RendezvousPayload, x: np.ndarray, smooth_eps: float) -> float:
+    """Best formation fit: smooth minimum over the family of the mean squared
+    pairwise-offset error.  The hard minimum is ``_certified_rendezvous``."""
     N = payload.N
-    sq = _formation_sq_errors(payload, x)
-    if smooth_eps is None:
-        return float(sq.min() / (N * N))
-    return smooth_min(sq / (N * N), smooth_eps)
+    return smooth_min(_formation_sq_errors(payload, x) / (N * N), smooth_eps)
 
 
 def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray, quad: float) -> float:
-    """Hard-minimum ``rendezvous_objective`` from one matrix-vector product
-    and one formation's row, with the same output bits.  ``quad`` is the
-    barrier's ``x.x``.
+    """Best formation fit, the least mean squared pairwise-offset error over
+    the family (zero exactly when the agents realize a member up to a common
+    translation), from one product and one formation's row; ``quad`` is the
+    barrier's ``x.x``.  The bits are the full scan's: the minimum of
+    ``_formation_sq_errors`` over the family divided by ``N*N``, which is
+    monotone under rounding, so they are those of dividing first.
 
     With ``D`` taking the pairwise differences ``(Dx)[i, j, d] = x[i, d] -
     x[j, d]`` and the stored offsets ``r_t``, formation ``t``'s exact sum is
@@ -406,7 +396,7 @@ def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray, quad: float
     with ``_formation_sq_errors``' operations: the slot gathers, minus the
     offsets row, ``einsum`` over the flat 1-D row, and the division by
     ``N*N``.  Otherwise (a tie within the margin, or a margin that is NaN or
-    not below ``2**900``) it returns ``rendezvous_objective(payload, x)``.
+    not below ``2**900``) it takes the full scan.
 
     Rounding.  Let ``u = 2**-53``, ``m = N*N*n`` terms, ``p = n*N``, ``q =
     quad``, ``Delta = |Dx|**2`` and ``C = max_t C_t``, and read every
@@ -456,7 +446,7 @@ def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray, quad: float
             err = flat[payload._slot_i] - flat[payload._slot_j]
             err -= payload._offsets[best]
             return float(np.einsum("i,i->", err, err) / (N * N))
-    return rendezvous_objective(payload, x)
+    return float(_formation_sq_errors(payload, x).min() / (N * N))
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +525,10 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     for i in range(N):
         for j in free_cols:
             others = [c for c in free_cols if c != j]
-            if others:
-                sub = C[np.ix_(range(i + 1, N), others)]
-                r, c = linear_sum_assignment(sub)
-                completion = float(sub[r, c].sum())
-            else:
-                completion = 0.0
+            # the last row's completion is 0 x 0, whose empty sum is 0.0
+            sub = C[np.ix_(range(i + 1, N), others)]
+            r, c = linear_sum_assignment(sub)
+            completion = float(sub[r, c].sum())
             if C[i, j] + completion <= remaining + tol:
                 perm[i] = j
                 free_cols.remove(j)
@@ -705,7 +693,7 @@ def make_objective_fn(spec: ObjectiveSpec):
     elif isinstance(payload, CoveragePayload):
         task = lambda x, quad: coverage_objective(payload, x, eps)
     elif isinstance(payload, RendezvousPayload) and eps is None:
-        # the same values as rendezvous_objective, from one formation's row
+        # the hard minimum, from one formation's row
         task = partial(_certified_rendezvous, payload)
     elif isinstance(payload, RendezvousPayload):
         task = lambda x, quad: rendezvous_objective(payload, x, eps)

@@ -191,6 +191,9 @@ _VALUE_TEXTS = (
 ).filter(lambda text: text == text.strip())
 
 
+# tenfold: the flags have no parser of their own, and drawn flag texts are
+# the check that none creeps back in
+@pytest.mark.tenfold
 @given(st.sampled_from(sorted(_FLAG_KEYS)), _VALUE_TEXTS)
 @example("--K", "1.5")
 @example("--smooth-min-eps", "-inf")
@@ -380,6 +383,8 @@ def _files(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
+# tenfold: every drawn small run's manifest must replay it byte for byte
+@pytest.mark.tenfold
 @given(_small_runs())
 @settings(deadline=None)
 def test_manifest_replays_the_run(config):

@@ -111,6 +111,21 @@ def test_grid_spacing_range():
             parse_config(f"task = coverage\ngrid_spacing = {spacing}\n")
 
 
+def test_grid_spacing_divides_one():
+    # unit_cube_grid steps round(1/spacing) times: 0.6 and 0.15 would put
+    # points past 1, 0.3 would stop at 0.9, and 5e-324 has no finite
+    # reciprocal
+    for spacing in (0.3, 0.6, 0.15, 5e-324):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"task = coverage\ngrid_spacing = {spacing!r}\n")
+        assert err.value.violations == [f"grid_spacing must divide 1 evenly, got {spacing!r}"]
+    for spacing in (0.01, 0.25, 0.125, 1 / 3):
+        config = parse_config(f"task = coverage\ngrid_spacing = {spacing!r}\n")
+        grid = config.objective_spec().payload.grid
+        assert grid.shape == ((round(1 / spacing) + 1) ** 2, 2)
+        assert grid.min() == 0.0 and grid.max() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_smooth_min_eps_sign():
     # the one check of epsilon: the objectives trust it
     assert parse_config("smooth_min_eps = -5\n").smooth_min_eps == -5.0
@@ -309,6 +324,9 @@ _EDGES["Optional[tuple]"] = st.none() | st.lists(
 _TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
+# tenfold: each drawn edge value must be rejected or read back from the
+# manifest text as itself, and the edge combinations are many
+@pytest.mark.tenfold
 @given(
     st.sets(st.sampled_from(sorted(_TYPES)), min_size=1, max_size=3).flatmap(
         lambda names: st.fixed_dictionaries({name: _EDGES[_TYPES[name]] for name in names})
@@ -351,7 +369,7 @@ def _random_config(rng) -> ExperimentConfig:
         t_v=float(rng.uniform(0.5, 100)),
         l1=float(rng.uniform(1, 100)),
         l2=float(rng.uniform(101, 200)),
-        grid_spacing=float(rng.uniform(0.01, 0.9)),
+        grid_spacing=1.0 / int(rng.integers(2, 101)),
         formation_radius=float(10 ** rng.uniform(-2, 1)),
         formation_count=int(rng.integers(1, 30)),
         targets=tuple(rng.normal(size=2 * N)) if rng.random() < 0.3 else None,

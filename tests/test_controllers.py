@@ -226,7 +226,7 @@ def _equivalence_objectives():
     targets = np.array([[0.0, 0.0], [0.4, 0.1], [0.2, 0.6]])
     return {
         "coverage": ObjectiveSpec(CoveragePayload(grid=unit_cube_grid(2, 0.1)), 100.0, 101.0),
-        "rendezvous": ObjectiveSpec(circle_formation(3, radius=0.2), 100.0, 101.0),
+        "rendezvous": ObjectiveSpec(circle_formation(3, 0.2, (1, 2, 3)), 100.0, 101.0),
         "assignment": ObjectiveSpec(AssignmentPayload(targets=targets), 100.0, 101.0),
     }
 

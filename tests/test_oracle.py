@@ -406,6 +406,9 @@ def test_verify_without_checks_fails():
     assert run_verify([]) == ("overall: FAIL\n", False)
 
 
+# tenfold: an excluded trial is rare in real runs, so only drawn exclusions
+# reach the common-trial path
+@pytest.mark.tenfold
 @settings(deadline=None)
 @given(st.data())
 def test_k_multistep_compares_the_trials_finished_at_every_k(data):
