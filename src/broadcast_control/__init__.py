@@ -10,9 +10,10 @@ that certifies the laws' exact and statistical properties.
 This module exports the user surface only; everything else is imported from
 its submodule (``broadcast_control.objectives``, ``.oracle``, ``.engine``...).
 
-Importing the package loads numpy and the standard library only.  scipy is
-loaded by the first ``hungarian`` call (the assignment task), and the
-process pool by the first run with ``workers > 1`` and ``trials > 1``.
+Importing the package loads numpy and the standard library only.  The first
+``hungarian`` call (the assignment task) loads scipy's compiled assignment
+solver alone, without importing ``scipy`` or ``scipy.optimize``, and the
+first run with ``workers > 1`` and ``trials > 1`` loads the process pool.
 """
 
 from ._version import __version__

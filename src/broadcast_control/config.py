@@ -163,6 +163,11 @@ def _divides_one(v: float) -> bool:
     return math.isfinite(m) and abs(m - round(m)) <= 2.0**-50 * m
 
 
+# the coverage evaluator owns about 60 bytes a grid point at N = 15, so this
+# many points take about 1 GB
+_MAX_GRID_POINTS = 2**24
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str = _one_of(RENDEZVOUS, TASKS)
@@ -223,7 +228,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Raise ``ConfigError`` listing every violation, or return ``self``."""
-        out, typed = [], set()
+        out, typed, valid = [], set(), set()
         for f in dataclasses.fields(self):
             value, kind, rule = getattr(self, f.name), _KINDS[f.type], f.metadata
             if kind.test(value):
@@ -233,6 +238,8 @@ class ExperimentConfig:
                 continue
             if "test" in rule and not rule["test"](value):
                 out.append(f"{f.name} must " + rule["must"](value))
+            elif f.name in typed:
+                valid.add(f.name)
         # the rules across fields skip a field of another type
         if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
@@ -247,6 +254,15 @@ class ExperimentConfig:
             values = getattr(self, name)
             if values is not None and typed >= {name, "n", "N"} and len(values) != self.n * self.N:
                 out.append(f"{name} must hold n*N = {self.n * self.N} values, got {len(values)}")
+        if self.task == COVERAGE and valid >= {"n", "grid_spacing"}:
+            # (m + 1)**n points with m = round(1/grid_spacing) >= 1: any n
+            # above 24 is over the limit, so the power stays small
+            m = round(1.0 / self.grid_spacing)
+            if self.n > 24 or (m + 1) ** self.n > _MAX_GRID_POINTS:
+                out.append(
+                    "coverage grid must hold (round(1/grid_spacing) + 1)**n <= 2**24 "
+                    f"points, got grid_spacing = {self.grid_spacing}, n = {self.n}"
+                )
         if self.task == RENDEZVOUS and self.n != 2:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:

@@ -232,6 +232,18 @@ def test_flag_text_reads_like_a_config_line(tmp_path_factory, flag, text):
         assert code == 2 and err.getvalue().splitlines()[1:] == expected
 
 
+def test_too_fine_coverage_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # the config rule refuses the grid, so no run tries to allocate it
+    def no_grid(n, spacing):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("broadcast_control.config.unit_cube_grid", no_grid)
+    for text in ("task = coverage\ngrid_spacing = 1e-300\n", "task = coverage\nn = 4\n"):
+        cfg = _write_config(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "coverage grid must hold" in capsys.readouterr().err
+
+
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
     # --seed takes a U64; -1 once ran with the signs of seed 2**64 - 1
     for seed in ("-1", str(2**64)):

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
+from broadcast_control import config as config_mod
 from broadcast_control.config import EVERY_STEP, LAWS, MODES, ONCE_AT_START, RETAIN, TASKS
 from broadcast_control.engine import write_manifest
 from broadcast_control.objectives import RendezvousPayload
@@ -124,6 +125,26 @@ def test_grid_spacing_divides_one():
         grid = config.objective_spec().payload.grid
         assert grid.shape == ((round(1 / spacing) + 1) ** 2, 2)
         assert grid.min() == 0.0 and grid.max() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_coverage_grid_size_limit(monkeypatch):
+    # a grid of (round(1/spacing) + 1)**n points over 2**24 is refused
+    # before anything is allocated: 1e-300 divides 1 but has ~1e600 points,
+    # and n = 4 at the default spacing 101**4 (3.3 GB of evaluator buffers)
+    def no_grid(n, spacing):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(config_mod, "unit_cube_grid", no_grid)
+    for fields in (dict(grid_spacing=1e-300), dict(n=4), dict(grid_spacing=1 / 4096)):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(task="coverage", **fields)
+        assert len(err.value.violations) == 1
+        assert "coverage grid must hold (round(1/grid_spacing) + 1)**n <= 2**24" in (
+            err.value.violations[0]
+        )
+    # 4096**2 = 2**24 points is the largest grid; other tasks ignore the grid
+    ExperimentConfig(task="coverage", grid_spacing=1 / 4095)
+    ExperimentConfig(task="quadratic", n=4)
 
 
 def test_smooth_min_eps_sign():

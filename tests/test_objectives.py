@@ -1,5 +1,7 @@
+import importlib.machinery
 import itertools
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -269,6 +271,26 @@ def test_hard_coverage_reuses_labels_bit_for_bit(case):
         assert J(x).hex() == reference.evaluate(spec, task, x).hex()
 
 
+def test_hard_coverage_scans_a_point_whose_gap_is_within_slack():
+    # the rounding step of the certificate: a computed gap is within
+    # (n+7)u*S of the exact one, so a point is certified only when its gap
+    # exceeds 2*delta + slack.  The planted point's computed gap is positive
+    # but under slack; at delta = 0 it must stay in the scan, which a zero
+    # slack would not do
+    eps = 4e-15
+    x = np.array([0.4, 0.5, 0.6 + eps, 0.5])
+    grid = np.array([[0.5, 0.5]] + [[0.4, 0.5 + 0.01 * k] for k in range(19)])
+    payload = CoveragePayload(grid=grid)
+    J = _LabelledCoverage(payload)
+    quad = float(x.dot(x))
+    J(x, quad)  # the full pass, which records the gaps
+    scale = math.sqrt(float((grid * grid).sum(axis=1).max())) + 2.0 * math.sqrt(quad)
+    slack = (4 * 2 + 32) * 2.0**-53 * scale + 2.0**-500
+    assert 0.0 < J._gap[0] < slack
+    assert J(x, quad).hex() == reference.coverage(payload, x).hex()
+    assert J._mask.tolist() == [False] + [True] * 19
+
+
 # ---------------------------------------------------------------------------
 # rendezvous
 
@@ -450,6 +472,31 @@ def test_certified_rendezvous_scans_only_near_ties(monkeypatch):
     assert scans == [1]
 
 
+def test_certified_rendezvous_scans_a_rival_within_the_margin(monkeypatch):
+    # the last step of the certificate's proof: a rival is excluded only
+    # when its score exceeds the leader's by more than the margin, which
+    # covers both rows' and both scores' rounding (margin >= 2a + 2b).  The
+    # planted rival's computed score is 3/4 of the margin above the
+    # leader's, so the full scan runs; half the margin would skip it
+    payload = circle_formation(3, 0.2, (1, 2))
+    v = payload._rank_rows[1] - payload._rank_rows[0]
+    k_quad, k_0 = payload._margin
+    lead = payload._sq_offsets[1] - payload._sq_offsets[0]
+    x = (0.75 * k_0 - lead) / v.dot(v) * v
+    scores = payload._rank_rows.dot(x) + payload._sq_offsets
+    margin = k_quad * float(x.dot(x)) + k_0
+    assert margin / 2 < scores[1] - scores[0] < margin
+    scans = []
+
+    def counted(p, x):
+        scans.append(1)
+        return _formation_sq_errors(p, x)
+
+    monkeypatch.setattr(objectives_mod, "_formation_sq_errors", counted)
+    assert hard_rendezvous(payload, x) == reference.rendezvous(payload, x)
+    assert scans == [1]
+
+
 def test_circle_formation_is_built_once_and_read_only():
     family = circle_formation(7, radius=0.3, thetas=(1, 2, 3))
     assert circle_formation(7, radius=0.3, thetas=(1, 2, 3)) is family
@@ -569,27 +616,69 @@ def test_hungarian_does_not_mutate_input(rng):
         assert np.array_equal(C, before)
 
 
-def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
-    # a generic squared-distance matrix has a unique optimum: the one solve,
-    # then the minimum-cycle certificate, which solves nothing
-    # hungarian imports linear_sum_assignment from scipy.optimize on each
-    # call, so the counting hook replaces it there
-    import scipy.optimize
-
+def _counting_solver(monkeypatch):
+    """Patch the solver ``hungarian`` loads with one that records the shape
+    of each matrix it solves; returns the record and the solver."""
     calls = []
-    lsa = scipy.optimize.linear_sum_assignment
+    solve = objectives_mod._assignment_solver()
 
     def counting(C):
         calls.append(C.shape)
-        return lsa(C)
+        return solve(C)
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    monkeypatch.setattr(objectives_mod, "_assignment_solver", lambda: counting)
+    return calls, solve
+
+
+def test_hungarian_unique_optimum_skips_refinement(rng, monkeypatch):
+    # a generic squared-distance matrix has a unique optimum: the one solve,
+    # then the minimum-cycle certificate, which solves nothing
+    calls, solve = _counting_solver(monkeypatch)
     N = 15
     diff = rng.uniform(size=(N, 1, 2)) - rng.uniform(size=(1, N, 2))
     C = np.einsum("ijd,ijd->ij", diff, diff)
     perm = hungarian(C)
     assert calls == [(N, N)]
-    assert np.array_equal(perm, lsa(C)[1])
+    assert np.array_equal(perm, solve(C)[1])
+
+
+def test_hungarian_refinement_solves_through_the_loader(monkeypatch):
+    # an all-tied matrix takes the refinement: after the first solve, one
+    # sub-solve per row, the last row's completion being 0 x 0
+    calls, _ = _counting_solver(monkeypatch)
+    assert hungarian(np.zeros((3, 3))).tolist() == [0, 1, 2]
+    assert calls == [(3, 3), (2, 2), (1, 1), (0, 0)]
+
+
+def test_assignment_solver_gives_scipy_optimize_results(rng, monkeypatch):
+    # the solver loaded from scipy's extension file alone returns, array for
+    # array, what scipy.optimize.linear_sum_assignment does: on generic
+    # matrices, on integer ties and on the refinement's 0 x 0 last row
+    from scipy.optimize import linear_sum_assignment
+
+    # scipy.optimize registered the module; without that entry the loader
+    # reads the file, and takes the entry back out
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    solve = objectives_mod._assignment_solver.__wrapped__()
+    assert "scipy.optimize._lsap" not in sys.modules
+    matrices = [rng.uniform(size=(N, N)) for N in range(1, 41)]
+    matrices += [rng.integers(0, 3, size=(N, N)).astype(np.float64) for N in range(1, 16)]
+    matrices.append(np.zeros((0, 0)))
+    for C in matrices:
+        for got, want in zip(solve(C), linear_sum_assignment(C)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_assignment_solver_falls_back_to_scipy_optimize(monkeypatch):
+    # a scipy laid out without optimize/_lsap.<suffix> has only the public
+    # route
+    import scipy.optimize
+
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    solve = objectives_mod._assignment_solver.__wrapped__()
+    assert solve is scipy.optimize.linear_sum_assignment
 
 
 def _planted_near_tie(N, scale, k, seed):
