@@ -13,23 +13,19 @@ are computed exactly, with no sampling error.  Three facts fall out:
 
 import numpy as np
 
-from broadcast_control import (
-    enumerate_estimator_variance,
-    expected_distance_power,
-    expected_next_cost,
-)
+from broadcast_control import check_k_monotonicity, enumerate_estimator_variance
 
 x = np.array([1.0])
 a, c = 0.1, 0.5
 convex = lambda v: float(v[0] ** 2)
 concave = lambda v: 10.0 - float(v[0] ** 2)
+Ks = (1, 2, 3, 4)
+vex = check_k_monotonicity(x, a, c, Ks, convex)
+cave = check_k_monotonicity(x, a, c, Ks, concave)
 
 print("scalar instance: x = 1, a = 0.1, c = 0.5, all expectations exact\n")
 print(f"{'K':>3} {'E[J next] convex':>18} {'E[J next] concave':>18} {'E[|u|^2]':>12}")
-for K in (1, 2, 3, 4):
-    ec = expected_next_cost(x, a, c, K, convex)
-    eg = expected_next_cost(x, a, c, K, concave)
-    ed = expected_distance_power(x, a, c, K, 2.0, convex)
+for K, ec, eg, ed in zip(Ks, vex.cost_values, cave.cost_values, vex.distance_values[2.0]):
     print(f"{K:>3} {ec:>18.10f} {eg:>18.10f} {ed:>12.8f}")
 
 print("\nvariance of the K-probe mean estimate (component 0):")

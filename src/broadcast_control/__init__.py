@@ -25,10 +25,9 @@ from .objectives import hungarian
 from .oracle import (
     EnumerationTooLarge,
     check_distance_dominance,
+    check_k_monotonicity,
     check_twice_speed,
     enumerate_estimator_variance,
-    expected_distance_power,
-    expected_next_cost,
 )
 from .state import NonFiniteError, draw_block
 
@@ -55,9 +54,8 @@ __all__ = [
     "NonFiniteError",
     # oracles
     "check_distance_dominance",
+    "check_k_monotonicity",
     "check_twice_speed",
     "enumerate_estimator_variance",
-    "expected_distance_power",
-    "expected_next_cost",
     "hungarian",
 ]

@@ -267,6 +267,13 @@ class ExperimentConfig:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:
             out.append("assignment with n != 2 requires explicit targets")
+        # the assignment and quadratic objectives take no minimum to smooth;
+        # a float epsilon is one that is set and of its type
+        if self.task in (ASSIGNMENT, QUADRATIC) and isinstance(self.smooth_min_eps, float):
+            out.append(
+                "smooth_min_eps applies to the coverage and rendezvous tasks only, "
+                f"got task = {self.task!r}"
+            )
         if out:
             raise ConfigError(out)
         return self

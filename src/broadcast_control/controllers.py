@@ -12,6 +12,7 @@ objective value, is two plain arguments that the caller keeps.  PBC
 replaces the physical probe with ``K`` virtual perturbed states evaluated
 centrally; the supervisor broadcasts the ``K`` objective differences and
 each agent moves once per step, combining them with its own private signs.
+Both laws descend through ``pbc_local_input``; BC's odd step is its K = 1 case.
 
 The caller measures ``J`` at the state once per step and hands the value
 down as ``j_x``: BC evaluates nothing, and PBC evaluates only its ``K``
@@ -57,8 +58,8 @@ def bc_step(
     objective value ``J(x)`` of the even step that opens the pair; ``j_x``
     is the value the caller measured at ``x``.  Even ``t``: every agent
     takes the probe ``u = c*sigma``, and ``j_x`` is not read.  Odd ``t``:
-    the probe is cancelled and the objective difference, scaled by ``a/c``
-    and the remembered signs, is descended:
+    the probe is cancelled and ``pbc_local_input`` descends the broadcast
+    ``[j_x - j_even]`` on the one-row block ``sigma``:
 
         u = -c*sigma - a * (j_x - j_even)/c * sigma
     """
@@ -66,10 +67,7 @@ def bc_step(
     if t % 2 == 0:
         u = c * sigma
     else:
-        # the descent term is (-a) * ((delta_j / c) * sigma); pbc_local_input
-        # keeps this association, so paired runs agree bit for bit wherever
-        # the algebra does
-        u = (-c) * sigma + (-a) * (((j_x - j_even) / c) * sigma)
+        u = (-c) * sigma + pbc_local_input(np.array([j_x - j_even]), sigma[None], a, c)
     return apply_input(x, u), u
 
 
@@ -95,9 +93,9 @@ def pbc_local_input(
 
         u = -a * (1/K) * sum_k (nu[k]/c) * sigma_k
 
-    ``nu`` holds one entry per row of ``block``.  Each term is computed in
-    place as ``bc_step``'s descent term; the division by ``K = 1`` is
-    skipped because it is exact.
+    ``nu`` holds one entry per row of ``block``; ``bc_step``'s odd step
+    calls this with ``K = 1``.  The division by ``K = 1`` is skipped
+    because it is exact.
     """
     K = block.shape[0]
     nu = nu.tolist()

@@ -5,9 +5,11 @@ are computed by full enumeration of the outcome space (capped so checks stay
 exact and fast), and the paired-run claims are measured directly on
 trajectories.  Each oracle folds over everything it is given: the paired
 checks take a list of ``(rec_bc, rec_pbc)`` pairs and report the worst pair,
-and the enumerations sum over every outcome.  None of these code paths share
-arithmetic with the controllers they certify.  The oracles only measure:
-``verify`` holds every claim's bound and judges it.
+and the enumerations sum over every outcome.  ``check_k_monotonicity`` is
+the one enumeration of the probe-count expectations: the next cost and the
+step lengths at every K, from one set of single-probe estimates.  None of
+these code paths share arithmetic with the controllers they certify.  The
+oracles only measure: ``verify`` holds every claim's bound and judges it.
 """
 
 from __future__ import annotations
@@ -101,30 +103,6 @@ def enumerate_estimator_variance(x: np.ndarray, c: float, K: int, J) -> np.ndarr
     return square - mean * mean
 
 
-def _next_cost(g: np.ndarray, x: np.ndarray, a: float, K: int, J) -> float:
-    return _enumerated_mean(g, K, lambda m: sum(float(J(v)) for v in x[None, :] - a * m))
-
-
-def _distance_power(g: np.ndarray, a: float, K: int, kappa: float) -> float:
-    return _enumerated_mean(g, K, lambda m: float((np.abs(-a * m) ** kappa).sum()))
-
-
-def expected_next_cost(x: np.ndarray, a: float, c: float, K: int, J) -> float:
-    """Exact ``E[J(x - a * mean_k g(sigma_k))]`` by full enumeration."""
-    x = np.asarray(x, dtype=np.float64)
-    return _next_cost(_estimates(x, c, K, J), x, a, K, J)
-
-
-def expected_distance_power(
-    x: np.ndarray, a: float, c: float, K: int, kappa: float, J
-) -> float:
-    """Exact ``E[sum_i |u_i|**kappa]`` of the per-step move over the entries
-    ``u_i`` of the flat input, by enumeration."""
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    return _distance_power(_estimates(x, c, K, J), a, K, kappa)
-
-
 # ---------------------------------------------------------------------------
 # paired-run checks
 
@@ -191,16 +169,25 @@ class KMonotonicityReport:
 
 
 def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> KMonotonicityReport:
-    """Enumerate the expected next cost and the per-step distance powers
-    (``kappa`` 1 and 2) at each probe count of ``K_list``."""
+    """Enumerate, at each probe count of ``K_list``, the exact expected next
+    cost ``E[J(x - a * mean_k g(sigma_k))]`` and the expected per-step
+    distance powers ``E[sum_i |u_i|**kappa]`` over the entries ``u_i`` of the
+    flat input, for ``kappa`` 1 and 2."""
     K_list = tuple(int(k) for k in K_list)
     x = np.asarray(x, dtype=np.float64)
     # one enumeration of the single-probe estimates serves every sum
     g = _estimates(x, c, max(K_list, default=1), J)
+
+    def cost(m):
+        return sum(float(J(v)) for v in x[None, :] - a * m)
+
+    def power(kappa):
+        return lambda m: float((np.abs(-a * m) ** kappa).sum())
+
     return KMonotonicityReport(
-        cost_values=tuple(_next_cost(g, x, a, k, J) for k in K_list),
+        cost_values=tuple(_enumerated_mean(g, k, cost) for k in K_list),
         distance_values={
-            kappa: tuple(_distance_power(g, a, k, kappa) for k in K_list)
+            kappa: tuple(_enumerated_mean(g, k, power(kappa)) for k in K_list)
             for kappa in (1.0, 2.0)
         },
     )

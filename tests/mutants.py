@@ -1,0 +1,188 @@
+"""Mutant gate: the tests must catch a broken fast path or step-law kernel.
+
+Each fast path below is exact only by a rounding argument, or shares its
+arithmetic with both step laws, so a wrong version of it can still pass most
+tests.  Each mutant replaces one exact text of one source file, in a copy of
+``src/`` and ``tests/`` made once, and runs the tests named for it there
+under the ``ci`` hypothesis profile; the file is restored before the next
+mutant.  Every named test must fail.  The gate fails (exit 1) when a named
+test passes, or when a mutant's text does not occur exactly once.
+
+Run from anywhere, outside tier-1, since every mutant reruns tests::
+
+    python tests/mutants.py
+
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# file under src/broadcast_control, the exact text, its replacement, and
+# the pytest node ids that must fail
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+_GOLDEN = "tests/test_golden.py::test_run_outputs_match_golden"
+_MARGIN = "margin = k_quad * quad + k_0"
+
+MUTANTS = (
+    Mutant(
+        "coverage labels certified at one delta, not two",
+        "objectives.py",
+        "np.greater(self._gap, 2.0 * delta + slack",
+        "np.greater(self._gap, 1.0 * delta + slack",
+        (
+            "tests/test_objectives.py::test_hard_coverage_reuses_labels_bit_for_bit",
+            f"{_GOLDEN}[coverage-pbc-1]",
+        ),
+    ),
+    Mutant(
+        "coverage certificate without its rounding slack",
+        "objectives.py",
+        "slack = (4 * self._n + 32) * 2.0**-53 * scale + 2.0**-500",
+        "slack = 0.0",
+        ("tests/test_objectives.py::test_hard_coverage_scans_a_point_whose_gap_is_within_slack",),
+    ),
+    Mutant(
+        "hungarian certificate with a zero margin",
+        "objectives.py",
+        "W.diagonal().min() > 2.0 * tol + slack",
+        "W.diagonal().min() > 0.0",
+        ("tests/test_objectives.py::test_hungarian_certificate_against_runner_up_solves",),
+    ),
+    Mutant(
+        "rendezvous certificate with a zero margin",
+        "objectives.py",
+        "scores <= scores[best] + margin",
+        "scores <= scores[best]",
+        (
+            "tests/test_objectives.py::test_certified_rendezvous_matches_reference",
+            "tests/test_objectives.py::test_certified_rendezvous_scans_only_near_ties",
+        ),
+    ),
+    Mutant(
+        "rendezvous margin without its 2N*x.x term",
+        "objectives.py",
+        _MARGIN,
+        "margin = k_0",
+        ("tests/test_objectives.py::test_certified_rendezvous_matches_reference",),
+    ),
+    Mutant(
+        "rendezvous margin halved",
+        "objectives.py",
+        _MARGIN,
+        "margin = 0.5 * (k_quad * quad + k_0)",
+        ("tests/test_objectives.py::test_certified_rendezvous_scans_a_rival_within_the_margin",),
+    ),
+    Mutant(
+        "rendezvous multiplying by 1/(N*N)",
+        "objectives.py",
+        'float(np.einsum("i,i->", err, err) / (N * N))',
+        'float(np.einsum("i,i->", err, err) * (1 / (N * N)))',
+        ("tests/test_objectives.py::test_certified_rendezvous_matches_reference",),
+    ),
+    Mutant(
+        "apply_input testing only NaN",
+        "state.py",
+        "if not np.isfinite(out).all():",
+        "if np.isnan(out).any():",
+        (
+            "tests/test_state.py::test_apply_input_errors",
+            "tests/test_engine.py::test_run_trial_matches_reference_trial",
+        ),
+    ),
+    Mutant(
+        "pbc_local_input multiplying by 1/K",
+        "controllers.py",
+        "acc /= K",
+        "acc *= 1 / K",
+        (
+            "tests/test_controllers.py::test_pbc_local_input_matches_reference_bit_for_bit[3]",
+            "tests/test_engine.py::test_run_trial_matches_reference_trial",
+        ),
+    ),
+    Mutant(
+        "BC's odd step without the probe's cancellation",
+        "controllers.py",
+        "u = (-c) * sigma + pbc_local_input(",
+        "u = pbc_local_input(",
+        (
+            "tests/test_controllers.py::test_bc_step_matches_reference_bit_for_bit[odd]",
+            "tests/test_controllers.py::test_bc_step_hand_trace",
+        ),
+    ),
+    Mutant(
+        "the shared descent term ascending",
+        "controllers.py",
+        "acc *= -a",
+        "acc *= a",
+        (
+            "tests/test_controllers.py::test_bc_step_matches_reference_bit_for_bit[odd]",
+            "tests/test_controllers.py::test_pbc_local_input_matches_reference_bit_for_bit[1]",
+        ),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+            "--hypothesis-profile=ci", *tests]
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def check(mutant: Mutant, copy: Path) -> list:
+    """What is wrong with ``mutant``'s catch: nothing when every named test fails."""
+    path = copy / "src" / "broadcast_control" / mutant.file
+    original = path.read_text()
+    found = original.count(mutant.old)
+    if found != 1:
+        return [f"{mutant.old!r} occurs {found} times in {mutant.file}"]
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        proc = _pytest(copy, mutant.tests)
+    finally:
+        path.write_text(original)
+    if proc.returncode not in (0, 1):  # a usage or collection error
+        return [f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"]
+    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    return [f"survived {test}" for test in mutant.tests if test not in failed]
+
+
+def main() -> int:
+    start, survivors = time.perf_counter(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        for mutant in MUTANTS:
+            begun = time.perf_counter()
+            problems = check(mutant, copy)
+            verdict = "caught" if not problems else "FAIL"
+            print(f"{verdict:6} {time.perf_counter() - begun:6.1f} s  {mutant.name}", flush=True)
+            for problem in problems:
+                print(f"       {problem}")
+            survivors += bool(problems)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught, "
+          f"{time.perf_counter() - start:.1f} s wall")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -137,6 +137,21 @@ def test_every_run_flag_reaches_config(tmp_path, flag, line):
     assert line.format(flag_out=flag_out) in manifest.decode().split("\n")
 
 
+def test_smooth_min_eps_on_a_task_without_a_minimum_exits_2(tmp_path, capsys):
+    # from a config line and from the flag alike, and nothing is written
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, "task = quadratic\nsmooth_min_eps = -5\n")
+    flag = ["--task", "assignment", "--smooth-min-eps=-5"]
+    for argv, task in ((["--config", cfg], "quadratic"), (flag, "assignment")):
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "smooth_min_eps applies to the coverage and rendezvous tasks only, "
+            f"got task = {task!r}"
+        ) in err
+    assert not out.exists()
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [
         ("law = paired\nK = 3\na_p = 0.4\n", ("paired", "2*a_p")),
@@ -381,9 +396,10 @@ def _small_runs(draw):
         grid_spacing=0.25,
         formation_count=draw(st.integers(1, N)),
         reassignment=draw(st.sampled_from(("every-step", "once-at-start"))),
-        smooth_min_eps=draw(st.none() | st.floats(-100.0, -0.5)),
         retain_trajectories=draw(st.sampled_from(RETAIN)),
     )
+    if task in ("coverage", "rendezvous"):  # the tasks that take a smooth minimum
+        fields["smooth_min_eps"] = draw(st.none() | st.floats(-100.0, -0.5))
     if task == "assignment":
         fields["a0"] = 0.2
     if draw(st.booleans()):

@@ -155,6 +155,20 @@ def test_smooth_min_eps_sign():
             parse_config(f"smooth_min_eps = {eps}\n")
 
 
+def test_smooth_min_eps_only_on_tasks_that_take_a_minimum():
+    # the assignment and quadratic objectives would run the same with it and
+    # without it, while the manifest echoed it
+    for task in ("assignment", "quadratic"):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(task=task, smooth_min_eps=-5.0)
+        assert err.value.violations == [
+            f"smooth_min_eps applies to the coverage and rendezvous tasks only, got task = {task!r}"
+        ]
+        ExperimentConfig(task=task)
+    for task in ("coverage", "rendezvous"):
+        assert ExperimentConfig(task=task, smooth_min_eps=-5.0).smooth_min_eps == -5.0
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -395,7 +409,11 @@ def _random_config(rng) -> ExperimentConfig:
         formation_count=int(rng.integers(1, 30)),
         targets=tuple(rng.normal(size=2 * N)) if rng.random() < 0.3 else None,
         reassignment=str(rng.choice(["every-step", "once-at-start"])),
-        smooth_min_eps=float(-(10 ** rng.uniform(-2, 3))) if rng.random() < 0.4 else None,
+        # only the coverage and rendezvous tasks take a smooth minimum
+        smooth_min_eps=(
+            float(-(10 ** rng.uniform(-2, 3)))
+            if task in ("coverage", "rendezvous") and rng.random() < 0.4 else None
+        ),
         x0=tuple(rng.normal(size=2 * N)) if rng.random() < 0.3 else None,
         retain_trajectories=str(rng.choice(["auto", "true", "false"])),
         workers=int(rng.integers(1, 8)),

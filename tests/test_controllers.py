@@ -8,7 +8,7 @@ from broadcast_control.controllers import (
     pbc_local_input,
     pbc_step,
 )
-from broadcast_control.gains import GainSchedule, InvalidScheduleError
+from broadcast_control.gains import GainSchedule, InvalidScheduleError, bc_gains_at
 from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
@@ -92,6 +92,23 @@ def test_bc_zero_gradient_point_enumeration():
         endpoints.append(x2[0])
         assert abs(x2[0]) <= c * (1 + a * c)
     assert sum(endpoints) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+def test_bc_step_matches_reference_bit_for_bit(parity, rng):
+    # the odd step's descent is pbc_local_input at K = 1; the reference
+    # writes the whole step out, as (-c)*sigma + (-a)*((dj/c)*sigma)
+    for row in range(300):
+        n, N = (int(v) for v in rng.integers(1, 6, size=2))
+        t = 2 * int(rng.integers(0, 50)) + parity
+        sigma = draw_block(master_seed=row, trial=parity, t=t // 2, n=n, N=N, K=1)[0]
+        x = rng.normal(size=n * N) * 10.0 ** rng.uniform(-3, 3)
+        sched = unit_sched(*(float(g) for g in 10.0 ** rng.uniform(-4, 0, size=2)))
+        j_even, j_x = (float(j) for j in rng.normal(size=2) * 10.0 ** rng.uniform(-12, 8, size=2))
+        got = bc_step(x, t, sched, sigma, j_even, j_x)
+        want = reference.bc_step(x, t, *bc_gains_at(sched, t), sigma, j_even, j_x)
+        for array, expected in zip(got, want):
+            assert array.tobytes() == expected.tobytes()
 
 
 def test_bc_rejects_non_finite_objective():

@@ -398,7 +398,6 @@ def _small_configs(draw):
         steps=draw(st.integers(0, 3)),
         mode=draw(st.sampled_from(MODES)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        smooth_min_eps=draw(st.sampled_from((None, -10.0, -1e3))),
         reassignment=draw(st.sampled_from((EVERY_STEP, ONCE_AT_START))),
         grid_spacing=draw(st.sampled_from((0.25, 0.1))),
         formation_count=draw(st.integers(1, 5)),
@@ -406,6 +405,8 @@ def _small_configs(draw):
         # a step or two: a diverged trial
         a0=draw(st.sampled_from((2.0, 0.2, 1e300, 1e308))),
     )
+    if task in ("coverage", "rendezvous"):  # the tasks that take a smooth minimum
+        fields["smooth_min_eps"] = draw(st.sampled_from((None, -10.0, -1e3)))
     if draw(st.booleans()):
         # a drawn start, which with the radii below may sit in the barrier's
         # blend or beyond it

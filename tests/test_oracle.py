@@ -32,8 +32,6 @@ from broadcast_control.oracle import (
     enumerate_estimator_variance,
     enumerate_expected_gradient,
     enumerate_signs,
-    expected_distance_power,
-    expected_next_cost,
     random_spd_matrix,
 )
 from broadcast_control.state import draw_block
@@ -155,7 +153,7 @@ def test_enumeration_cap_enforced():
     with pytest.raises(EnumerationTooLarge):
         enumerate_expected_gradient(np.zeros(12), 0.1, 2, SQUARE)
     with pytest.raises(EnumerationTooLarge):
-        expected_next_cost(np.zeros(8), 0.1, 0.1, 3, SQUARE)
+        check_k_monotonicity(np.zeros(8), 0.1, 0.1, (3,), SQUARE)
     assert _outcomes(11, 2) == 2**22
 
 
@@ -187,42 +185,30 @@ def test_finite_difference_matches_coverage_piecewise_gradient():
 def test_expected_next_cost_hand_enumeration():
     # scalar instance x=1, a=0.1, c=0.5: outcomes {0.5625, 0.7225} for K=1
     # and {0.5625, 0.64, 0.64, 0.7225} for K=2
-    x = np.array([1.0])
-    assert expected_next_cost(x, 0.1, 0.5, 1, SQUARE) == pytest.approx(0.6425, abs=1e-12)
-    assert expected_next_cost(x, 0.1, 0.5, 2, SQUARE) == pytest.approx(0.64125, abs=1e-12)
+    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE)
+    assert rep.cost_values[0] == pytest.approx(0.6425, abs=1e-12)
+    assert rep.cost_values[1] == pytest.approx(0.64125, abs=1e-12)
 
 
 def test_expected_next_cost_zero_step():
-    x = np.array([1.0])
-    for K in (1, 2, 3):
-        assert expected_next_cost(x, 0.0, 0.5, K, SQUARE) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_expected_next_cost_concave_reversal():
-    # shifted concave bowl: larger K averages the probes and lands nearer
-    # the flat top, so K=1 descends further
-    J = lambda v: 10.0 - float(v[0] ** 2)
-    x = np.array([1.0])
-    v1 = expected_next_cost(x, 0.1, 0.5, 1, J)
-    v2 = expected_next_cost(x, 0.1, 0.5, 2, J)
-    assert v1 < v2
+    rep = check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (1, 2, 3), SQUARE)
+    for value in rep.cost_values:
+        assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_expected_distance_power_linear_tie_at_kappa_one():
     # linear J on one coordinate: g(sigma) = g for every sigma, so |u| is
     # outcome-independent and all K tie exactly at kappa = 1
     J = lambda v: float(1.7 * v[0])
-    x = np.array([0.3])
-    vals = [expected_distance_power(x, 0.1, 0.5, K, 1.0, J) for K in (1, 2, 3)]
+    rep = check_k_monotonicity(np.array([0.3]), 0.1, 0.5, (1, 2, 3), J)
+    vals = rep.distance_values[1.0]
     assert vals[0] == pytest.approx(vals[1], rel=1e-14)
     assert vals[1] == pytest.approx(vals[2], rel=1e-14)
 
 
 def test_expected_distance_power_quadratic_strict_decrease():
-    vals = [
-        expected_distance_power(np.array([1.0]), 0.1, 0.5, K, 2.0, SQUARE)
-        for K in (1, 2, 3)
-    ]
+    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
+    vals = rep.distance_values[2.0]
     # K=1: 0.01 * (6.25 + 2.25)/2 = 0.0425; K=2: 0.01 * 4.125 = 0.04125
     assert vals[0] == pytest.approx(0.0425, abs=1e-15)
     assert vals[1] == pytest.approx(0.04125, abs=1e-15)
@@ -230,7 +216,8 @@ def test_expected_distance_power_quadratic_strict_decrease():
 
 
 def test_expected_distance_power_zero_step():
-    assert expected_distance_power(np.array([1.0]), 0.0, 0.5, 2, 2.0, SQUARE) == 0.0
+    rep = check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (2,), SQUARE)
+    assert rep.distance_values[2.0] == (0.0,)
 
 
 def test_variance_scaling_identity(rng):
@@ -246,14 +233,10 @@ def test_variance_scaling_identity(rng):
 
 
 def test_check_k_monotonicity_convex_values():
+    # the K = 1, 2 values by hand are the tests above; K = 3 keeps their order
     rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
-    assert rep.cost_values[0] == pytest.approx(0.6425, abs=1e-12)
-    assert rep.cost_values[1] == pytest.approx(0.64125, abs=1e-12)
-    assert rep.cost_values[2] < rep.cost_values[1]
-    # the kappa = 2 powers by hand: 0.0425 and 0.04125, as for the cost
+    assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
     d1, d2 = rep.distance_values[1.0], rep.distance_values[2.0]
-    assert d2[0] == pytest.approx(0.0425, abs=1e-15)
-    assert d2[1] == pytest.approx(0.04125, abs=1e-15)
     assert d1[0] >= d1[1] >= d1[2] and d2[0] > d2[1] > d2[2]
 
 
@@ -272,12 +255,17 @@ def test_check_k_monotonicity_diag_quadratic():
     for kappa in (1.0, 2.0):
         d = rep.distance_values[kappa]
         assert d[0] >= d[1] >= d[2]
-        # each value is the single-quantity oracle's at its K
-        assert d == tuple(expected_distance_power(x, 0.05, 0.3, K, kappa, J) for K in (1, 2, 3))
-    assert rep.cost_values == tuple(expected_next_cost(x, 0.05, 0.3, K, J) for K in (1, 2, 3))
+    # a one-K call equals that K's entry of the (1, 2, 3) call
+    for i, K in enumerate((1, 2, 3)):
+        one = check_k_monotonicity(x, 0.05, 0.3, (K,), J)
+        assert one.cost_values == (rep.cost_values[i],)
+        for kappa in (1.0, 2.0):
+            assert one.distance_values[kappa] == (rep.distance_values[kappa][i],)
 
 
 def test_check_k_monotonicity_concave_reversal():
+    # shifted concave bowl: larger K averages the probes and lands nearer
+    # the flat top, so K=1 descends further
     J = lambda v: 10.0 - float(v[0] ** 2)
     rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J)
     assert rep.cost_values[0] < rep.cost_values[1] < rep.cost_values[2]
@@ -540,7 +528,7 @@ def test_engine_sampling_matches_enumerated_expectation():
     J = quadratic(np.diag([1.0, 2.0]))
     x0 = np.array([0.8, -0.6])
     a, c = 0.1, 0.3
-    expected = expected_next_cost(x0, a, c, 1, J)
+    (expected,) = check_k_monotonicity(x0, a, c, (1,), J).cost_values
     sched = unit_sched(a, c)
     j0 = J(x0)
     samples = np.empty(10**5)
