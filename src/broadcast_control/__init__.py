@@ -17,10 +17,9 @@ first run with ``workers > 1`` and ``trials > 1`` loads the process pool.
 """
 
 from ._version import __version__
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, GainSchedule, parse_config
 from .controllers import bc_step, pbc_step
 from .engine import DivergenceError, run_and_write, run_monte_carlo, run_paired, run_trial
-from .gains import GainSchedule, InvalidScheduleError
 from .objectives import hungarian
 from .oracle import (
     EnumerationTooLarge,
@@ -50,7 +49,6 @@ __all__ = [
     # errors
     "DivergenceError",
     "EnumerationTooLarge",
-    "InvalidScheduleError",
     "NonFiniteError",
     # oracles
     "check_distance_dominance",

@@ -6,8 +6,8 @@ lets it win over that key's line."""
 from __future__ import annotations
 
 import argparse
-import glob
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -158,6 +158,10 @@ def _read_csv(path: str):
     return rows[0], rows[1:]
 
 
+# trajectory_<trial>.csv, or trajectory_bc_<trial>.csv for the two-stage partner
+_TRAJECTORY = re.compile(r"trajectory_(bc_)?(\d+)\.csv")
+
+
 def cmd_plotdata(args: argparse.Namespace) -> int:
     run_dir = args.run_dir
     manifest = os.path.join(run_dir, "manifest")
@@ -175,13 +179,15 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         for row in rows:
             for col, value in zip(header[1:], row[1:]):
                 lines.append(f"{row[0]},{tag}{col},mean,{value}")
-    for path in sorted(glob.glob(os.path.join(run_dir, "trajectory_*.csv"))):
-        stem = os.path.basename(path)[len("trajectory_") : -len(".csv")]
-        header, rows = _read_csv(path)
+    # the single-stage trials, then a paired run's two-stage partner, each in
+    # trial order (a name's order puts trial 10 before trial 2)
+    names = map(_TRAJECTORY.fullmatch, os.listdir(run_dir))
+    for tag, trial, name in sorted((m[1] or "", int(m[2]), m[0]) for m in names if m):
+        header, rows = _read_csv(os.path.join(run_dir, name))
         for row in rows:
             t, agent = row[0], row[1]
             for col, value in zip(header[2:], row[2:]):
-                lines.append(f"{t},agent{agent}_{col},{stem},{value}")
+                lines.append(f"{t},{tag}agent{agent}_{col},{trial},{value}")
     if _or_unwritable(_write_lines, out_path, lines) is None:
         return 2
     print(f"wrote {out_path} ({len(lines) - 1} rows)")

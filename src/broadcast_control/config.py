@@ -16,7 +16,9 @@ Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
 it and raises ``ConfigError`` listing every violation at once, so code handed
 a config trusts it.  ``x0`` and ``targets`` are stored as float tuples.
 The violations come in one order: each field's own rule (its type, then its
-range or form) in field order, then the rules across fields.
+range or form) in field order, then the rules across fields.  A
+``GainSchedule``, built from ``a0 ... t_v``, checks itself alike, and its
+broken conditions are the config's violations.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .gains import GainSchedule, InvalidScheduleError
 from .objectives import (
     AssignmentPayload,
     CoveragePayload,
@@ -65,6 +66,45 @@ class ConfigError(ValueError):
     def __init__(self, violations: list):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+
+@dataclass(frozen=True)
+class GainSchedule:
+    """The step size ``a(t) = a0 / (t + t_v)**a_p`` and probe radius
+    ``c(t) = c0 / (t + t_v)**c_p`` of both laws.  Building one checks
+
+        0 < t_v < inf,    0 < a_p <= 1,    c_p > 0,
+        2*a_p - 2*c_p > 1,    a_p + 2*c_p > 1,
+        0 < a0 < inf,    0 < c0 < inf,
+
+    which by the p-series criteria makes ``sum a(t)`` diverge while
+    ``sum (a/c)**2`` and ``sum a*c**2`` converge, the decay rates the
+    stochastic gradient iteration needs.  It raises ``ConfigError`` listing
+    every broken condition, so the gain functions check only their step.
+    """
+
+    a0: float
+    a_p: float
+    c0: float
+    c_p: float
+    t_v: float
+
+    def __post_init__(self):
+        a_p, c_p = self.a_p, self.c_p
+        gap, reach = 2 * a_p - 2 * c_p, a_p + 2 * c_p
+        # (condition, whether it holds, the values it was tested on)
+        rows = (
+            ("0 < t_v < inf", 0 < self.t_v < math.inf, f"t_v = {self.t_v:g}"),
+            ("0 < a_p <= 1", 0 < a_p <= 1, f"a_p = {a_p:g}"),
+            ("c_p > 0", c_p > 0, f"c_p = {c_p:g}"),
+            ("2*a_p - 2*c_p > 1", gap > 1, f"2*{a_p:g} - 2*{c_p:g} = {gap:g}"),
+            ("a_p + 2*c_p > 1", reach > 1, f"{a_p:g} + 2*{c_p:g} = {reach:g}"),
+            ("0 < a0 < inf", 0 < self.a0 < math.inf, f"a0 = {self.a0:g}"),
+            ("0 < c0 < inf", 0 < self.c0 < math.inf, f"c0 = {self.c0:g}"),
+        )
+        out = [f"{cond} violated ({detail})" for cond, holds, detail in rows if not holds]
+        if out:
+            raise ConfigError(out)
 
 
 def _is_int(value) -> bool:
@@ -246,7 +286,7 @@ class ExperimentConfig:
         if typed >= {"a0", "a_p", "c0", "c_p", "t_v"}:
             try:
                 self.schedule()
-            except InvalidScheduleError as err:
+            except ConfigError as err:
                 out.extend(err.violations)
         if typed >= {"l1", "l2"} and not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
@@ -265,6 +305,15 @@ class ExperimentConfig:
                 )
         if self.task == RENDEZVOUS and self.n != 2:
             out.append("the default formation family is planar; rendezvous needs n = 2")
+        # circle_formation rotates by theta*2*pi/N, so rotations theta and
+        # theta + N are one formation up to rounding, and a repeated one is a
+        # near-tie that the rendezvous certificate can never settle
+        count = self.formation_count
+        if self.task == RENDEZVOUS and valid >= {"N", "formation_count"} and count > self.N:
+            out.append(
+                "rendezvous needs formation_count <= N, the circle family's distinct "
+                f"rotations, got formation_count = {count}, N = {self.N}"
+            )
         if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:
             out.append("assignment with n != 2 requires explicit targets")
         # the assignment and quadratic objectives take no minimum to smooth;

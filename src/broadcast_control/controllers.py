@@ -22,9 +22,11 @@ Local inputs are computed from the broadcast vector, the agent's own signs,
 and the gains alone; no agent-to-agent information exists anywhere in these
 functions.
 
-A ``GainSchedule`` is checked when it is built, so the gains are finite and
-positive and the step laws check nothing of it again.  The one check left
-on the step path is the finiteness test that ends a diverged trial.
+The gains come from a ``GainSchedule``, which is checked when it is built,
+so they are finite and positive and the step laws check nothing of it
+again; the two-stage law takes them stair-stepped (``bc_gains_at``).  The
+one check left on the step path is the finiteness test that ends a
+diverged trial.
 """
 
 from __future__ import annotations
@@ -33,8 +35,34 @@ import math
 
 import numpy as np
 
-from .gains import GainSchedule, bc_gains_at, gain_a, gain_c
+from .config import GainSchedule
 from .state import NonFiniteError, apply_input
+
+
+def gain_a(sched: GainSchedule, t: int) -> float:
+    """Step size at step ``t``: strictly positive, strictly decreasing."""
+    # a negative t + t_v to a fractional power would be a complex number
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return sched.a0 / (t + sched.t_v) ** sched.a_p
+
+
+def gain_c(sched: GainSchedule, t: int) -> float:
+    """Probe radius at step ``t``: strictly positive, strictly decreasing."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return sched.c0 / (t + sched.t_v) ** sched.c_p
+
+
+def bc_gains_at(sched: GainSchedule, t_bc: int) -> tuple[float, float]:
+    """Stair-stepped gains for the two-stage law at its own step counter.
+
+    Steps ``2t`` and ``2t+1`` share the single-stage gains at ``t``, so
+    ``bc_gains_at(sched, 2*t) == (gain_a(sched, t), gain_c(sched, t))``
+    exactly.
+    """
+    t = t_bc // 2  # a negative t_bc floors to a negative t, which gain_a rejects
+    return gain_a(sched, t), gain_c(sched, t)
 
 
 def _checked_j(J, values: np.ndarray) -> float:

@@ -34,6 +34,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 _GOLDEN = "tests/test_golden.py::test_run_outputs_match_golden"
 _MARGIN = "margin = k_quad * quad + k_0"
+_NEAR_TIES = "tests/test_objectives.py::test_hard_coverage_near_ties_bit_for_bit"
 
 MUTANTS = (
     Mutant(
@@ -44,6 +45,7 @@ MUTANTS = (
         (
             "tests/test_objectives.py::test_hard_coverage_reuses_labels_bit_for_bit",
             f"{_GOLDEN}[coverage-pbc-1]",
+            _NEAR_TIES,
         ),
     ),
     Mutant(
@@ -51,7 +53,10 @@ MUTANTS = (
         "objectives.py",
         "slack = (4 * self._n + 32) * 2.0**-53 * scale + 2.0**-500",
         "slack = 0.0",
-        ("tests/test_objectives.py::test_hard_coverage_scans_a_point_whose_gap_is_within_slack",),
+        (
+            "tests/test_objectives.py::test_hard_coverage_scans_a_point_whose_gap_is_within_slack",
+            _NEAR_TIES,
+        ),
     ),
     Mutant(
         "hungarian certificate with a zero margin",

@@ -64,12 +64,18 @@ def evaluate(spec, task, x):
     return rho * task(x) + (1.0 - rho) * quad
 
 
-def coverage(payload, x, smooth_eps=None):
+def squared_distances(payload, x):
     """Every agent's squared distance to every grid point, summed over the
-    axes in order, then the minimum over agents and the mean over the grid:
-    the scan whose bits the hard-minimum coverage evaluator must reproduce."""
+    axes in order: an ``(N, G)`` array."""
     pts = x.reshape(-1, payload.grid.shape[1])
-    d2 = ((payload.grid[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2)
+    return ((payload.grid[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2)
+
+
+def coverage(payload, x, smooth_eps=None):
+    """The minimum over agents of ``squared_distances`` and the mean over the
+    grid: the scan whose bits the hard-minimum coverage evaluator must
+    reproduce."""
+    d2 = squared_distances(payload, x)
     nearest = d2.min(axis=0) if smooth_eps is None else smooth_min(d2, smooth_eps)
     return float(nearest.mean())
 

@@ -15,13 +15,13 @@ from broadcast_control import (
     check_distance_dominance,
     hungarian,
     run_monte_carlo,
-    run_paired,
 )
 from broadcast_control.cli import main
 from broadcast_control.objectives import smooth_min
 from broadcast_control.verify import (
     _descent_row,
     _distance_row,
+    _pairs,
     _twice_speed_row,
     check_estimator,
     check_k_step,
@@ -43,14 +43,9 @@ def _report(num: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    """100 paired rendezvous runs on the standard setup (theorem pairing)."""
-    runs = []
-    for seed in range(PAIRED_SEEDS):
-        config = ExperimentConfig(
-            task="rendezvous", law="paired", mode="theorem", master_seed=seed
-        )
-        runs.append(run_paired(config, 0))
-    return runs
+    """100 paired rendezvous runs on the standard setup (theorem pairing),
+    the pairs that ``verify``'s paired checks build."""
+    return _pairs(PAIRED_SEEDS)
 
 
 def _trend_mc(task: str, K: int, **overrides):

@@ -152,6 +152,23 @@ def test_smooth_min_eps_on_a_task_without_a_minimum_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_rendezvous_formation_exits_2(tmp_path, capsys):
+    # at N = 10 the default 15 rotations repeat formations: from a config
+    # line, and from --task over a file of another task, nothing is written
+    out = tmp_path / "out"
+    rule = (
+        "  - rendezvous needs formation_count <= N, the circle family's distinct "
+        "rotations, got formation_count = 15, N = 10"
+    )
+    rendezvous = _write_config(tmp_path, "N = 10\n", "rendezvous.cfg")
+    coverage = _write_config(tmp_path, "task = coverage\nN = 10\n", "coverage.cfg")
+    for argv in (["--config", rendezvous], ["--config", coverage, "--task", "rendezvous"]):
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["invalid configuration:", rule]
+    assert not out.exists()
+    assert main(["run", "--config", coverage, "--steps", "0", "--out", str(out)]) == 0
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cases = [
         ("law = paired\nK = 3\na_p = 0.4\n", ("paired", "2*a_p")),
@@ -493,6 +510,29 @@ def test_plotdata_on_paired_run(tmp_path):
     assert "J_mean" in series
     assert "bc_J_mean" in series
     assert any(s.startswith("agent") for s in series)
+
+
+def test_plotdata_labels_a_paired_runs_trials_in_order(tmp_path):
+    # 12 retained trials, so a file name's order would put trial 10 before 2;
+    # each trajectory row names its trial's index, and the two-stage
+    # partner's rows carry its bc_ prefix in the series, as its summary's do
+    text = "law = paired\nmode = theorem\nretain_trajectories = true\n"
+    cfg = _write_config(tmp_path, BASE.replace("trials = 2", "trials = 12") + text)
+    out = tmp_path / "pp"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["plotdata", str(out)]) == 0
+    rows = [r.split(",") for r in _read(out / "plotdata.csv").decode().strip().split("\n")[1:]]
+    assert all(trial == "mean" or trial.isdigit() for _, _, trial, _ in rows)
+    expected = []
+    for tag in ("", "bc_"):
+        for k in range(12):
+            lines = _read(out / f"trajectory_{tag}{k}.csv").decode().strip().split("\n")[1:]
+            for line in lines:
+                t, agent, *coords = line.split(",")
+                expected += [
+                    [t, f"{tag}agent{agent}_x_{d + 1}", str(k), v] for d, v in enumerate(coords)
+                ]
+    assert [r for r in rows if r[2] != "mean"] == expected
 
 
 def test_plotdata_missing_manifest(tmp_path):

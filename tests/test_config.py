@@ -169,6 +169,33 @@ def test_smooth_min_eps_only_on_tasks_that_take_a_minimum():
         assert ExperimentConfig(task=task, smooth_min_eps=-5.0).smooth_min_eps == -5.0
 
 
+def test_rendezvous_family_holds_no_repeated_formation():
+    # circle_formation rotates by theta*2*pi/N, so at N = 10 the default 15
+    # rotations repeat five formations up to rounding, near-ties that the
+    # rendezvous certificate could never settle
+    rule = (
+        "rendezvous needs formation_count <= N, the circle family's distinct "
+        "rotations, got formation_count = {}, N = {}"
+    )
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(N=10)
+    assert err.value.violations == [rule.format(15, 10)]
+    config = ExperimentConfig(N=10, formation_count=10)
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(config, formation_count=11)
+    assert err.value.violations == [rule.format(11, 10)]
+    with pytest.raises(ConfigError) as err:
+        parse_config("N = 3\nformation_count = 4\n")
+    assert err.value.violations == [rule.format(4, 3)]
+    # the other tasks build no family, and a count of another type is
+    # reported by its own rule alone
+    dataclasses.replace(config, task="coverage", formation_count=15)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(N=10, formation_count=12.0)
+    assert err.value.violations == ["formation_count must be an integer, got 12.0"]
+    assert ExperimentConfig().formation_count == ExperimentConfig().N == 15
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -213,7 +240,8 @@ def test_int_fields_reject_non_integers(field):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**{field: value})
         assert f"{field} must be an integer, got {value!r}" in err.value.violations
-    config = ExperimentConfig(**{field: np.int64(2)})
+    # formation_count = 2 keeps the rendezvous family within N = 2
+    config = ExperimentConfig(**{"formation_count": 2, field: np.int64(2)})
     assert parse_config(config.serialize()) == config
 
 
@@ -406,7 +434,8 @@ def _random_config(rng) -> ExperimentConfig:
         l2=float(rng.uniform(101, 200)),
         grid_spacing=1.0 / int(rng.integers(2, 101)),
         formation_radius=float(10 ** rng.uniform(-2, 1)),
-        formation_count=int(rng.integers(1, 30)),
+        # a rendezvous family holds at most N distinct rotations
+        formation_count=int(rng.integers(1, N + 1 if task == "rendezvous" else 30)),
         targets=tuple(rng.normal(size=2 * N)) if rng.random() < 0.3 else None,
         reassignment=str(rng.choice(["every-step", "once-at-start"])),
         # only the coverage and rendezvous tasks take a smooth minimum

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import reference
+from broadcast_control.config import ConfigError, GainSchedule
 from broadcast_control.controllers import (
+    bc_gains_at,
     bc_step,
     pbc_broadcast,
     pbc_local_input,
     pbc_step,
 )
-from broadcast_control.gains import GainSchedule, InvalidScheduleError, bc_gains_at
 from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
@@ -195,7 +196,7 @@ def test_step_laws_reject_invalid_schedule(law):
     # be built, so neither law ever steps, or probes J, with one
     calls = []
     J = lambda v: (calls.append(1), SQUARE(v))[1]
-    with pytest.raises(InvalidScheduleError, match="a0"):
+    with pytest.raises(ConfigError, match="a0"):
         bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
         if law == "pbc":
             pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J, 1.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import broadcast_control.controllers as controllers_mod
 import broadcast_control.engine as engine_mod
+import broadcast_control.objectives as objectives_mod
 import broadcast_control.state as state_mod
 import reference
 from broadcast_control.config import (
@@ -22,6 +23,7 @@ from broadcast_control.config import (
     ConfigError,
     ExperimentConfig,
 )
+from broadcast_control.controllers import gain_c
 from broadcast_control.engine import (
     DivergenceError,
     moving_distance,
@@ -29,7 +31,7 @@ from broadcast_control.engine import (
     run_paired,
     run_trial,
 )
-from broadcast_control.gains import gain_c
+from broadcast_control.objectives import circle_formation
 from broadcast_control.oracle import check_twice_speed
 from broadcast_control.state import draw_block
 
@@ -383,6 +385,28 @@ def test_run_trial_rejects_paired_and_invalid():
         run_trial(ExperimentConfig(task="nope"), 0)
 
 
+@pytest.mark.parametrize("law,K", [("pbc", 3), ("bc", 1)])
+def test_rendezvous_within_n_formations_never_scans_every_formation(monkeypatch, law, K):
+    # with at most N rotations the family repeats no formation, so the
+    # rendezvous certificate settles every J call of a run at N = 10; the 15
+    # rotations that the default count gave there fall back at once
+    scans = []
+    full_scan = objectives_mod._formation_sq_errors
+
+    def counted(payload, x):
+        scans.append(1)
+        return full_scan(payload, x)
+
+    monkeypatch.setattr(objectives_mod, "_formation_sq_errors", counted)
+    config = ExperimentConfig(N=10, formation_count=10, law=law, K=K, steps=40)
+    assert run_trial(config, 0).j_trace.shape == (41,)
+    assert scans == []
+    repeated = circle_formation(10, 0.2, tuple(range(1, 16)))
+    x = config.initial_state()
+    assert objectives_mod._certified_rendezvous(repeated, x, float(x.dot(x))) >= 0.0
+    assert scans == [1]
+
+
 @st.composite
 def _small_configs(draw):
     """A small config of either single law, and a trial index."""
@@ -400,7 +424,7 @@ def _small_configs(draw):
         master_seed=draw(st.integers(0, 2**64 - 1)),
         reassignment=draw(st.sampled_from((EVERY_STEP, ONCE_AT_START))),
         grid_spacing=draw(st.sampled_from((0.25, 0.1))),
-        formation_count=draw(st.integers(1, 5)),
+        formation_count=draw(st.integers(1, N)),
         # step sizes that overflow the objective, or the state itself, within
         # a step or two: a diverged trial
         a0=draw(st.sampled_from((2.0, 0.2, 1e300, 1e308))),

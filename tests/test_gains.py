@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from broadcast_control.gains import (
-    GainSchedule,
-    InvalidScheduleError,
-    bc_gains_at,
-    gain_a,
-    gain_c,
-)
+from broadcast_control.config import ConfigError, GainSchedule
+from broadcast_control.controllers import bc_gains_at, gain_a, gain_c
 
 STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
 
@@ -47,7 +42,7 @@ def test_gain_c_unit_and_decay():
 
 def _schedule_errors(**fields) -> list:
     """The conditions a schedule built from ``fields`` breaks."""
-    with pytest.raises(InvalidScheduleError) as err:
+    with pytest.raises(ConfigError) as err:
         GainSchedule(**fields)
     assert str(err.value) == "; ".join(err.value.violations)
     return err.value.violations
@@ -75,15 +70,15 @@ def test_validate_reports_each_condition():
 
 
 def test_invalid_schedule_fails_loudly():
-    with pytest.raises(InvalidScheduleError, match="2\\*a_p - 2\\*c_p"):
+    with pytest.raises(ConfigError, match="2\\*a_p - 2\\*c_p"):
         GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
     for bad in (math.nan, math.inf, 0.0):
-        with pytest.raises(InvalidScheduleError, match="a0"):
+        with pytest.raises(ConfigError, match="a0"):
             GainSchedule(bad, 0.7, 0.003, 0.16, 20.0)
-        with pytest.raises(InvalidScheduleError, match="c0"):
+        with pytest.raises(ConfigError, match="c0"):
             GainSchedule(2.0, 0.7, bad, 0.16, 20.0)
     # a copy with a changed field is built, and checked, again
-    with pytest.raises(InvalidScheduleError, match="t_v"):
+    with pytest.raises(ConfigError, match="t_v"):
         dataclasses.replace(STANDARD, t_v=-1.0)
 
 

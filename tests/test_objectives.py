@@ -291,6 +291,66 @@ def test_hard_coverage_scans_a_point_whose_gap_is_within_slack():
     assert J._mask.tolist() == [False] + [True] * 19
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def _near_tie_coverage_calls(draw):
+    """A coverage payload, a reference state and probes from it that put
+    grid points on near-ties of the label certificate.  At the grid's origin
+    corner, where the agents' coordinates resolve their distances to the last
+    ulp, agents 0 and 1 sit at ``r0`` and ``r0 + 2*delta + e``.  Each probe
+    moves agent 0 away from the corner and agent 1 towards it by ``delta``
+    give or take a few ulps, so the reference gap there is within rounding of
+    twice the displacement, and the two new distances differ by ``e``: a few
+    ulps, or a fraction of ``delta``.  Agents 2 and 3 may sit mirrored about
+    another grid point, nudged by a few ulps, equidistant to within
+    rounding."""
+    n = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from({1: (0.05, 0.01), 2: (0.1, 0.05), 3: (0.25,)}[n]))
+    grid = unit_cube_grid(n, spacing)
+    N = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-0.25, 1.25, size=(N, n))
+    away, towards = _unit(rng.normal(size=n)), _unit(rng.normal(size=n))
+    r0 = spacing * 10.0 ** draw(st.floats(-3.0, -0.5))
+    delta = r0 * 10.0 ** draw(st.floats(-6.0, -1.0))
+    if draw(st.integers(0, 3)):  # mostly ulps, where only the slack decides
+        e = draw(st.integers(-3, 3)) * np.spacing(r0)
+    else:
+        e = draw(st.floats(-1.0, 1.0)) * delta
+    pts[0], pts[1] = r0 * away, (r0 + 2.0 * delta + e) * towards
+    if N >= 4 and draw(st.booleans()):
+        v = rng.normal(scale=spacing, size=n)
+        g = grid[rng.integers(grid.shape[0])]
+        pts[2], pts[3] = g + v, g - v
+        pts[3, 0] += draw(st.integers(-4, 4)) * np.spacing(pts[3, 0])
+    states = [pts.ravel()]
+    for _ in range(draw(st.integers(1, 4))):
+        step = delta + draw(st.integers(-4, 4)) * np.spacing(delta)
+        probe = pts.copy()
+        probe[0] += step * away
+        probe[1] -= step * towards
+        states.append(probe.ravel())
+    return CoveragePayload(grid=grid), states
+
+
+# tenfold: the near-ties are where the certificate's rounding slack decides
+@pytest.mark.tenfold
+@given(_near_tie_coverage_calls())
+@settings(deadline=None)
+def test_hard_coverage_near_ties_bit_for_bit(case):
+    # at every call, the reference's first and each probe, every grid
+    # point's value and the mean carry the plain scan's bits
+    payload, states = case
+    J = _LabelledCoverage(payload)
+    for x in states:
+        assert J(x, float(x.dot(x))).hex() == reference.coverage(payload, x).hex()
+        nearest = reference.squared_distances(payload, x).min(axis=0)
+        assert J._value.tobytes() == nearest.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # rendezvous
 
