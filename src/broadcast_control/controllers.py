@@ -39,19 +39,21 @@ from .config import GainSchedule
 from .state import NonFiniteError, apply_input
 
 
-def gain_a(sched: GainSchedule, t: int) -> float:
-    """Step size at step ``t``: strictly positive, strictly decreasing."""
+def _power_gain(g0: float, p: float, t_v: float, t: int) -> float:
     # a negative t + t_v to a fractional power would be a complex number
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return sched.a0 / (t + sched.t_v) ** sched.a_p
+    return g0 / (t + t_v) ** p
+
+
+def gain_a(sched: GainSchedule, t: int) -> float:
+    """Step size at step ``t``: strictly positive, strictly decreasing."""
+    return _power_gain(sched.a0, sched.a_p, sched.t_v, t)
 
 
 def gain_c(sched: GainSchedule, t: int) -> float:
     """Probe radius at step ``t``: strictly positive, strictly decreasing."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return sched.c0 / (t + sched.t_v) ** sched.c_p
+    return _power_gain(sched.c0, sched.c_p, sched.t_v, t)
 
 
 def bc_gains_at(sched: GainSchedule, t_bc: int) -> tuple[float, float]:
@@ -61,8 +63,10 @@ def bc_gains_at(sched: GainSchedule, t_bc: int) -> tuple[float, float]:
     ``bc_gains_at(sched, 2*t) == (gain_a(sched, t), gain_c(sched, t))``
     exactly.
     """
-    t = t_bc // 2  # a negative t_bc floors to a negative t, which gain_a rejects
-    return gain_a(sched, t), gain_c(sched, t)
+    # through _power_gain, not gain_a and gain_c, so that a two-stage step
+    # makes one gain call, as the single-stage step makes two
+    t, t_v = t_bc // 2, sched.t_v  # a negative t_bc floors to a negative t, refused
+    return _power_gain(sched.a0, sched.a_p, t_v, t), _power_gain(sched.c0, sched.c_p, t_v, t)
 
 
 def _checked_j(J, values: np.ndarray) -> float:

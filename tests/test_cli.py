@@ -499,20 +499,6 @@ def test_plotdata_includes_trajectories(tmp_path):
 
 
 def test_plotdata_on_paired_run(tmp_path):
-    cfg = _write_config(tmp_path, BASE + "law = paired\nmode = theorem\n")
-    out = tmp_path / "pp"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["plotdata", str(out)]) == 0
-    series = {
-        row.split(",")[1]
-        for row in _read(out / "plotdata.csv").decode().strip().split("\n")[1:]
-    }
-    assert "J_mean" in series
-    assert "bc_J_mean" in series
-    assert any(s.startswith("agent") for s in series)
-
-
-def test_plotdata_labels_a_paired_runs_trials_in_order(tmp_path):
     # 12 retained trials, so a file name's order would put trial 10 before 2;
     # each trajectory row names its trial's index, and the two-stage
     # partner's rows carry its bc_ prefix in the series, as its summary's do
@@ -522,6 +508,9 @@ def test_plotdata_labels_a_paired_runs_trials_in_order(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert main(["plotdata", str(out)]) == 0
     rows = [r.split(",") for r in _read(out / "plotdata.csv").decode().strip().split("\n")[1:]]
+    series = {r[1] for r in rows}
+    assert "J_mean" in series
+    assert "bc_J_mean" in series
     assert all(trial == "mean" or trial.isdigit() for _, _, trial, _ in rows)
     expected = []
     for tag in ("", "bc_"):
