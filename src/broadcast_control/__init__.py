@@ -17,7 +17,7 @@ first run with ``workers > 1`` and ``trials > 1`` loads the process pool.
 """
 
 from ._version import __version__
-from .config import ConfigError, ExperimentConfig, GainSchedule, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .controllers import bc_step, pbc_step
 from .engine import DivergenceError, run_and_write, run_monte_carlo, run_paired, run_trial
 from .objectives import hungarian
@@ -42,7 +42,6 @@ __all__ = [
     "run_paired",
     "run_trial",
     # the step laws and what they consume
-    "GainSchedule",
     "bc_step",
     "draw_block",
     "pbc_step",

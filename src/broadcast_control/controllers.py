@@ -22,11 +22,11 @@ Local inputs are computed from the broadcast vector, the agent's own signs,
 and the gains alone; no agent-to-agent information exists anywhere in these
 functions.
 
-The gains come from a ``GainSchedule``, which is checked when it is built,
-so they are finite and positive and the step laws check nothing of it
-again; the two-stage law takes them stair-stepped (``bc_gains_at``).  The
-one check left on the step path is the finiteness test that ends a
-diverged trial.
+Both laws take the gains ``(a, c)`` as plain numbers and trust them.  A
+run's gains come from its ``GainSchedule``, checked when it is built,
+through the gain formulas below, which the engine's step loop calls: the
+loop owns the clock.  The one check left on the step path is the
+finiteness test that ends a diverged trial.
 """
 
 from __future__ import annotations
@@ -77,25 +77,19 @@ def _checked_j(J, values: np.ndarray) -> float:
 
 
 def bc_step(
-    x: np.ndarray,
-    t: int,
-    sched: GainSchedule,
-    sigma: np.ndarray,
-    j_even: float,
-    j_x: float,
+    x: np.ndarray, t: int, a: float, c: float, sigma: np.ndarray, j_even: float, j_x: float
 ):
     """One step of the two-stage law.  Returns ``(x', u)``.
 
     ``sigma`` and ``j_even`` are the law's memory: the signs and the
     objective value ``J(x)`` of the even step that opens the pair; ``j_x``
-    is the value the caller measured at ``x``.  Even ``t``: every agent
-    takes the probe ``u = c*sigma``, and ``j_x`` is not read.  Odd ``t``:
-    the probe is cancelled and ``pbc_local_input`` descends the broadcast
-    ``[j_x - j_even]`` on the one-row block ``sigma``:
+    is the value the caller measured at ``x``; ``t`` gives the parity only.
+    Even ``t``: every agent takes the probe ``u = c*sigma``, and ``j_x`` is
+    not read.  Odd ``t``: the probe is cancelled and ``pbc_local_input``
+    descends the broadcast ``[j_x - j_even]`` on the one-row block ``sigma``:
 
         u = -c*sigma - a * (j_x - j_even)/c * sigma
     """
-    a, c = bc_gains_at(sched, t)
     if t % 2 == 0:
         u = c * sigma
     else:
@@ -142,21 +136,13 @@ def pbc_local_input(
     return acc
 
 
-def pbc_step(
-    x: np.ndarray,
-    t: int,
-    sched: GainSchedule,
-    block: np.ndarray,
-    J,
-    j_x: float,
-):
+def pbc_step(x: np.ndarray, a: float, c: float, block: np.ndarray, J, j_x: float):
     """One step of the virtual-perturbation law from ``x``, whose measured
-    objective value is ``j_x``.  Returns ``(x', u)``.
+    objective value is ``j_x``, at the gains ``(a, c)``.  Returns ``(x', u)``.
 
     Single-stage: broadcast the K probe differences, form the local input,
     and move once.
     """
-    a, c = gain_a(sched, t), gain_c(sched, t)
     nu = pbc_broadcast(x, block, c, J, j_x)
     u = pbc_local_input(nu, block, a, c)
     return apply_input(x, u), u

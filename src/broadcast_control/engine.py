@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import controllers
 from ._version import __version__
 from .config import LAW_BC, LAW_PAIRED, LAW_PBC, ExperimentConfig
 from .controllers import _checked_j, bc_step, pbc_step
@@ -120,6 +121,7 @@ def _simulate(
             for t in range(steps):
                 jx = _checked_j(J, x)
                 j_trace[t] = jx
+                # gains read on the module, where perfbench's wrappers see each call
                 if law == LAW_BC:
                     if t % 2 == 0:
                         sigma = draw_block(
@@ -127,13 +129,15 @@ def _simulate(
                             config.n, config.N, 1, sign_steps,
                         )[0]
                         j_even = jx
-                    x, u = bc_step(x, t, sched, sigma, j_even, jx)
+                    a, c = controllers.bc_gains_at(sched, t)
+                    x, u = bc_step(x, t, a, c, sigma, j_even, jx)
                 else:
                     block = draw_block(
                         config.master_seed, trial_index, t,
                         config.n, config.N, config.K, sign_steps,
                     )
-                    x, u = pbc_step(x, t, sched, block, J, jx)
+                    a, c = controllers.gain_a(sched, t), controllers.gain_c(sched, t)
+                    x, u = pbc_step(x, a, c, block, J, jx)
                 inputs[t] = u
                 states[t + 1] = x
             j_trace[steps] = _checked_j(J, x)

@@ -159,12 +159,12 @@ def _descent_row(task: str, traces) -> CheckResult:
     )
 
 
-def check_twice_speed_runs(seeds: int = 3, **_) -> list:
+def check_twice_speed_runs(*, seeds: int, **_) -> list:
     """Paired runs: the single-stage law at t retraces the two-stage law at 2t."""
     return [_twice_speed_row(_pairs(seeds))]
 
 
-def check_distance_runs(seeds: int = 3, **_) -> list:
+def check_distance_runs(*, seeds: int, **_) -> list:
     """Paired runs: the two-stage law never travels less, on any sample path."""
     pairs = _pairs(seeds)
     return [_distance_row(check_distance_dominance(pairs), len(pairs))]
@@ -208,7 +208,7 @@ def check_k_step(concave: bool = False, **_) -> list:
     return [CheckResult("k-step-ordering", bound, measured, passed, note)]
 
 
-def check_k_multistep(trials: int = 20, **_) -> list:
+def check_k_multistep(*, trials: int, **_) -> list:
     """More probes never hurt over a whole run of the convex quadratic task,
     compared on the trials that finished at every K."""
     config = ExperimentConfig(task="quadratic", law=LAW_PBC, trials=trials, master_seed=11)
@@ -235,7 +235,7 @@ def check_k_multistep(trials: int = 20, **_) -> list:
     ]
 
 
-def check_descent(trials: int = 20, **_) -> list:
+def check_descent(*, trials: int, **_) -> list:
     """Objective traces trend downward on every task.
 
     The assignment objective is an unnormalized sum of squares; its stable

@@ -1,11 +1,13 @@
-"""Mutant gate: the tests must catch a broken fast path or step-law kernel.
+"""Mutant gate: the tests must catch a broken fast path, step-law kernel or
+gain wiring.
 
-Each fast path below is exact only by a rounding argument, or shares its
-arithmetic with both step laws, so a wrong version of it can still pass most
-tests.  Each mutant replaces one exact text of one source file, in a copy of
-``src/`` and ``tests/`` made once, and runs the tests named for it there
-under the ``ci`` hypothesis profile; the file is restored before the next
-mutant.  Every named test must fail.  The gate fails (exit 1) when a named
+Each text below is a fast path exact only by a rounding argument, the
+arithmetic both step laws share, or the engine's reading of the gains, which
+only whole-trial tests see; a wrong version of any of them can still pass
+most tests.  Each mutant replaces one exact text of one source file, in a
+copy of ``src/`` and ``tests/`` made once, and runs the tests named for it
+there under the ``ci`` hypothesis profile; the file is restored before the
+next mutant.  Every named test must fail.  The gate fails (exit 1) when a named
 test passes, or when a mutant's text does not occur exactly once.
 
 Run from anywhere, outside tier-1, since every mutant reruns tests::
@@ -33,6 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 _GOLDEN = "tests/test_golden.py::test_run_outputs_match_golden"
+_REFERENCE_TRIAL = "tests/test_engine.py::test_run_trial_matches_reference_trial"
+_BIT_FOR_BIT = "tests/test_controllers.py::test_step_law_matches_reference_bit_for_bit"
+_PAIRED = "tests/test_oracle.py::test_paired_identities_hold_on_other_tasks[quadratic-2.0]"
 _MARGIN = "margin = k_quad * quad + k_0"
 _NEAR_TIES = "tests/test_objectives.py::test_hard_coverage_near_ties_bit_for_bit"
 
@@ -101,10 +106,7 @@ MUTANTS = (
         "state.py",
         "if not np.isfinite(out).all():",
         "if np.isnan(out).any():",
-        (
-            "tests/test_state.py::test_apply_input_errors",
-            "tests/test_engine.py::test_run_trial_matches_reference_trial",
-        ),
+        ("tests/test_state.py::test_apply_input_errors", _REFERENCE_TRIAL),
     ),
     Mutant(
         "pbc_local_input multiplying by 1/K",
@@ -113,7 +115,7 @@ MUTANTS = (
         "acc *= 1 / K",
         (
             "tests/test_controllers.py::test_pbc_local_input_matches_reference_bit_for_bit[3]",
-            "tests/test_engine.py::test_run_trial_matches_reference_trial",
+            _REFERENCE_TRIAL,
         ),
     ),
     Mutant(
@@ -121,10 +123,7 @@ MUTANTS = (
         "controllers.py",
         "u = (-c) * sigma + pbc_local_input(",
         "u = pbc_local_input(",
-        (
-            "tests/test_controllers.py::test_bc_step_matches_reference_bit_for_bit[odd]",
-            "tests/test_controllers.py::test_bc_step_hand_trace",
-        ),
+        (f"{_BIT_FOR_BIT}[bc-odd]", "tests/test_controllers.py::test_bc_step_hand_trace"),
     ),
     Mutant(
         "the shared descent term ascending",
@@ -132,9 +131,24 @@ MUTANTS = (
         "acc *= -a",
         "acc *= a",
         (
-            "tests/test_controllers.py::test_bc_step_matches_reference_bit_for_bit[odd]",
+            f"{_BIT_FOR_BIT}[bc-odd]",
+            f"{_BIT_FOR_BIT}[pbc]",
             "tests/test_controllers.py::test_pbc_local_input_matches_reference_bit_for_bit[1]",
         ),
+    ),
+    Mutant(
+        "PBC's gains a and c swapped",
+        "engine.py",
+        "pbc_step(x, a, c, block, J, jx)",
+        "pbc_step(x, c, a, block, J, jx)",
+        (_REFERENCE_TRIAL, f"{_GOLDEN}[rendezvous-pbc-1]", _PAIRED),
+    ),
+    Mutant(
+        "BC's gains read at 2 * t",
+        "engine.py",
+        "controllers.bc_gains_at(sched, t)",
+        "controllers.bc_gains_at(sched, 2 * t)",
+        (_REFERENCE_TRIAL, f"{_GOLDEN}[rendezvous-bc-1]", _PAIRED),
     ),
 )
 

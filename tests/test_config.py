@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
 from broadcast_control import config as config_mod
 from broadcast_control.config import EVERY_STEP, LAWS, MODES, ONCE_AT_START, RETAIN, TASKS
+from broadcast_control.config import GainSchedule
 from broadcast_control.engine import write_manifest
 from broadcast_control.objectives import RendezvousPayload
 
@@ -503,3 +504,82 @@ def test_objective_spec_building():
 
     frozen = dataclasses.replace(asg, reassignment="once-at-start")
     assert frozen.objective_spec().payload.fixed_indices is not None
+
+
+# ---------------------------------------------------------------------------
+# gain schedule
+
+STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
+
+
+def _schedule_errors(**fields) -> list:
+    """The conditions a schedule built from ``fields`` breaks."""
+    with pytest.raises(ConfigError) as err:
+        GainSchedule(**fields)
+    assert str(err.value) == "; ".join(err.value.violations)
+    return err.value.violations
+
+
+def test_validate_standard_is_valid():
+    # 2*0.7 - 2*0.16 = 1.08 > 1 and 0.7 + 0.32 = 1.02 > 1: builds, no error
+    assert GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0) == STANDARD
+
+
+def test_validate_reports_each_condition():
+    # a_p = 0.5 breaks 2*a_p - 2*c_p > 1 (0.68) and drags a_p + 2*c_p under too
+    out = _schedule_errors(a0=2.0, a_p=0.5, c0=0.003, c_p=0.16, t_v=20.0)
+    assert any("2*a_p - 2*c_p" in v and "0.68" in v for v in out)
+    assert any("a_p + 2*c_p" in v and "0.82" in v for v in out)
+    assert len(out) == 2
+
+    out = _schedule_errors(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=0.0)
+    assert len(out) == 1 and "t_v" in out[0]
+
+    out = _schedule_errors(a0=-1.0, a_p=1.5, c0=-0.1, c_p=-0.2, t_v=-3.0)
+    names = "\n".join(out)
+    for frag in ("t_v", "a_p", "c_p", "a0", "c0"):
+        assert frag in names
+
+
+def test_invalid_schedule_fails_loudly():
+    with pytest.raises(ConfigError, match="2\\*a_p - 2\\*c_p"):
+        GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConfigError, match="a0"):
+            GainSchedule(bad, 0.7, 0.003, 0.16, 20.0)
+        with pytest.raises(ConfigError, match="c0"):
+            GainSchedule(2.0, 0.7, bad, 0.16, 20.0)
+    # a copy with a changed field is built, and checked, again
+    with pytest.raises(ConfigError, match="t_v"):
+        dataclasses.replace(STANDARD, t_v=-1.0)
+
+
+def _series(sched, terms=10**6):
+    t = np.arange(terms, dtype=float)
+    a = sched.a0 / (t + sched.t_v) ** sched.a_p
+    c = sched.c0 / (t + sched.t_v) ** sched.c_p
+    return a, c
+
+
+def test_step_size_sum_diverges():
+    # partial sums keep climbing at the power-law rate: unbounded trend
+    a, _ = _series(STANDARD)
+    partial = np.cumsum(a)
+    assert partial[10**4 - 1] > 2 * partial[10**3 - 1]
+    assert partial[10**5 - 1] > 1.5 * partial[10**4 - 1]
+    assert partial[10**6 - 1] > 1.5 * partial[10**5 - 1]
+
+
+def test_ratio_square_sum_converges():
+    # (a/c)^2 decays like t**-1.08 for the standard schedule, so decade
+    # tails shrink geometrically (Cauchy trend) but slowly; a valid
+    # fast-decay schedule meets the hard 1e-3 tail bound.
+    a, c = _series(STANDARD)
+    ratio_sq = (a / c) ** 2
+    decades = [ratio_sq[10**k : 10 ** (k + 1)].sum() for k in range(2, 6)]
+    assert all(nxt < 0.95 * cur for cur, nxt in zip(decades, decades[1:]))
+
+    fast = GainSchedule(a0=2.0, a_p=1.0, c0=0.003, c_p=0.01, t_v=20.0)
+    a, c = _series(fast)
+    ratio_sq = (a / c) ** 2
+    assert ratio_sq[10**5 :].sum() < 1e-3 * ratio_sq.sum()

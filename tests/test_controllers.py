@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import reference
-from broadcast_control.config import ConfigError, GainSchedule
+from broadcast_control.config import GainSchedule
 from broadcast_control.controllers import (
     bc_gains_at,
     bc_step,
+    gain_a,
+    gain_c,
     pbc_broadcast,
     pbc_local_input,
     pbc_step,
@@ -21,7 +25,7 @@ from broadcast_control.objectives import (
 )
 from broadcast_control.state import NonFiniteError, draw_block
 
-from conftest import scalar_state, unit_sched
+from conftest import scalar_state
 
 SQUARE = lambda v: float(v[0] ** 2)
 
@@ -31,30 +35,83 @@ def _block(*signs: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# gains
+
+STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
+
+
+def test_gain_a_standard_params():
+    # direct power evaluation, cross-checked through the log/exp identity
+    expected = math.exp(math.log(2.0) - 0.7 * math.log(20.0))
+    got = gain_a(STANDARD, 0)
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(0.245646, abs=1e-6)
+
+
+def test_gain_a_unit_case():
+    assert gain_a(GainSchedule(1.0, 1.0, 1.0, 0.3, 1.0), 0) == 1.0
+
+
+def test_gain_a_strictly_decreasing():
+    vals = [gain_a(STANDARD, t) for t in range(1001)]
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert all(v > 0 for v in vals)
+
+
+def test_gain_c_standard_params():
+    expected = math.exp(math.log(0.003) - 0.16 * math.log(20.0))
+    got = gain_c(STANDARD, 0)
+    assert got == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(0.0018576, abs=1e-7)
+
+
+def test_gain_c_unit_and_decay():
+    assert gain_c(GainSchedule(1.0, 1.0, 1.0, 0.3, 1.0), 0) == 1.0
+    assert gain_c(STANDARD, 10**6) < gain_c(STANDARD, 10**3)
+
+
+def test_negative_t_rejected():
+    with pytest.raises(ValueError):
+        gain_a(STANDARD, -1)
+    with pytest.raises(ValueError):
+        bc_gains_at(STANDARD, -2)
+
+
+def test_bc_gains_stair_step():
+    assert bc_gains_at(STANDARD, 0) == bc_gains_at(STANDARD, 1)
+    assert bc_gains_at(STANDARD, 2) == (gain_a(STANDARD, 1), gain_c(STANDARD, 1))
+    assert bc_gains_at(STANDARD, 0) == (
+        pytest.approx(0.245646, abs=1e-6),
+        pytest.approx(0.0018576, abs=1e-7),
+    )
+    for t in range(50):
+        assert bc_gains_at(STANDARD, 2 * t) == (gain_a(STANDARD, t), gain_c(STANDARD, t))
+
+
+# ---------------------------------------------------------------------------
 # two-stage law
 
 
-def _bc_pair(x, sched, sigma, J):
+def _bc_pair(x, a, c, sigma, J):
     """The state after an even step and the odd step that follows it, the
     caller measuring J at each state and keeping ``(sigma, J(x))`` between
     them."""
     j_even = J(x)
-    x1, _ = bc_step(x, 0, sched, sigma, j_even, j_even)
-    return bc_step(x1, 1, sched, sigma, j_even, J(x1))[0]
+    x1, _ = bc_step(x, 0, a, c, sigma, j_even, j_even)
+    return bc_step(x1, 1, a, c, sigma, j_even, J(x1))[0]
 
 
 def test_bc_step_hand_trace():
     # x = 1, J = x^2, a = 0.1, c = 0.5, sigma = +1:
     #   even: x -> 1.5; the caller remembers (sigma = 1, J(1) = 1)
     #   odd:  u = -0.5 - 0.1 * ((2.25 - 1)/0.5) = -0.75, x -> 0.75
-    sched = unit_sched(0.1, 0.5)
     x = scalar_state(1.0)
     sigma = _block(1.0)[0]
-    x1, u0 = bc_step(x, 0, sched, sigma, SQUARE(x), SQUARE(x))
+    x1, u0 = bc_step(x, 0, 0.1, 0.5, sigma, SQUARE(x), SQUARE(x))
     assert u0[0] == 0.5
     assert x1[0] == 1.5
 
-    x2, u1 = bc_step(x1, 1, sched, sigma, 1.0, SQUARE(x1))
+    x2, u1 = bc_step(x1, 1, 0.1, 0.5, sigma, 1.0, SQUARE(x1))
     assert u1[0] == pytest.approx(-0.75, abs=1e-15)
     assert x2[0] == pytest.approx(0.75, abs=1e-15)
 
@@ -62,13 +119,13 @@ def test_bc_step_hand_trace():
 def test_bc_step_reads_only_the_handed_values():
     # bc_step takes no objective: the parity comes from t, an even step moves
     # by c*sigma whatever j_x is, and an odd step by the handed j_x - j_even
-    sched = unit_sched(0.1, 0.5)
+    gains = (0.1, 0.5)
     sigma = _block(1.0)[0]
-    x1, _ = bc_step(scalar_state(1.0), 0, sched, sigma, 1.0, 1.0)
-    assert np.array_equal(bc_step(scalar_state(1.0), 0, sched, sigma, 1.0, 9e9)[0], x1)
-    x2, _ = bc_step(x1, 1, sched, sigma, 1.0, 2.25)
+    x1, _ = bc_step(scalar_state(1.0), 0, *gains, sigma, 1.0, 1.0)
+    assert np.array_equal(bc_step(scalar_state(1.0), 0, *gains, sigma, 1.0, 9e9)[0], x1)
+    x2, _ = bc_step(x1, 1, *gains, sigma, 1.0, 2.25)
     assert x2[0] == pytest.approx(0.75, abs=1e-15)
-    x3, _ = bc_step(x1, 1, sched, sigma, 1.0, 1.0)
+    x3, _ = bc_step(x1, 1, *gains, sigma, 1.0, 1.0)
     assert x3[0] == 1.0  # no difference: the probe is cancelled exactly
 
 
@@ -76,47 +133,28 @@ def test_bc_perturbation_cancellation():
     # A constant objective zeroes the gradient term, isolating the +c*sigma
     # then -c*sigma cancellation (the same mechanism as a = 0); the residue
     # is pure floating-point noise.
-    sched = unit_sched(0.1, 0.5)
     const = lambda v: 7.5
     for x0 in (1.0, -3.7, 123.456):
-        x2 = _bc_pair(scalar_state(x0), sched, _block(1.0)[0], const)
+        x2 = _bc_pair(scalar_state(x0), 0.1, 0.5, _block(1.0)[0], const)
         assert abs(x2[0] - x0) <= 2.0**-46 * max(1.0, abs(x0))
 
 
 def test_bc_zero_gradient_point_enumeration():
     # from x = 0 on J = x^2 the two-stage composition averages back to 0
-    sched = unit_sched(0.1, 0.5)
     a, c = 0.1, 0.5
     endpoints = []
     for sigma in (1.0, -1.0):
-        x2 = _bc_pair(scalar_state(0.0), sched, _block(sigma)[0], SQUARE)
+        x2 = _bc_pair(scalar_state(0.0), a, c, _block(sigma)[0], SQUARE)
         endpoints.append(x2[0])
         assert abs(x2[0]) <= c * (1 + a * c)
     assert sum(endpoints) == pytest.approx(0.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
-def test_bc_step_matches_reference_bit_for_bit(parity, rng):
-    # the odd step's descent is pbc_local_input at K = 1; the reference
-    # writes the whole step out, as (-c)*sigma + (-a)*((dj/c)*sigma)
-    for row in range(300):
-        n, N = (int(v) for v in rng.integers(1, 6, size=2))
-        t = 2 * int(rng.integers(0, 50)) + parity
-        sigma = draw_block(master_seed=row, trial=parity, t=t // 2, n=n, N=N, K=1)[0]
-        x = rng.normal(size=n * N) * 10.0 ** rng.uniform(-3, 3)
-        sched = unit_sched(*(float(g) for g in 10.0 ** rng.uniform(-4, 0, size=2)))
-        j_even, j_x = (float(j) for j in rng.normal(size=2) * 10.0 ** rng.uniform(-12, 8, size=2))
-        got = bc_step(x, t, sched, sigma, j_even, j_x)
-        want = reference.bc_step(x, t, *bc_gains_at(sched, t), sigma, j_even, j_x)
-        for array, expected in zip(got, want):
-            assert array.tobytes() == expected.tobytes()
 
 
 def test_bc_rejects_non_finite_objective():
     # the odd step is the one that reads the measured value; a NaN makes the
     # input, and so the state, non-finite
     with pytest.raises(NonFiniteError):
-        bc_step(scalar_state(1.0), 1, unit_sched(0.1, 0.5), _block(1.0)[0], 1.0, float("nan"))
+        bc_step(scalar_state(1.0), 1, 0.1, 0.5, _block(1.0)[0], 1.0, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +228,18 @@ def test_pbc_local_input_matches_reference_bit_for_bit(K, rng):
         assert not np.shares_memory(u, block)
 
 
-@pytest.mark.parametrize("law", ["pbc", "bc"])
-def test_step_laws_reject_invalid_schedule(law):
-    # gain positivity is the schedule's invariant: an invalid schedule cannot
-    # be built, so neither law ever steps, or probes J, with one
-    calls = []
-    J = lambda v: (calls.append(1), SQUARE(v))[1]
-    with pytest.raises(ConfigError, match="a0"):
-        bad = GainSchedule(a0=-0.1, a_p=1.0, c0=0.5, c_p=0.2, t_v=1.0)
-        if law == "pbc":
-            pbc_step(scalar_state(1.0), 0, bad, _block(1.0), J, 1.0)
-        else:
-            bc_step(scalar_state(1.0), 1, bad, _block(1.0)[0], 1.0, 2.25)
-    assert calls == []
-
-
 def test_pbc_step_worked_examples():
-    sched = unit_sched(0.1, 0.5)
-    x1, u = pbc_step(scalar_state(1.0), 0, sched, _block(1.0), SQUARE, 1.0)
+    x1, u = pbc_step(scalar_state(1.0), 0.1, 0.5, _block(1.0), SQUARE, 1.0)
     assert x1[0] == pytest.approx(0.75, abs=1e-15)
     assert u[0] == pytest.approx(-0.25, abs=1e-15)
 
     # sigma = -1: nu = J(0.5) - J(1) = -0.75, g = 1.5, x' = 0.85
-    x2, _ = pbc_step(scalar_state(1.0), 0, sched, _block(-1.0), SQUARE, 1.0)
+    x2, _ = pbc_step(scalar_state(1.0), 0.1, 0.5, _block(-1.0), SQUARE, 1.0)
     assert x2[0] == pytest.approx(0.85, abs=1e-15)
 
 
 def test_pbc_step_constant_objective_rests():
-    x1, u = pbc_step(scalar_state(3.0), 0, unit_sched(0.1, 0.5), _block(1.0), lambda v: 2.0, 2.0)
+    x1, u = pbc_step(scalar_state(3.0), 0.1, 0.5, _block(1.0), lambda v: 2.0, 2.0)
     assert x1[0] == 3.0
     assert u[0] == 0.0
 
@@ -230,10 +252,36 @@ def test_pbc_virtual_states_never_returned():
     c = 0.5
     seen = []
     J = lambda v: (seen.append(float(v[0])), float(v[0] ** 2))[1]
-    x1, u = pbc_step(x, 0, unit_sched(0.1, c), block, J, 1.0)
+    x1, u = pbc_step(x, 0.1, c, block, J, 1.0)
     assert seen == [1.5]  # the single virtual probe; J(x) is handed in
     assert x1[0] not in seen
     assert x1[0] == x[0] + u[0]
+
+
+@pytest.mark.parametrize("law", ["pbc", "bc-even", "bc-odd"])
+def test_step_law_matches_reference_bit_for_bit(law, rng):
+    # each law and the reference's take one argument list; the reference
+    # writes each step out, BC's odd step as (-c)*sigma + (-a)*((dj/c)*sigma)
+    # where the law descends through pbc_local_input at K = 1
+    J = lambda v: float(np.dot(v, v)) + math.sin(float(v.sum()))
+    for row in range(300):
+        n, N = (int(v) for v in rng.integers(1, 6, size=2))
+        x = rng.normal(size=n * N) * 10.0 ** rng.uniform(-3, 3)
+        a, c = (float(g) for g in 10.0 ** rng.uniform(-4, 0, size=2))
+        if law == "pbc":
+            K = int(rng.integers(1, 11))
+            block = draw_block(master_seed=row, trial=K, t=0, n=n, N=N, K=K)
+            args = (x, a, c, block, J, J(x))
+            got, want = pbc_step(*args), reference.pbc_step(*args)
+        else:
+            t = 2 * int(rng.integers(0, 50)) + (law == "bc-odd")
+            sigma = draw_block(master_seed=row, trial=t % 2, t=t // 2, n=n, N=N, K=1)[0]
+            js = rng.normal(size=2) * 10.0 ** rng.uniform(-12, 8, size=2)
+            j_even, j_x = (float(j) for j in js)
+            args = (x, t, a, c, sigma, j_even, j_x)
+            got, want = bc_step(*args), reference.bc_step(*args)
+        for array, expected in zip(got, want):
+            assert array.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +307,10 @@ def test_one_step_equivalence(name, rng):
         x = rng.uniform(0, 1, size=6)
         a = float(rng.uniform(0.01, 0.5))
         c = float(rng.uniform(0.001, 0.5))
-        sched = unit_sched(a, c)
         block = draw_block(master_seed=trial, trial=0, t=0, n=2, N=3, K=1)
 
-        xb2 = _bc_pair(x, sched, block[0], J)
-        xp, _ = pbc_step(x, 0, sched, block, J, J(x))
+        xb2 = _bc_pair(x, a, c, block[0], J)
+        xp, _ = pbc_step(x, a, c, block, J, J(x))
         scale = 1.0 + np.abs(x).max()
         assert np.abs(xp - xb2).max() <= 1e-12 * scale
 
@@ -273,11 +320,11 @@ def test_quadratic_enumeration_equivalence():
     H = np.diag([1.0, 4.0])
     spec = ObjectiveSpec(QuadraticPayload(H), 100.0, 101.0)
     J = make_objective_fn(spec)
-    sched = unit_sched(0.1, 0.5)
+    a, c = 0.1, 0.5
     for s0 in (1.0, -1.0):
         for s1 in (1.0, -1.0):
             x = np.array([1.0, -0.5])
             block = np.array([[s0, s1]])
-            xb2 = _bc_pair(x, sched, block[0], J)
-            xp, _ = pbc_step(x, 0, sched, block, J, J(x))
+            xb2 = _bc_pair(x, a, c, block[0], J)
+            xp, _ = pbc_step(x, a, c, block, J, J(x))
             assert np.abs(xp - xb2).max() <= 1e-14

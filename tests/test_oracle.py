@@ -37,7 +37,7 @@ from broadcast_control.oracle import (
 from broadcast_control.state import draw_block
 from broadcast_control.verify import run_verify
 
-from conftest import scalar_state, unit_sched
+from conftest import scalar_state
 
 SQUARE = lambda v: float(v[0] ** 2)
 
@@ -494,14 +494,14 @@ def test_k_step_fails_on_a_cost_out_of_order(monkeypatch, concave):
 def test_worked_single_step_distance_margin():
     # hand trace: sigma=+1 gives D_bc(2) = 0.5 + 0.75 and D_pbc(1) = 0.25,
     # margin 1.0; sigma=-1 gives 0.85 - 0.15 = 0.7
-    sched = unit_sched(0.1, 0.5)
+    a, c = 0.1, 0.5
     for sigma, expected in ((1.0, 1.0), (-1.0, 0.7)):
         x = scalar_state(1.0)
         block = np.array([[sigma]])
-        x1, u0 = bc_step(x, 0, sched, block[0], SQUARE(x), SQUARE(x))
-        x2, u1 = bc_step(x1, 1, sched, block[0], SQUARE(x), SQUARE(x1))
+        x1, u0 = bc_step(x, 0, a, c, block[0], SQUARE(x), SQUARE(x))
+        x2, u1 = bc_step(x1, 1, a, c, block[0], SQUARE(x), SQUARE(x1))
         d_bc = abs(u0[0]) + abs(u1[0])
-        _, up = pbc_step(x, 0, sched, block, SQUARE, SQUARE(x))
+        _, up = pbc_step(x, a, c, block, SQUARE, SQUARE(x))
         margin = d_bc - abs(up[0])
         assert margin == pytest.approx(expected, abs=1e-14)
 
@@ -529,12 +529,11 @@ def test_engine_sampling_matches_enumerated_expectation():
     x0 = np.array([0.8, -0.6])
     a, c = 0.1, 0.3
     (expected,) = check_k_monotonicity(x0, a, c, (1,), J).cost_values
-    sched = unit_sched(a, c)
     j0 = J(x0)
     samples = np.empty(10**5)
     for i in range(samples.shape[0]):
         block = draw_block(master_seed=42, trial=i, t=0, n=1, N=2, K=1, horizon=1)
-        nxt, _ = pbc_step(x0, 0, sched, block, J, j0)
+        nxt, _ = pbc_step(x0, a, c, block, J, j0)
         samples[i] = J(nxt)
     se = samples.std(ddof=1) / math.sqrt(samples.shape[0])
     assert abs(samples.mean() - expected) <= 4 * se
