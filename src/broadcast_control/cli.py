@@ -66,12 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use a concave instance for the probe-count ordering check",
     )
-    ver_p.add_argument(
-        "--seeds", type=positive_int, default=3, help="paired seeds to test"
-    )
-    ver_p.add_argument(
-        "--trials", type=positive_int, default=20, help="trials for empirical checks"
-    )
+    # no defaults: cmd_verify passes only the counts given, and run_verify
+    # owns the defaults
+    ver_p.add_argument("--seeds", type=positive_int, help="paired seeds to test")
+    ver_p.add_argument("--trials", type=positive_int, help="trials for empirical checks")
     ver_p.add_argument("--out", metavar="DIR", default=".", dest="out_dir")
 
     plot_p = sub.add_parser("plotdata", help="flatten a run directory to tidy CSV")
@@ -141,9 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     if not _make_out_dir(args.out_dir):
         return 2
-    report, all_ok = run_verify(
-        names, concave=args.concave, seeds=args.seeds, trials=args.trials
-    )
+    counts = {k: v for k, v in vars(args).items() if k in ("seeds", "trials") and v is not None}
+    report, all_ok = run_verify(names, concave=args.concave, **counts)
     print(report, end="")
     path = os.path.join(args.out_dir, "verify_report.txt")
     if _or_unwritable(_write_lines, path, report.splitlines()) is None:

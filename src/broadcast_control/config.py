@@ -16,9 +16,10 @@ Building an ``ExperimentConfig``, ``dataclasses.replace`` included, checks
 it and raises ``ConfigError`` listing every violation at once, so code handed
 a config trusts it.  ``x0`` and ``targets`` are stored as float tuples.
 The violations come in one order: each field's own rule (its type, then its
-range or form) in field order, then the rules across fields.  A
-``GainSchedule``, built from ``a0 ... t_v``, checks itself alike, and its
-broken conditions are the config's violations.
+range or form) in field order, then the rules across fields.  The config is
+the gain schedule of both laws: ``a0 ... t_v`` are its fields, their decay
+conditions are rules across fields, and ``controllers.gain_a``, ``gain_c``
+and ``bc_gains_at`` read them from the config.
 """
 
 from __future__ import annotations
@@ -66,45 +67,6 @@ class ConfigError(ValueError):
     def __init__(self, violations: list):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
-
-
-@dataclass(frozen=True)
-class GainSchedule:
-    """The step size ``a(t) = a0 / (t + t_v)**a_p`` and probe radius
-    ``c(t) = c0 / (t + t_v)**c_p`` of both laws.  Building one checks
-
-        0 < t_v < inf,    0 < a_p <= 1,    c_p > 0,
-        2*a_p - 2*c_p > 1,    a_p + 2*c_p > 1,
-        0 < a0 < inf,    0 < c0 < inf,
-
-    which by the p-series criteria makes ``sum a(t)`` diverge while
-    ``sum (a/c)**2`` and ``sum a*c**2`` converge, the decay rates the
-    stochastic gradient iteration needs.  It raises ``ConfigError`` listing
-    every broken condition, so the gain functions check only their step.
-    """
-
-    a0: float
-    a_p: float
-    c0: float
-    c_p: float
-    t_v: float
-
-    def __post_init__(self):
-        a_p, c_p = self.a_p, self.c_p
-        gap, reach = 2 * a_p - 2 * c_p, a_p + 2 * c_p
-        # (condition, whether it holds, the values it was tested on)
-        rows = (
-            ("0 < t_v < inf", 0 < self.t_v < math.inf, f"t_v = {self.t_v:g}"),
-            ("0 < a_p <= 1", 0 < a_p <= 1, f"a_p = {a_p:g}"),
-            ("c_p > 0", c_p > 0, f"c_p = {c_p:g}"),
-            ("2*a_p - 2*c_p > 1", gap > 1, f"2*{a_p:g} - 2*{c_p:g} = {gap:g}"),
-            ("a_p + 2*c_p > 1", reach > 1, f"{a_p:g} + 2*{c_p:g} = {reach:g}"),
-            ("0 < a0 < inf", 0 < self.a0 < math.inf, f"a0 = {self.a0:g}"),
-            ("0 < c0 < inf", 0 < self.c0 < math.inf, f"c0 = {self.c0:g}"),
-        )
-        out = [f"{cond} violated ({detail})" for cond, holds, detail in rows if not holds]
-        if out:
-            raise ConfigError(out)
 
 
 def _is_int(value) -> bool:
@@ -283,11 +245,24 @@ class ExperimentConfig:
         # the rules across fields skip a field of another type
         if self.law == LAW_PAIRED and self.K != 1:
             out.append(f"paired law requires K = 1, got K = {self.K}")
+        # both laws step at a(t) = a0/(t + t_v)**a_p and probe at
+        # c(t) = c0/(t + t_v)**c_p; by the p-series criteria these rows make
+        # sum a(t) diverge while sum (a/c)**2 and sum a*c**2 converge, the
+        # decay rates the stochastic gradient iteration needs
         if typed >= {"a0", "a_p", "c0", "c_p", "t_v"}:
-            try:
-                self.schedule()
-            except ConfigError as err:
-                out.extend(err.violations)
+            a0, a_p, c0, c_p, t_v = self.a0, self.a_p, self.c0, self.c_p, self.t_v
+            gap, reach = 2 * a_p - 2 * c_p, a_p + 2 * c_p
+            # (condition, whether it holds, the values it was tested on)
+            rows = (
+                ("0 < t_v < inf", 0 < t_v < math.inf, f"t_v = {t_v:g}"),
+                ("0 < a_p <= 1", 0 < a_p <= 1, f"a_p = {a_p:g}"),
+                ("c_p > 0", c_p > 0, f"c_p = {c_p:g}"),
+                ("2*a_p - 2*c_p > 1", gap > 1, f"2*{a_p:g} - 2*{c_p:g} = {gap:g}"),
+                ("a_p + 2*c_p > 1", reach > 1, f"{a_p:g} + 2*{c_p:g} = {reach:g}"),
+                ("0 < a0 < inf", 0 < a0 < math.inf, f"a0 = {a0:g}"),
+                ("0 < c0 < inf", 0 < c0 < math.inf, f"c0 = {c0:g}"),
+            )
+            out += [f"{cond} violated ({detail})" for cond, holds, detail in rows if not holds]
         if typed >= {"l1", "l2"} and not 0 < self.l1 < self.l2:
             out.append(f"need 0 < l1 < l2, got l1={self.l1}, l2={self.l2}")
         for name in ("x0", "targets"):
@@ -328,9 +303,6 @@ class ExperimentConfig:
         return self
 
     # -- derived objects -----------------------------------------------------
-
-    def schedule(self) -> GainSchedule:
-        return GainSchedule(self.a0, self.a_p, self.c0, self.c_p, self.t_v)
 
     def initial_state(self) -> np.ndarray:
         """The flat, agent-major start state of length ``n*N``."""
@@ -427,7 +399,10 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfi
             "got {!r} and {!r}".format(*_PROVENANCE.values(), *made_by)
         )
     for key, raw in (overrides or {}).items():
-        read(key, raw)
+        if key in _FIELDS:
+            read(key, raw)
+        else:
+            violations.append(f"unknown key {key!r}")
     try:
         config = ExperimentConfig(**values)
     except ConfigError as err:

@@ -23,10 +23,10 @@ and the gains alone; no agent-to-agent information exists anywhere in these
 functions.
 
 Both laws take the gains ``(a, c)`` as plain numbers and trust them.  A
-run's gains come from its ``GainSchedule``, checked when it is built,
-through the gain formulas below, which the engine's step loop calls: the
-loop owns the clock.  The one check left on the step path is the
-finiteness test that ends a diverged trial.
+run's gains come from its ``ExperimentConfig``, whose ``a0 ... t_v`` were
+checked when it was built, through the gain formulas below, which the
+engine's step loop calls: the loop owns the clock.  The one check left on
+the step path is the finiteness test that ends a diverged trial.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from .config import GainSchedule
 from .state import NonFiniteError, apply_input
 
 
@@ -46,27 +45,29 @@ def _power_gain(g0: float, p: float, t_v: float, t: int) -> float:
     return g0 / (t + t_v) ** p
 
 
-def gain_a(sched: GainSchedule, t: int) -> float:
-    """Step size at step ``t``: strictly positive, strictly decreasing."""
-    return _power_gain(sched.a0, sched.a_p, sched.t_v, t)
+def gain_a(config, t: int) -> float:
+    """Step size ``a0/(t + t_v)**a_p`` of ``config`` at step ``t``: strictly
+    positive, strictly decreasing."""
+    return _power_gain(config.a0, config.a_p, config.t_v, t)
 
 
-def gain_c(sched: GainSchedule, t: int) -> float:
-    """Probe radius at step ``t``: strictly positive, strictly decreasing."""
-    return _power_gain(sched.c0, sched.c_p, sched.t_v, t)
+def gain_c(config, t: int) -> float:
+    """Probe radius ``c0/(t + t_v)**c_p`` of ``config`` at step ``t``:
+    strictly positive, strictly decreasing."""
+    return _power_gain(config.c0, config.c_p, config.t_v, t)
 
 
-def bc_gains_at(sched: GainSchedule, t_bc: int) -> tuple[float, float]:
+def bc_gains_at(config, t_bc: int) -> tuple[float, float]:
     """Stair-stepped gains for the two-stage law at its own step counter.
 
     Steps ``2t`` and ``2t+1`` share the single-stage gains at ``t``, so
-    ``bc_gains_at(sched, 2*t) == (gain_a(sched, t), gain_c(sched, t))``
+    ``bc_gains_at(config, 2*t) == (gain_a(config, t), gain_c(config, t))``
     exactly.
     """
     # through _power_gain, not gain_a and gain_c, so that a two-stage step
     # makes one gain call, as the single-stage step makes two
-    t, t_v = t_bc // 2, sched.t_v  # a negative t_bc floors to a negative t, refused
-    return _power_gain(sched.a0, sched.a_p, t_v, t), _power_gain(sched.c0, sched.c_p, t_v, t)
+    t, t_v = t_bc // 2, config.t_v  # a negative t_bc floors to a negative t, refused
+    return _power_gain(config.a0, config.a_p, t_v, t), _power_gain(config.c0, config.c_p, t_v, t)
 
 
 def _checked_j(J, values: np.ndarray) -> float:

@@ -99,7 +99,6 @@ def _simulate(
     steps: int,
     trial_index: int,
 ) -> TrialRecord:
-    sched = config.schedule()
     x = config.initial_state()
     nN = x.shape[0]
 
@@ -129,14 +128,14 @@ def _simulate(
                             config.n, config.N, 1, sign_steps,
                         )[0]
                         j_even = jx
-                    a, c = controllers.bc_gains_at(sched, t)
+                    a, c = controllers.bc_gains_at(config, t)
                     x, u = bc_step(x, t, a, c, sigma, j_even, jx)
                 else:
                     block = draw_block(
                         config.master_seed, trial_index, t,
                         config.n, config.N, config.K, sign_steps,
                     )
-                    a, c = controllers.gain_a(sched, t), controllers.gain_c(sched, t)
+                    a, c = controllers.gain_a(config, t), controllers.gain_c(config, t)
                     x, u = pbc_step(x, a, c, block, J, jx)
                 inputs[t] = u
                 states[t + 1] = x

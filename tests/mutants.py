@@ -146,8 +146,8 @@ MUTANTS = (
     Mutant(
         "BC's gains read at 2 * t",
         "engine.py",
-        "controllers.bc_gains_at(sched, t)",
-        "controllers.bc_gains_at(sched, 2 * t)",
+        "controllers.bc_gains_at(config, t)",
+        "controllers.bc_gains_at(config, 2 * t)",
         (_REFERENCE_TRIAL, f"{_GOLDEN}[rendezvous-bc-1]", _PAIRED),
     ),
 )

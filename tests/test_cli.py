@@ -584,6 +584,21 @@ def test_verify_concave_reversal(tmp_path, capsys):
     assert "reversed ordering expected" in capsys.readouterr().out
 
 
+def test_verify_passes_only_the_counts_given(tmp_path, monkeypatch):
+    # run_verify owns the defaults: the flags add none of their own
+    calls = []
+
+    def fake_run_verify(names, **kwargs):
+        calls.append(kwargs)
+        return "overall: PASS\n", True
+
+    monkeypatch.setattr(cli, "run_verify", fake_run_verify)
+    out = str(tmp_path / "v")
+    assert main(["verify", "--check", "k-step", "--out", out]) == 0
+    assert main(["verify", "--check", "k-step", "--seeds", "2", "--out", out]) == 0
+    assert calls == [{"concave": False}, {"concave": False, "seeds": 2}]
+
+
 def test_verify_rejects_counts_below_one(tmp_path, capsys):
     # zero paired seeds would report a vacuous PASS; zero trials a traceback
     for flag in ("--seeds", "--trials"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from broadcast_control import ConfigError, ExperimentConfig, parse_config
 from broadcast_control import config as config_mod
 from broadcast_control.config import EVERY_STEP, LAWS, MODES, ONCE_AT_START, RETAIN, TASKS
-from broadcast_control.config import GainSchedule
 from broadcast_control.engine import write_manifest
 from broadcast_control.objectives import RendezvousPayload
 
@@ -55,6 +54,21 @@ def test_unknown_and_duplicate_keys_rejected():
     assert "duplicate key 'K'" in joined
 
 
+def test_unknown_override_keys_rejected():
+    # an override names a field: a provenance or output key, read from a
+    # manifest's lines, is no field either, and each is reported with the rest
+    overrides = {"bogus": "1", "generator": "x", "excluded_trials": "0", "K": "0"}
+    with pytest.raises(ConfigError) as err:
+        parse_config("lawz = pbc\n", overrides)
+    assert err.value.violations == [
+        "line 1: unknown key 'lawz'",
+        "unknown key 'bogus'",
+        "unknown key 'generator'",
+        "unknown key 'excluded_trials'",
+        "K must be >= 1, got 0",
+    ]
+
+
 def test_output_keys_need_a_manifest():
     # a manifest's output lines are read only beside its provenance lines
     outputs = "K = 2\nexcluded_trials = 0\nexcluded_trial_0 = x\ntrajectories_written = 5\n"
@@ -71,6 +85,7 @@ def test_output_keys_need_a_manifest():
 
 def test_all_violations_reported_at_once():
     text = "a_p = 0.4\nl1 = 5\nl2 = 4\nK = 0\ntask = flocking\nn = 0\nN = 0\nlawz = pbc\n"
+    text += "law = paired\nt_v = 0\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     # parse errors first, then what building the config found
@@ -82,6 +97,15 @@ def test_all_violations_reported_at_once():
     assert "N must be >= 1, got 0" in joined
     assert "l1" in joined
     assert "2*a_p" in joined
+    # the rules across fields last, in one order: the paired rule, the gain
+    # conditions in their order, then the barrier radii
+    assert err.value.violations[-5:] == [
+        "paired law requires K = 1, got K = 0",
+        "0 < t_v < inf violated (t_v = 0)",
+        "2*a_p - 2*c_p > 1 violated (2*0.4 - 2*0.16 = 0.48)",
+        "a_p + 2*c_p > 1 violated (0.4 + 2*0.16 = 0.72)",
+        "need 0 < l1 < l2, got l1=5.0, l2=4.0",
+    ]
 
 
 def test_unparsable_value_reported():
@@ -509,20 +533,20 @@ def test_objective_spec_building():
 # ---------------------------------------------------------------------------
 # gain schedule
 
-STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
+STANDARD = ExperimentConfig(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
 
 
 def _schedule_errors(**fields) -> list:
-    """The conditions a schedule built from ``fields`` breaks."""
+    """The conditions a config built from the gain ``fields`` breaks."""
     with pytest.raises(ConfigError) as err:
-        GainSchedule(**fields)
+        ExperimentConfig(**fields)
     assert str(err.value) == "; ".join(err.value.violations)
     return err.value.violations
 
 
 def test_validate_standard_is_valid():
     # 2*0.7 - 2*0.16 = 1.08 > 1 and 0.7 + 0.32 = 1.02 > 1: builds, no error
-    assert GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0) == STANDARD
+    assert ExperimentConfig(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0) == STANDARD
 
 
 def test_validate_reports_each_condition():
@@ -543,21 +567,21 @@ def test_validate_reports_each_condition():
 
 def test_invalid_schedule_fails_loudly():
     with pytest.raises(ConfigError, match="2\\*a_p - 2\\*c_p"):
-        GainSchedule(2.0, 0.5, 0.003, 0.16, 20.0)
+        ExperimentConfig(a0=2.0, a_p=0.5, c0=0.003, c_p=0.16, t_v=20.0)
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ConfigError, match="a0"):
-            GainSchedule(bad, 0.7, 0.003, 0.16, 20.0)
+            ExperimentConfig(a0=bad, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
         with pytest.raises(ConfigError, match="c0"):
-            GainSchedule(2.0, 0.7, bad, 0.16, 20.0)
+            ExperimentConfig(a0=2.0, a_p=0.7, c0=bad, c_p=0.16, t_v=20.0)
     # a copy with a changed field is built, and checked, again
     with pytest.raises(ConfigError, match="t_v"):
         dataclasses.replace(STANDARD, t_v=-1.0)
 
 
-def _series(sched, terms=10**6):
+def _series(config, terms=10**6):
     t = np.arange(terms, dtype=float)
-    a = sched.a0 / (t + sched.t_v) ** sched.a_p
-    c = sched.c0 / (t + sched.t_v) ** sched.c_p
+    a = config.a0 / (t + config.t_v) ** config.a_p
+    c = config.c0 / (t + config.t_v) ** config.c_p
     return a, c
 
 
@@ -579,7 +603,7 @@ def test_ratio_square_sum_converges():
     decades = [ratio_sq[10**k : 10 ** (k + 1)].sum() for k in range(2, 6)]
     assert all(nxt < 0.95 * cur for cur, nxt in zip(decades, decades[1:]))
 
-    fast = GainSchedule(a0=2.0, a_p=1.0, c0=0.003, c_p=0.01, t_v=20.0)
+    fast = ExperimentConfig(a0=2.0, a_p=1.0, c0=0.003, c_p=0.01, t_v=20.0)
     a, c = _series(fast)
     ratio_sq = (a / c) ** 2
     assert ratio_sq[10**5 :].sum() < 1e-3 * ratio_sq.sum()

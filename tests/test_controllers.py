@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from broadcast_control.config import GainSchedule
+from broadcast_control import ExperimentConfig
 from broadcast_control.controllers import (
     bc_gains_at,
     bc_step,
@@ -37,7 +37,7 @@ def _block(*signs: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # gains
 
-STANDARD = GainSchedule(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
+STANDARD = ExperimentConfig(a0=2.0, a_p=0.7, c0=0.003, c_p=0.16, t_v=20.0)
 
 
 def test_gain_a_standard_params():
@@ -49,7 +49,7 @@ def test_gain_a_standard_params():
 
 
 def test_gain_a_unit_case():
-    assert gain_a(GainSchedule(1.0, 1.0, 1.0, 0.3, 1.0), 0) == 1.0
+    assert gain_a(ExperimentConfig(a0=1.0, a_p=1.0, c0=1.0, c_p=0.3, t_v=1.0), 0) == 1.0
 
 
 def test_gain_a_strictly_decreasing():
@@ -66,7 +66,7 @@ def test_gain_c_standard_params():
 
 
 def test_gain_c_unit_and_decay():
-    assert gain_c(GainSchedule(1.0, 1.0, 1.0, 0.3, 1.0), 0) == 1.0
+    assert gain_c(ExperimentConfig(a0=1.0, a_p=1.0, c0=1.0, c_p=0.3, t_v=1.0), 0) == 1.0
     assert gain_c(STANDARD, 10**6) < gain_c(STANDARD, 10**3)
 
 

@@ -73,7 +73,7 @@ def test_bc_even_step_distance_increment():
     # the even probe moves every agent by c*sigma, adding sqrt(n)*N*c
     config = small_config(law="bc", steps=2)
     rec = run_trial(config, 0)
-    c0 = gain_c(config.schedule(), 0)
+    c0 = gain_c(config, 0)
     expected = math.sqrt(config.n) * config.N * c0
     assert rec.d_trace[1] - rec.d_trace[0] == pytest.approx(expected, rel=1e-12)
 
@@ -151,12 +151,9 @@ def test_run_paired_shares_initial_state_and_signs(monkeypatch):
     assert rec_pbc.steps == 10
     assert len(inputs) == 30
     # even-step probe inputs equal c * (shared k=0 slice)
-    sched = config.schedule()
     for tau in range(10):
         sigma = draw_block(config.master_seed, 0, tau, config.n, config.N, 1)[0]
-        np.testing.assert_array_equal(
-            inputs_bc[2 * tau], gain_c(sched, tau) * sigma
-        )
+        np.testing.assert_array_equal(inputs_bc[2 * tau], gain_c(config, tau) * sigma)
 
 
 def test_run_paired_requires_k1():
