@@ -243,8 +243,8 @@ class ExperimentConfig:
             elif f.name in typed:
                 valid.add(f.name)
         # the rules across fields skip a field of another type
-        if self.law == LAW_PAIRED and self.K != 1:
-            out.append(f"paired law requires K = 1, got K = {self.K}")
+        if self.law in (LAW_BC, LAW_PAIRED) and self.K != 1:
+            out.append(f"{self.law} law requires K = 1, got K = {self.K}")
         # both laws step at a(t) = a0/(t + t_v)**a_p and probe at
         # c(t) = c0/(t + t_v)**c_p; by the p-series criteria these rows make
         # sum a(t) diverge while sum (a/c)**2 and sum a*c**2 converge, the

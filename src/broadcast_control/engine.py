@@ -186,17 +186,14 @@ def _aggregate(records: list) -> Optional[SummaryStats]:
         return None
     j = np.stack([r.j_trace for r in records])
     d = np.stack([r.d_trace for r in records])
-    if len(records) == 1:
-        j_sd = np.zeros(j.shape[1])
-        d_sd = np.zeros(d.shape[1])
-    else:
-        j_sd = j.std(axis=0, ddof=1)
-        d_sd = d.std(axis=0, ddof=1)
+    # one record minus its own mean is exactly 0.0, so ddof 0 gives a single
+    # trial its zero SD
+    ddof = min(1, len(records) - 1)
     return SummaryStats(
         j_mean=j.mean(axis=0),
-        j_sd=j_sd,
+        j_sd=j.std(axis=0, ddof=ddof),
         d_mean=d.mean(axis=0),
-        d_sd=d_sd,
+        d_sd=d.std(axis=0, ddof=ddof),
     )
 
 

@@ -172,25 +172,21 @@ def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> KMonot
     """Enumerate, at each probe count of ``K_list``, the exact expected next
     cost ``E[J(x - a * mean_k g(sigma_k))]`` and the expected per-step
     distance powers ``E[sum_i |u_i|**kappa]`` over the entries ``u_i`` of the
-    flat input, for ``kappa`` 1 and 2."""
+    flat input, for ``kappa`` 1 and 2, in one pass over the outcomes per K."""
     K_list = tuple(int(k) for k in K_list)
     x = np.asarray(x, dtype=np.float64)
     # one enumeration of the single-probe estimates serves every sum
     g = _estimates(x, c, max(K_list, default=1), J)
 
-    def cost(m):
-        return sum(float(J(v)) for v in x[None, :] - a * m)
+    def term(m):
+        move = a * m
+        step = np.abs(move)
+        cost = sum(float(J(v)) for v in x[None, :] - move)
+        return np.array([cost, step.sum(), (step * step).sum()])
 
-    def power(kappa):
-        return lambda m: float((np.abs(-a * m) ** kappa).sum())
-
-    return KMonotonicityReport(
-        cost_values=tuple(_enumerated_mean(g, k, cost) for k in K_list),
-        distance_values={
-            kappa: tuple(_enumerated_mean(g, k, power(kappa)) for k in K_list)
-            for kappa in (1.0, 2.0)
-        },
-    )
+    means = [_enumerated_mean(g, k, term).tolist() for k in K_list]
+    cost, d1, d2 = (tuple(m[i] for m in means) for i in range(3))
+    return KMonotonicityReport(cost_values=cost, distance_values={1.0: d1, 2.0: d2})
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import LAW_PAIRED, LAW_PBC, ExperimentConfig
-from .engine import run_monte_carlo, run_paired
+from .engine import _aggregate, run_monte_carlo, run_paired
 from .objectives import QuadraticPayload, quadratic_objective
 from .oracle import (
     check_distance_dominance,
@@ -214,10 +214,8 @@ def check_k_multistep(*, trials: int, **_) -> list:
     config = ExperimentConfig(task="quadratic", law=LAW_PBC, trials=trials, master_seed=11)
     runs = [run_monte_carlo(replace(config, K=K)).records for K in (1, 3, 10)]
     common = set.intersection(*({r.trial for r in records} for records in runs))
-    # aggregation's stacked mean, so with no trial excluded these are the
-    # runs' own summary values
     finals = [
-        float(np.stack([r.j_trace for r in records if r.trial in common]).mean(axis=0)[-1])
+        float(_aggregate([r for r in records if r.trial in common]).j_mean[-1])
         if common else math.nan
         for records in runs
     ]

@@ -1,14 +1,15 @@
-"""Mutant gate: the tests must catch a broken fast path, step-law kernel or
-gain wiring.
+"""Mutant gate: the tests must catch a broken fast path, step-law kernel,
+gain wiring or run statistic.
 
 Each text below is a fast path exact only by a rounding argument, the
-arithmetic both step laws share, or the engine's reading of the gains, which
-only whole-trial tests see; a wrong version of any of them can still pass
-most tests.  Each mutant replaces one exact text of one source file, in a
-copy of ``src/`` and ``tests/`` made once, and runs the tests named for it
-there under the ``ci`` hypothesis profile; the file is restored before the
-next mutant.  Every named test must fail.  The gate fails (exit 1) when a named
-test passes, or when a mutant's text does not occur exactly once.
+arithmetic both step laws share, the engine's reading of the gains, which
+only whole-trial tests see, or the one path of a run statistic; a wrong
+version of any of them can still pass most tests.  Each mutant replaces one
+exact text of one source file, in a copy of ``src/`` and ``tests/`` made
+once, and runs the tests named for it there under the ``ci`` hypothesis
+profile; the file is restored before the next mutant.  Every named test must
+fail.  The gate fails (exit 1) when a named test passes, or when a mutant's
+text does not occur exactly once.
 
 Run from anywhere, outside tier-1, since every mutant reruns tests::
 
@@ -149,6 +150,20 @@ MUTANTS = (
         "controllers.bc_gains_at(config, t)",
         "controllers.bc_gains_at(config, 2 * t)",
         (_REFERENCE_TRIAL, f"{_GOLDEN}[rendezvous-bc-1]", _PAIRED),
+    ),
+    Mutant(
+        "the trial SD with the biased denominator",
+        "engine.py",
+        "min(1, len(records) - 1)",
+        "0",
+        ("tests/test_engine.py::test_sd_uses_unbiased_denominator",),
+    ),
+    Mutant(
+        "the probe-count pass's distance powers swapped",
+        "oracle.py",
+        "step.sum(), (step * step).sum()",
+        "(step * step).sum(), step.sum()",
+        ("tests/test_oracle.py::test_expected_distance_power_quadratic_strict_decrease",),
     ),
 )
 

@@ -190,6 +190,18 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "paired law requires K = 1, got K = 3" in capsys.readouterr().err
 
 
+def test_bc_law_with_k_flag_exits_2(tmp_path, capsys):
+    # --K beside --law bc is refused, not run as K = 1 under a manifest that
+    # says otherwise, and nothing is written
+    out = tmp_path / "out"
+    assert main(["run", "--law", "bc", "--K", "3", "--steps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid configuration:",
+        "  - bc law requires K = 1, got K = 3",
+    ]
+    assert not out.exists()
+
+
 def test_flag_wins_before_the_rules_across_fields(tmp_path):
     # the file's K = 3 breaks the paired law's rule, but the flag replaces it
     # before any rule runs
@@ -404,7 +416,7 @@ def _small_runs(draw):
     fields = dict(
         task=task,
         law=law,
-        K=1 if law == "paired" else draw(st.integers(1, 3)),
+        K=1 if law in ("bc", "paired") else draw(st.integers(1, 3)),
         N=N,
         steps=draw(st.integers(0, 3)),
         trials=draw(st.integers(1, 3)),

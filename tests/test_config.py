@@ -46,6 +46,25 @@ def test_paired_requires_k1():
     assert any("paired" in v for v in err.value.violations)
 
 
+def test_bc_requires_k1_in_code():
+    # the two-stage law takes one sign vector a pair and reads no K: a K it
+    # would ignore while the manifest echoed it is refused
+    for build in (
+        lambda: ExperimentConfig(law="bc", K=3, steps=30),
+        lambda: dataclasses.replace(ExperimentConfig(law="bc"), K=3),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.violations == ["bc law requires K = 1, got K = 3"]
+
+
+def test_bc_requires_k1_in_a_config_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("law = bc\nK = 3\n")
+    assert err.value.violations == ["bc law requires K = 1, got K = 3"]
+    assert parse_config("law = bc\nK = 1\n").K == 1
+
+
 def test_unknown_and_duplicate_keys_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("lawz = pbc\nK = 2\nK = 3\n")
@@ -436,7 +455,7 @@ def _random_config(rng) -> ExperimentConfig:
     law = rng.choice(["bc", "pbc", "paired"])
     N = int(rng.integers(1, 20))
     n = 2
-    K = 1 if law == "paired" else int(rng.integers(1, 12))
+    K = 1 if law in ("bc", "paired") else int(rng.integers(1, 12))
     c_p = float(rng.uniform(0.05, 0.45))
     a_p = float(rng.uniform(max(0.51 + c_p, 1 - 2 * c_p + 0.01), 1.0))
     return ExperimentConfig(

@@ -275,18 +275,25 @@ def test_check_k_monotonicity_concave_reversal():
 
 
 def test_check_k_monotonicity_enumerates_once(monkeypatch):
-    # every sum over K and quantity reads the one enumeration at x
-    calls = []
-    original = oracle_mod._estimates
+    # every sum over K and quantity reads the one enumeration at x, and each
+    # K's cost and both distance powers come from one pass over its outcomes
+    calls, passes = [], []
+    estimates, enumerated_mean = oracle_mod._estimates, oracle_mod._enumerated_mean
 
     def counted(x, c, K, J):
         calls.append(K)
-        return original(x, c, K, J)
+        return estimates(x, c, K, J)
+
+    def counted_pass(g, K, term):
+        passes.append(K)
+        return enumerated_mean(g, K, term)
 
     monkeypatch.setattr(oracle_mod, "_estimates", counted)
+    monkeypatch.setattr(oracle_mod, "_enumerated_mean", counted_pass)
     J = quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))
     rep = check_k_monotonicity(np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J)
     assert calls == [3]
+    assert passes == [1, 2, 3]
     # and the 4-D convex instance keeps the orderings the scalar ones show
     assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
     for kappa in (1.0, 2.0):
