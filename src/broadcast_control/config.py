@@ -243,7 +243,7 @@ class ExperimentConfig:
             elif f.name in typed:
                 valid.add(f.name)
         # the rules across fields skip a field of another type
-        if self.law in (LAW_BC, LAW_PAIRED) and self.K != 1:
+        if self.law in (LAW_BC, LAW_PAIRED) and "K" in typed and self.K != 1:
             out.append(f"{self.law} law requires K = 1, got K = {self.K}")
         # both laws step at a(t) = a0/(t + t_v)**a_p and probe at
         # c(t) = c0/(t + t_v)**c_p; by the p-series criteria these rows make
@@ -278,7 +278,7 @@ class ExperimentConfig:
                     "coverage grid must hold (round(1/grid_spacing) + 1)**n <= 2**24 "
                     f"points, got grid_spacing = {self.grid_spacing}, n = {self.n}"
                 )
-        if self.task == RENDEZVOUS and self.n != 2:
+        if self.task == RENDEZVOUS and "n" in typed and self.n != 2:
             out.append("the default formation family is planar; rendezvous needs n = 2")
         # circle_formation rotates by theta*2*pi/N, so rotations theta and
         # theta + N are one formation up to rounding, and a repeated one is a
@@ -289,7 +289,7 @@ class ExperimentConfig:
                 "rendezvous needs formation_count <= N, the circle family's distinct "
                 f"rotations, got formation_count = {count}, N = {self.N}"
             )
-        if self.task == ASSIGNMENT and self.n != 2 and self.targets is None:
+        if self.task == ASSIGNMENT and "n" in typed and self.n != 2 and self.targets is None:
             out.append("assignment with n != 2 requires explicit targets")
         # the assignment and quadratic objectives take no minimum to smooth;
         # a float epsilon is one that is set and of its type

@@ -21,11 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import controllers
-from ._version import __version__
-from .config import LAW_BC, LAW_PAIRED, LAW_PBC, ExperimentConfig
+from .config import _PROVENANCE, LAW_BC, LAW_PAIRED, LAW_PBC, ExperimentConfig
 from .controllers import _checked_j, bc_step, pbc_step
 from .objectives import make_objective_fn
-from .state import SIGN_GENERATOR_ID, NonFiniteError, draw_block
+from .state import NonFiniteError, draw_block
 
 
 class DivergenceError(RuntimeError):
@@ -298,8 +297,8 @@ def write_manifest(
     """
     lines = ["# run manifest"]
     lines.extend(config.serialize().rstrip("\n").split("\n"))
-    lines.append(f"generator = {SIGN_GENERATOR_ID}")
-    lines.append(f"package_version = {__version__}")
+    # the provenance that parse_config requires of a replayed manifest
+    lines.extend(f"{key} = {value}" for key, value in _PROVENANCE.items())
     lines.append(f"excluded_trials = {len(excluded)}")
     for idx, reason in excluded:
         lines.append(f"excluded_trial_{idx} = {reason}")

@@ -459,25 +459,22 @@ def _certified_rendezvous(payload: RendezvousPayload, x: np.ndarray, quad: float
 
 @dataclass(frozen=True, eq=False)
 class AssignmentPayload:
-    """Target locations plus the pairing of agents to targets.
+    """Target locations, and whether their pairing with the agents is fixed.
 
-    ``fixed_indices`` of ``None`` re-solves the optimal pairing at each
-    objective evaluation (every-step); a permutation freezes it, as
-    ``freeze_assignment`` does with the pairing of the initial state
-    (once-at-start).
+    Unfixed, each objective evaluation re-solves the optimal pairing
+    (every-step).  Fixed, agent ``i`` is paired with ``targets[i]``:
+    ``freeze_assignment`` stores the targets in the order of the initial
+    state's optimal pairing (once-at-start).
     """
 
     targets: np.ndarray
-    fixed_indices: Optional[tuple] = None
+    fixed: bool = False
 
     def __post_init__(self) -> None:
         targets = np.asarray(self.targets, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[0] == 0:
             raise ValueError("assignment targets must be a non-empty (N, n) array")
         object.__setattr__(self, "targets", targets)
-        if self.fixed_indices is not None:
-            if sorted(self.fixed_indices) != list(range(targets.shape[0])):
-                raise ValueError("fixed_indices must be a permutation of the targets")
 
     @property
     def N(self) -> int:
@@ -645,28 +642,28 @@ def _unique_optimum(C: np.ndarray, cols: np.ndarray, tol: float) -> bool:
     return bool(W.diagonal().min() > 2.0 * tol + slack)
 
 
-def assignment_objective(payload: AssignmentPayload, x: np.ndarray):
-    """Total squared distance of agents to their assigned targets.
+def _pairing(targets: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The optimal pairing of the agents at ``pts`` with ``targets``: one
+    ``hungarian`` solve over their squared distances."""
+    diff = pts[:, None, :] - targets[None, :, :]
+    return hungarian(np.einsum("ijd,ijd->ij", diff, diff))
 
-    Returns ``(value, indices)``.  Without ``fixed_indices`` the optimal
-    pairing is re-solved from the current positions; with them the frozen
-    pairing is used.
-    """
+
+def assignment_objective(payload: AssignmentPayload, x: np.ndarray) -> float:
+    """Total squared distance of agents to their targets: agent ``i`` to
+    ``targets[i]`` when ``fixed``, else under the current optimal pairing."""
     pts = x.reshape(payload.N, payload.n)
-    if payload.fixed_indices is not None:
-        perm = np.asarray(payload.fixed_indices, dtype=np.intp)
-    else:
-        diff = pts[:, None, :] - payload.targets[None, :, :]
-        cost = np.einsum("ijd,ijd->ij", diff, diff)
-        perm = hungarian(cost)
-    resid = pts - payload.targets[perm]
-    return float(np.einsum("id,id->", resid, resid)), perm
+    targets = payload.targets
+    if not payload.fixed:
+        targets = targets[_pairing(targets, pts)]
+    resid = pts - targets
+    return float(np.einsum("id,id->", resid, resid))
 
 
 def freeze_assignment(payload: AssignmentPayload, x0: np.ndarray) -> AssignmentPayload:
-    """Pin the once-at-start pairing from the initial state."""
-    _, perm = assignment_objective(AssignmentPayload(payload.targets), x0)
-    return AssignmentPayload(payload.targets, fixed_indices=tuple(int(p) for p in perm))
+    """The once-at-start pairing: the targets in the initial state's optimal order."""
+    targets = payload.targets
+    return AssignmentPayload(targets[_pairing(targets, x0.reshape(targets.shape))], fixed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +731,7 @@ def make_objective_fn(spec: ObjectiveSpec):
     elif isinstance(payload, RendezvousPayload):
         task = lambda x, quad: rendezvous_objective(payload, x, eps)
     elif isinstance(payload, AssignmentPayload):
-        task = lambda x, quad: assignment_objective(payload, x)[0]
+        task = lambda x, quad: assignment_objective(payload, x)
     else:
         task = lambda x, quad: quadratic_objective(payload, x)
     l1, l2 = spec.l1, spec.l2

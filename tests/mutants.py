@@ -1,15 +1,16 @@
 """Mutant gate: the tests must catch a broken fast path, step-law kernel,
-gain wiring or run statistic.
+gain wiring, run statistic or judge.
 
 Each text below is a fast path exact only by a rounding argument, the
 arithmetic both step laws share, the engine's reading of the gains, which
-only whole-trial tests see, or the one path of a run statistic; a wrong
-version of any of them can still pass most tests.  Each mutant replaces one
-exact text of one source file, in a copy of ``src/`` and ``tests/`` made
-once, and runs the tests named for it there under the ``ci`` hypothesis
-profile; the file is restored before the next mutant.  Every named test must
-fail.  The gate fails (exit 1) when a named test passes, or when a mutant's
-text does not occur exactly once.
+only whole-trial tests see, the one path of a run statistic, or a judge of
+a claim: an oracle's fold over pairs or a bound of ``verify``, which a
+real run passes by a wide margin.  A wrong version of any of them can still
+pass most tests.  Each mutant replaces one exact text of one source file, in
+a copy of ``src/`` and ``tests/`` made once, and runs the tests named for it
+there under the ``ci`` hypothesis profile; the file is restored before the
+next mutant.  Every named test must fail.  The gate fails (exit 1) when a
+named test passes, or when a mutant's text does not occur exactly once.
 
 Run from anywhere, outside tier-1, since every mutant reruns tests::
 
@@ -41,6 +42,8 @@ _BIT_FOR_BIT = "tests/test_controllers.py::test_step_law_matches_reference_bit_f
 _PAIRED = "tests/test_oracle.py::test_paired_identities_hold_on_other_tasks[quadratic-2.0]"
 _MARGIN = "margin = k_quad * quad + k_0"
 _NEAR_TIES = "tests/test_objectives.py::test_hard_coverage_near_ties_bit_for_bit"
+_ORACLE = "tests/test_oracle.py"
+_WORST_PAIR = f"{_ORACLE}::test_paired_oracles_fold_a_worst_pair_that_is_not_last"
 
 MUTANTS = (
     Mutant(
@@ -157,6 +160,90 @@ MUTANTS = (
         "min(1, len(records) - 1)",
         "0",
         ("tests/test_engine.py::test_sd_uses_unbiased_denominator",),
+    ),
+    Mutant(
+        "twice-speed keeping the last pair's state deviation",
+        "oracle.py",
+        "np.abs(rec_pbc.states - x_bc).max(initial=dev)",
+        "np.abs(rec_pbc.states - x_bc).max(initial=0.0)",
+        (_WORST_PAIR,),
+    ),
+    Mutant(
+        "distance dominance keeping the last pair's least margin",
+        "oracle.py",
+        "least = margins.min(initial=least)",
+        "least = margins.min(initial=np.inf)",
+        (_WORST_PAIR,),
+    ),
+    Mutant(
+        "distance dominance counting a tie at T as strict",
+        "oracle.py",
+        "strict += bool(margins[-1] > 0)",
+        "strict += bool(margins[-1] >= 0)",
+        (f"{_ORACLE}::test_distance_dominance_counts_a_tie_at_t_as_not_strict",),
+    ),
+    Mutant(
+        "the twice-speed bound at 1e-3",
+        "verify.py",
+        "worst_x <= 1e-6 and worst_j <= 1e-6",
+        "worst_x <= 1e-3 and worst_j <= 1e-3",
+        (f"{_ORACLE}::test_twice_speed_row_fails_past_its_bound",),
+    ),
+    Mutant(
+        "the distance bound at -1e-3",
+        "verify.py",
+        "rep.min_margin >= -1e-9",
+        "rep.min_margin >= -1e-3",
+        (f"{_ORACLE}::test_distance_row_fails_past_its_bound",),
+    ),
+    Mutant(
+        "the estimator bound at 1e-9",
+        "verify.py",
+        'passed=worst <= 1e-12,\n            note="100 enumerated',
+        'passed=worst <= 1e-9,\n            note="100 enumerated',
+        (f"{_ORACLE}::test_estimator_row_fails_past_its_bound",),
+    ),
+    Mutant(
+        "the k-multistep slack at 20%",
+        "verify.py",
+        "slack = 1.02",
+        "slack = 1.2",
+        (f"{_ORACLE}::test_k_multistep_row_fails_past_its_slack[1.05-False]",),
+    ),
+    Mutant(
+        "the descent bound at 90%",
+        "verify.py",
+        "passed=frac >= 0.95",
+        "passed=frac >= 0.90",
+        (f"{_ORACLE}::test_descent_row_fails_below_its_bound",),
+    ),
+    Mutant(
+        "the descent windows of 10 steps",
+        "oracle.py",
+        "_DESCENT_WINDOW = 50",
+        "_DESCENT_WINDOW = 10",
+        (f"{_ORACLE}::test_descent_fraction",),
+    ),
+    Mutant(
+        "the k-step orderings within 1e-3",
+        "verify.py",
+        "v <= u + 1e-12 * (1 + abs(u))",
+        "v <= u + 1e-3 * (1 + abs(u))",
+        (f"{_ORACLE}::test_k_step_fails_on_a_growing_kappa1_power[convex]",),
+    ),
+    Mutant(
+        "the variance check keeping only the last K",
+        "verify.py",
+        "worst = max(worst, float(np.abs(varK - var[0] / K).max()))",
+        "worst = float(np.abs(varK - var[0] / K).max())",
+        ("tests/test_golden.py::test_verify_report_matches_golden[verify-five-checks]",),
+    ),
+    Mutant(
+        "k-multistep over every trial, not the common ones",
+        "verify.py",
+        "_aggregate([r for r in records if r.trial in common])",
+        "_aggregate(records)",
+        (f"{_ORACLE}::test_k_multistep_compares_the_trials_finished_at_every_k",),
     ),
     Mutant(
         "the probe-count pass's distance powers swapped",

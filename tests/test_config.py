@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -63,6 +64,37 @@ def test_bc_requires_k1_in_a_config_line():
         parse_config("law = bc\nK = 3\n")
     assert err.value.violations == ["bc law requires K = 1, got K = 3"]
     assert parse_config("law = bc\nK = 1\n").K == 1
+
+
+@pytest.mark.parametrize(
+    "fields,violation",
+    [
+        (dict(law="paired", K=2.5), "K must be an integer, got 2.5"),
+        (dict(law="bc", K="3"), "K must be an integer, got '3'"),
+        (dict(task="rendezvous", n="2"), "n must be an integer, got '2'"),
+        (dict(task="assignment", n="2"), "n must be an integer, got '2'"),
+    ],
+    ids=["paired-K-float", "bc-K-string", "rendezvous-n-string", "assignment-n-string"],
+)
+def test_rules_across_fields_skip_a_field_of_the_wrong_type(fields, violation):
+    # the K rule and both n rules read a K or n only of its own type
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**fields)
+    assert err.value.violations == [violation]
+
+
+def test_assignment_off_the_plane_needs_targets():
+    with pytest.raises(ConfigError) as err:
+        parse_config("task = assignment\nn = 3\n")
+    assert err.value.violations == ["assignment with n != 2 requires explicit targets"]
+    targets = " ".join(str(v) for v in np.linspace(-1.0, 1.0, 45))
+    assert parse_config(f"task = assignment\nn = 3\ntargets = {targets}\n").n == 3
+
+
+def test_line_without_an_equals_sign_reported():
+    with pytest.raises(ConfigError) as err:
+        parse_config("K 3\n")
+    assert err.value.violations == ["line 1: expected 'key = value', got 'K 3'"]
 
 
 def test_unknown_and_duplicate_keys_rejected():
@@ -325,6 +357,11 @@ def test_float_fields_stored_as_floats():
     assert parse_config(config.serialize()) == config
     with pytest.raises(ConfigError, match="a0 must be a float"):
         ExperimentConfig(a0=10**400)  # an int beyond the float range
+    # likewise in a sequence of floats
+    x0 = (10**400, 0, 0, 0)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(task="quadratic", N=2, x0=x0)
+    assert err.value.violations == [f"x0 must be a sequence of floats, got {x0!r}"]
 
 
 def test_master_seed_range():
@@ -545,8 +582,17 @@ def test_objective_spec_building():
     ang = 2.0 * np.pi * np.arange(1, 5) / 4
     assert np.array_equal(targets, 0.2 * np.column_stack([np.cos(ang), np.sin(ang)]))
 
-    frozen = dataclasses.replace(asg, reassignment="once-at-start")
-    assert frozen.objective_spec().payload.fixed_indices is not None
+    # once-at-start: the same targets, fixed in the initial state's optimal order
+    frozen = dataclasses.replace(asg, reassignment="once-at-start").objective_spec().payload
+    pts = asg.initial_state().reshape(4, 2)
+    cost = ((pts[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
+    assert frozen.fixed and not asg.objective_spec().payload.fixed
+    # targets 0 and 3, and 1 and 2, are equally far from every point of the
+    # diagonal: of the four tied optimal pairings, the lexicographically smallest
+    sums = {p: cost[range(4), p].sum() for p in itertools.permutations(range(4))}
+    tied = [p for p, v in sums.items() if v <= min(sums.values()) + 1e-9]
+    assert len(tied) == 4
+    assert np.array_equal(frozen.targets, targets[list(min(tied))])
 
 
 # ---------------------------------------------------------------------------

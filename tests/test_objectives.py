@@ -122,8 +122,8 @@ def test_evaluate_matches_norm_barrier_bit_for_bit(rng):
         (spec(grid, eps), lambda x: reference.coverage(grid, x, eps)),
         (spec(family), lambda x: reference.rendezvous(family, x)),
         (spec(family, eps), lambda x: rendezvous_objective(family, x, smooth_eps=eps)),
-        (spec(targets), lambda x: assignment_objective(targets, x)[0]),
-        (spec(frozen), lambda x: assignment_objective(frozen, x)[0]),
+        (spec(targets), lambda x: assignment_objective(targets, x)),
+        (spec(frozen), lambda x: assignment_objective(frozen, x)),
     ]
     radii = [
         np.nextafter(l1, 0.0), l1, np.nextafter(l1, 2.0),  # just inside l1
@@ -577,18 +577,21 @@ def test_circle_formation_is_built_once_and_read_only():
 def test_assignment_identity_zero():
     targets = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     payload = AssignmentPayload(targets=targets)
-    value, perm = assignment_objective(payload, targets.ravel())
-    assert value == 0.0
-    assert list(perm) == [0, 1, 2]
+    assert assignment_objective(payload, targets.ravel()) == 0.0
+    # the optimal pairing is the identity: freezing keeps the targets' order
+    assert np.array_equal(freeze_assignment(payload, targets.ravel()).targets, targets)
 
 
 def test_assignment_swap_example():
     # x = (0, 10), y = (9, 1): swapping costs (0-1)^2 + (10-9)^2 = 2,
     # identity costs 81 + 81 = 162
     payload = AssignmentPayload(targets=np.array([[9.0], [1.0]]))
-    value, perm = assignment_objective(payload, np.array([0.0, 10.0]))
-    assert value == pytest.approx(2.0, abs=1e-15)
-    assert list(perm) == [1, 0]
+    x = np.array([0.0, 10.0])
+    assert assignment_objective(payload, x) == pytest.approx(2.0, abs=1e-15)
+    # the pairing [1, 0]: agent 0 takes target 1, agent 1 target 0
+    frozen = freeze_assignment(payload, x)
+    assert np.array_equal(frozen.targets, payload.targets[[1, 0]])
+    assert assignment_objective(frozen, x) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_assignment_matches_brute_force(rng):
@@ -596,7 +599,7 @@ def test_assignment_matches_brute_force(rng):
     for _ in range(5):
         targets = rng.normal(size=(N, 2))
         x = rng.normal(size=2 * N)
-        value, _ = assignment_objective(AssignmentPayload(targets=targets), x)
+        value = assignment_objective(AssignmentPayload(targets=targets), x)
         pts = x.reshape(N, 2)
         best = min(
             sum(float(np.sum((pts[i] - targets[p[i]]) ** 2)) for i in range(N))
@@ -611,14 +614,14 @@ def test_assignment_once_at_start_freezes_pairing():
         AssignmentPayload(targets=targets),
         np.array([0.1, 9.9]),
     )
-    assert payload.fixed_indices == (0, 1)
+    # the pairing (0, 1): the targets stay in their order, fixed
+    assert payload.fixed
+    assert np.array_equal(payload.targets, targets)
     # agents later cross over; the frozen pairing keeps the original match
-    value, perm = assignment_objective(payload, np.array([10.0, 0.0]))
-    assert list(perm) == [0, 1]
-    assert value == pytest.approx(200.0)
+    assert assignment_objective(payload, np.array([10.0, 0.0])) == pytest.approx(200.0)
     # the every-step pairing would re-pair to zero cost
-    value2, _ = assignment_objective(AssignmentPayload(targets=targets), np.array([10.0, 0.0]))
-    assert value2 == 0.0
+    value = assignment_objective(AssignmentPayload(targets=targets), np.array([10.0, 0.0]))
+    assert value == 0.0
 
 
 def _brute_force_cost(C):

@@ -157,6 +157,13 @@ def test_enumeration_cap_enforced():
     assert _outcomes(11, 2) == 2**22
 
 
+def test_enumeration_refuses_an_empty_state_or_k():
+    with pytest.raises(ValueError, match="state length and K must be positive"):
+        check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (0,), SQUARE)
+    with pytest.raises(ValueError, match="state length and K must be positive"):
+        enumerate_expected_gradient(np.zeros(0), 0.1, 1, SQUARE)
+
+
 def test_finite_difference_gradient():
     J = lambda v: float(np.dot(v, v))
     grad = finite_difference_gradient(J, np.array([1.0, 2.0]), 1e-5)
@@ -357,6 +364,104 @@ def test_paired_oracles_fold_to_the_worst_pair():
     nan_pbc = dataclasses.replace(rec_pbc, j_trace=np.full_like(rec_pbc.j_trace, np.nan))
     rep = check_twice_speed([(rec_bc, nan_pbc)] + pairs[1:])
     assert math.isnan(rep.max_objective_deviation)
+
+
+def _planted_pair(dev=0.0, j_dev=0.0, margins=(0.0, 1.0, 1.0)):
+    """A ``(rec_bc, rec_pbc)`` pair of scalar records over ``T = len(margins) - 1``
+    steps.  The single-stage record is 0 throughout; the two-stage one at 2t
+    leaves it by ``dev`` in state and ``j_dev`` in objective at t = 1, and
+    its distance at 2t exceeds it by ``margins[t]``."""
+    T = len(margins) - 1
+    zeros = lambda steps: TrialRecord(
+        trial=0, n=1, N=1, states=np.zeros((steps + 1, 1)),
+        j_trace=np.zeros(steps + 1), d_trace=np.zeros(steps + 1),
+    )
+    rec_bc, rec_pbc = zeros(2 * T), zeros(T)
+    rec_bc.states[2, 0], rec_bc.j_trace[2] = dev, j_dev
+    rec_bc.d_trace[::2] = margins
+    return rec_bc, rec_pbc
+
+
+def test_paired_oracles_fold_a_worst_pair_that_is_not_last():
+    worst = _planted_pair(dev=3e-7, j_dev=2e-7, margins=(0.0, -5e-10, 1.0))
+    pairs = [worst, _planted_pair(dev=1e-7, j_dev=1e-7)]
+    assert check_twice_speed(pairs) == TwiceSpeedReport(3e-7, 2e-7)
+    assert check_distance_dominance(pairs) == DistanceDominanceReport(-5e-10, 2)
+
+
+def test_distance_dominance_counts_a_tie_at_t_as_not_strict():
+    # a margin of exactly 0 at T is a tie; the least positive one is strict
+    pairs = [_planted_pair(margins=(0.0, 1.0, 0.0)), _planted_pair(margins=(0.0, 1.0, 5e-324))]
+    assert check_distance_dominance(pairs).strict == 1
+
+
+# Each planted value below lies just past a row's bound, where a looser bound
+# would pass it; the value at the bound passes.
+def test_twice_speed_row_fails_past_its_bound():
+    for dev, j_dev in ((2e-6, 0.0), (0.0, 2e-6)):
+        assert not verify_mod._twice_speed_row([_planted_pair(dev, j_dev)]).passed
+    assert verify_mod._twice_speed_row([_planted_pair(1e-6, 1e-6)]).passed
+
+
+def test_distance_row_fails_past_its_bound():
+    for least, passed in ((-2e-9, False), (-1e-9, True)):
+        pairs = [_planted_pair(margins=(0.0, least, 1.0))]
+        assert verify_mod._distance_row(check_distance_dominance(pairs), 1).passed == passed
+
+
+def test_estimator_row_fails_past_its_bound(monkeypatch):
+    # every enumerated expectation moved 2e-12 off the exact gradient
+    real = verify_mod.enumerate_expected_gradient
+    monkeypatch.setattr(verify_mod, "enumerate_expected_gradient", lambda *a: real(*a) + 2e-12)
+    unbiased, decay = verify_mod.check_estimator()
+    assert not unbiased.passed and decay.passed
+
+
+@pytest.mark.parametrize("ratio,passed", [(1.05, False), (1.01, True)])
+def test_k_multistep_row_fails_past_its_slack(monkeypatch, ratio, passed):
+    # each K's one trial ends at J(T) ``ratio`` times the one before; the
+    # slack is 2%
+    finals = {1: 1.0, 3: ratio, 10: ratio * ratio}
+
+    def run(config):
+        rec = TrialRecord(
+            trial=0, n=1, N=1, states=np.zeros((2, 1)),
+            j_trace=np.array([0.0, finals[config.K]]), d_trace=np.zeros(2),
+        )
+        return MonteCarloResult(stats=None, records=[rec], excluded=[])
+
+    monkeypatch.setattr(verify_mod, "run_monte_carlo", run)
+    (row,) = verify_mod.check_k_multistep(trials=1)
+    assert row.passed == passed
+
+
+def test_descent_row_fails_below_its_bound():
+    down, up = np.linspace(1.0, 0.0, 100), np.linspace(0.0, 1.0, 100)
+    row = verify_mod._descent_row("rendezvous", np.array([down] * 93 + [up] * 7))
+    assert (row.measured, row.passed) == ("93.00%", False)
+    assert verify_mod._descent_row("rendezvous", np.array([down] * 95 + [up] * 5)).passed
+
+
+def test_estimator_and_variance_enumerate_each_radius_and_k_once(monkeypatch):
+    # the bias-decay row halves the radius three times from one enumeration
+    # per radius, and each variance instance takes Var_1 from its K = 1 pass
+    radii, Ks = [], []
+    gradient = verify_mod.enumerate_expected_gradient
+    variance = verify_mod.enumerate_estimator_variance
+
+    def counted_gradient(x, c, K, J):
+        radii.append(c)
+        return gradient(x, c, K, J)
+
+    def counted_variance(x, c, K, J):
+        Ks.append(K)
+        return variance(x, c, K, J)
+
+    monkeypatch.setattr(verify_mod, "enumerate_expected_gradient", counted_gradient)
+    monkeypatch.setattr(verify_mod, "enumerate_estimator_variance", counted_variance)
+    assert all(row.passed for row in verify_mod.check_estimator() + verify_mod.check_variance())
+    assert len(radii) == 104 and radii[100:] == [0.2, 0.1, 0.05, 0.025]
+    assert Ks == [1, 2, 3, 4] * 5
 
 
 def test_paired_checks_without_pairs_fail():
