@@ -7,8 +7,8 @@ its own element-wise inverse).
 
 BC, the baseline two-stage law, physically moves every agent by ``c*sigma``
 on even steps and, on odd steps, cancels the probe while stepping along the
-resulting gradient estimate.  Its memory, the even step's signs and
-objective value, is two plain arguments that the caller keeps.  PBC
+resulting gradient estimate.  Its memory is the even step's signs,
+objective value and gains ``(a, c)``, which the caller keeps.  PBC
 replaces the physical probe with ``K`` virtual perturbed states evaluated
 centrally; the supervisor broadcasts the ``K`` objective differences and
 each agent moves once per step, combining them with its own private signs.

@@ -72,20 +72,6 @@ class MonteCarloResult:
     excluded: list  # (trial_index, reason) pairs
 
 
-def moving_distance(inputs: np.ndarray, n: int) -> np.ndarray:
-    """Cumulative total path length: ``D(t) = sum_{s<t} sum_i |u_i(s)|``.
-
-    ``D(0) = 0`` and the trace is non-decreasing.
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    steps = inputs.shape[0]
-    per_agent = np.linalg.norm(inputs.reshape(steps, inputs.shape[1] // n, n), axis=2)
-    d = np.empty(steps + 1)
-    d[0] = 0.0
-    np.cumsum(per_agent.sum(axis=1), out=d[1:])
-    return d
-
-
 def _horizon(config: ExperimentConfig, law: str) -> int:
     if law == LAW_BC and config.mode == "theorem":
         return 2 * config.steps
@@ -106,8 +92,9 @@ def _simulate(
     j_trace = np.empty(steps + 1)
     states[0] = x
 
-    # BC draws a block on even steps only; each odd step reuses the signs
-    # and the objective value of the even step before it
+    # BC draws a block and reads its gains on even steps only; each odd step
+    # reuses the signs, the objective value and the gains of the even step
+    # before it
     sign_steps = (steps + 1) // 2 if law == LAW_BC else steps
     t = 0
     # overflow shows up as a non-finite state, objective value or assignment
@@ -127,7 +114,7 @@ def _simulate(
                             config.n, config.N, 1, sign_steps,
                         )[0]
                         j_even = jx
-                    a, c = controllers.bc_gains_at(config, t)
+                        a, c = controllers.bc_gains_at(config, t)
                     x, u = bc_step(x, t, a, c, sigma, j_even, jx)
                 else:
                     block = draw_block(
@@ -142,13 +129,17 @@ def _simulate(
     except NonFiniteError as err:
         raise DivergenceError(trial_index, t, str(err)) from err
 
+    # the total path length D(t) = sum_{s<t} sum_i |u_i(s)|, with D(0) = 0
+    d_trace = np.zeros(steps + 1)
+    per_agent = np.linalg.norm(inputs.reshape(steps, config.N, config.n), axis=2)
+    np.cumsum(per_agent.sum(axis=1), out=d_trace[1:])
     return TrialRecord(
         trial=trial_index,
         n=config.n,
         N=config.N,
         states=states,
         j_trace=j_trace,
-        d_trace=moving_distance(inputs, config.n),
+        d_trace=d_trace,
     )
 
 

@@ -51,69 +51,74 @@ def _pairs(seeds: int) -> list:
     return [run_paired(replace(config, master_seed=s)) for s in range(seeds)]
 
 
+def _sci(v: float) -> str:
+    """``v`` in ``%g`` form without the exponent's leading zero: ``1e-6``, not ``1e-06``."""
+    return f"{v:g}".replace("e-0", "e-")
+
+
+def _quadratic_instance(rng, d: int, log_c_min: float):
+    """A random SPD ``H`` in ``d`` dimensions, a state ``x`` in the unit box, a
+    probe radius ``c`` log-uniform in ``[10**log_c_min, 1]`` and ``J(v) = v.Hv``."""
+    H = random_spd_matrix(rng, d)
+    x, c = rng.uniform(-1.0, 1.0, size=d), 10.0 ** rng.uniform(log_c_min, 0)
+    return H, x, c, lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
+
+
 def check_estimator(**_) -> list:
     """Enumerated expectation of the probe estimate equals the exact gradient
     on quadratics; on a quartic the leftover bias decays like c**2."""
     rng = np.random.default_rng(2024)
+    tol, instances = 1e-12, 100
     worst = 0.0
-    for _ in range(100):
+    for _ in range(instances):
         K = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 12 // K + 1))
-        H = random_spd_matrix(rng, d)
-        x = rng.uniform(-1.0, 1.0, size=d)
-        c = 10.0 ** rng.uniform(-3, 0)
-        J = lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
+        H, x, c, J = _quadratic_instance(rng, int(rng.integers(1, 12 // K + 1)), -3)
         est = enumerate_expected_gradient(x, c, K, J)
         worst = max(worst, float(np.abs(est - 2.0 * H @ x).max()))
-    results = [
-        CheckResult(
-            name="estimator-unbiased-quadratic",
-            bound="max |E[g] - 2Hx| <= 1e-12",
-            measured=f"{worst:.3e}",
-            passed=worst <= 1e-12,
-            note="100 enumerated quadratic instances",
-        )
-    ]
 
     x = np.array([1.0])
     J4 = lambda v: float(v[0] ** 4)
-    # each radius half the one before, exactly in binary64
-    radii = (0.2, 0.1, 0.05, 0.025)
+    # each radius half the one before, exactly in binary64; bias(c) ~ c**2
+    # makes each ratio near 4
+    radii, (lo, hi) = (0.2, 0.1, 0.05, 0.025), (3.5, 4.5)
     bias = [abs(enumerate_expected_gradient(x, c, 1, J4)[0] - 4.0) for c in radii]
     ratios = [b1 / b2 for b1, b2 in zip(bias, bias[1:])]
-    results.append(
+    return [
+        CheckResult(
+            name="estimator-unbiased-quadratic",
+            bound=f"max |E[g] - 2Hx| <= {_sci(tol)}",
+            measured=f"{worst:.3e}",
+            passed=worst <= tol,
+            note=f"{instances} enumerated quadratic instances",
+        ),
         CheckResult(
             name="estimator-bias-decay",
-            bound="bias(c)/bias(c/2) in [3.5, 4.5]",
+            bound=f"bias(c)/bias(c/2) in [{lo}, {hi}]",
             measured=", ".join(f"{r:.3f}" for r in ratios),
-            passed=all(3.5 <= r <= 4.5 for r in ratios),
+            passed=all(lo <= r <= hi for r in ratios),
             note="quartic objective, halving probe radius",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def check_variance(**_) -> list:
     """Variance of the K-probe mean is exactly 1/K of the single-probe
     variance, component by component."""
     rng = np.random.default_rng(7)
+    tol, Ks = 1e-12, (1, 2, 3, 4)
     worst = 0.0
     for _ in range(5):
-        d = 2
-        H = random_spd_matrix(rng, d)
-        x = rng.uniform(-1.0, 1.0, size=d)
-        c = 10.0 ** rng.uniform(-2, 0)
-        J = lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
-        var = [enumerate_estimator_variance(x, c, K, J) for K in (1, 2, 3, 4)]
-        for K, varK in enumerate(var, start=1):
+        _, x, c, J = _quadratic_instance(rng, 2, -2)
+        var = [enumerate_estimator_variance(x, c, K, J) for K in Ks]
+        for K, varK in zip(Ks, var):
             worst = max(worst, float(np.abs(varK - var[0] / K).max()))
     return [
         CheckResult(
             name="variance-scaling",
-            bound="max |Var_K - Var_1/K| <= 1e-12",
+            bound=f"max |Var_K - Var_1/K| <= {_sci(tol)}",
             measured=f"{worst:.3e}",
-            passed=worst <= 1e-12,
-            note="K in {1,2,3,4}, enumerated product space",
+            passed=worst <= tol,
+            note=f"K in {{{','.join(map(str, Ks))}}}, enumerated product space",
         )
     ]
 
@@ -122,11 +127,12 @@ def _twice_speed_row(pairs) -> CheckResult:
     """Judge the twice-speed claim on a list of ``(rec_bc, rec_pbc)`` pairs."""
     rep = check_twice_speed(pairs)
     worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
+    tol = 1e-6
     return CheckResult(
         name="twice-speed",
-        bound="sup_t |x_pbc(t) - x_bc(2t)| <= 1e-6",
+        bound=f"sup_t |x_pbc(t) - x_bc(2t)| <= {_sci(tol)}",
         measured=f"state {worst_x:.3e}, objective {worst_j:.3e}",
-        passed=bool(pairs) and worst_x <= 1e-6 and worst_j <= 1e-6,
+        passed=bool(pairs) and worst_x <= tol and worst_j <= tol,
         note=(
             f"{len(pairs)} paired rendezvous seeds, {pairs[0][1].steps} steps"
             if pairs else _NO_EVIDENCE
@@ -136,11 +142,12 @@ def _twice_speed_row(pairs) -> CheckResult:
 
 def _distance_row(rep, pairs: int) -> CheckResult:
     """Judge distance dominance on its report over ``pairs`` paired runs."""
+    floor = -1e-9
     return CheckResult(
         name="distance-dominance",
-        bound="min_t (D_bc(2t) - D_pbc(t)) >= -1e-9",
+        bound=f"min_t (D_bc(2t) - D_pbc(t)) >= {_sci(floor)}",
         measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{pairs}",
-        passed=pairs > 0 and rep.min_margin >= -1e-9,
+        passed=pairs > 0 and rep.min_margin >= floor,
         note="path-wise comparison on shared sample paths" if pairs else _NO_EVIDENCE,
     )
 
@@ -148,11 +155,12 @@ def _distance_row(rep, pairs: int) -> CheckResult:
 def _descent_row(task: str, traces) -> CheckResult:
     """Judge the descent trend on the objective traces of a run's finished trials."""
     frac = descent_fraction(traces) if len(traces) else math.nan
+    least, window = 0.95, _DESCENT_WINDOW
     return CheckResult(
         name=f"descent-{task}",
-        bound=f"trailing-{_DESCENT_WINDOW} mean < leading-{_DESCENT_WINDOW} mean in >= 95%",
+        bound=f"trailing-{window} mean < leading-{window} mean in >= {least:.0%}",
         measured=f"{frac:.2%}",
-        passed=frac >= 0.95,
+        passed=frac >= least,
         note=f"{len(traces)} trials" if len(traces) else _NO_TRIALS,
     )
 
@@ -168,12 +176,13 @@ def check_distance_runs(*, seeds: int, **_) -> list:
     return [_distance_row(check_distance_dominance(pairs), len(pairs))]
 
 
-# the scalar enumeration instance x=1, a=0.1, c=0.5 under each curvature: its
-# objective, the sign of the costs' strict order in K, the costs known
-# exactly, whether the kappa=2 power falls strictly, and the row's texts
+# the scalar enumeration instance under each curvature: its objective, the
+# sign of the costs' strict order in K, the costs known exactly, whether the
+# kappa=2 power falls strictly, and the row's texts, formatted from the costs
+# and from the instance's x, a and c
 _K_STEP = {
     False: (lambda v: float(v[0]) ** 2, -1.0, (0.6425, 0.64125), True,
-            "0.6425, 0.64125 exact; strictly decreasing", "scalar quadratic, x=1, a=0.1, c=0.5"),
+            "{} exact; strictly decreasing", "scalar quadratic, x={:g}, a={:g}, c={:g}"),
     True: (lambda v: 10.0 - float(v[0]) ** 2, 1.0, (), False,
            "E[J(next)] strictly increasing in K", "concave instance; reversed ordering expected"),
 }
@@ -193,7 +202,8 @@ def check_k_step(concave: bool = False, **_) -> list:
     """Per-step probe-count ordering on the scalar enumeration instance: the
     cost strictly ordered in K by curvature, and the move never longer."""
     J, sign, exact, strict_d2, bound, note = _K_STEP[concave]
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J)
+    x, a, c = 1.0, 0.1, 0.5
+    rep = check_k_monotonicity(np.array([x]), a, c, (1, 2, 3), J)
     costs, d1, d2 = rep.cost_values, rep.distance_values[1.0], rep.distance_values[2.0]
     passed = (
         all(abs(v - e) <= 1e-12 for v, e in zip(costs, exact))
@@ -202,6 +212,7 @@ def check_k_step(concave: bool = False, **_) -> list:
         and _non_increasing(d2)
         and (not strict_d2 or _rises(d2, -1.0))
     )
+    bound, note = bound.format(", ".join(map(str, exact))), note.format(x, a, c)
     measured = ", ".join(f"{v:.6f}" for v in costs)
     return [CheckResult("k-step-ordering", bound, measured, passed, note)]
 
@@ -210,7 +221,8 @@ def check_k_multistep(*, trials: int, **_) -> list:
     """More probes never hurt over a whole run of the convex quadratic task,
     compared on the trials that finished at every K."""
     config = ExperimentConfig(task="quadratic", law=LAW_PBC, trials=trials, master_seed=11)
-    runs = [run_monte_carlo(replace(config, K=K)).records for K in (1, 3, 10)]
+    Ks = (1, 3, 10)
+    runs = [run_monte_carlo(replace(config, K=K)).records for K in Ks]
     common = set.intersection(*({r.trial for r in records} for records in runs))
     finals = [
         float(_aggregate([r for r in records if r.trial in common]).j_mean[-1])
@@ -218,15 +230,15 @@ def check_k_multistep(*, trials: int, **_) -> list:
         for records in runs
     ]
     slack = 1.02  # Monte Carlo noise allowance on an inequality of means
-    # NaN means, with no trial finished at every K, fail both comparisons
-    ok = finals[1] <= finals[0] * slack and finals[2] <= finals[1] * slack
+    # NaN means, with no trial finished at every K, fail every comparison
+    ok = all(v <= u * slack for u, v in zip(finals, finals[1:]))
     return [
         CheckResult(
             name="k-multistep-ordering",
             bound=f"mean J(T) non-increasing in K ({slack - 1:.0%} MC slack)",
             measured=", ".join(f"{v:.4e}" for v in finals),
             passed=ok,
-            note=f"quadratic task, K in (1, 3, 10), {len(common)} trials" if common else _NO_TRIALS,
+            note=f"quadratic task, K in {Ks}, {len(common)} trials" if common else _NO_TRIALS,
         )
     ]
 

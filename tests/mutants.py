@@ -7,10 +7,12 @@ only whole-trial tests see, the one path of a run statistic, or a judge of
 a claim: an oracle's fold over pairs or a bound of ``verify``, which a
 real run passes by a wide margin.  A wrong version of any of them can still
 pass most tests.  Each mutant replaces one exact text of one source file, in
-a copy of ``src/`` and ``tests/`` made once, and runs the tests named for it
-there under the ``ci`` hypothesis profile; the file is restored before the
-next mutant.  Every named test must fail.  The gate fails (exit 1) when a
-named test passes, or when a mutant's text does not occur exactly once.
+one of two copies of ``src/`` and ``tests/`` made once, and runs the tests
+named for it there under the ``ci`` hypothesis profile; the file is restored
+before that copy takes the next mutant.  The two copies run one mutant each
+at a time, and the results print in the order of ``MUTANTS``.  Every named
+test must fail.  The gate fails (exit 1) when a named test passes, or when a
+mutant's text does not occur exactly once.
 
 Run from anywhere, outside tier-1, since every mutant reruns tests::
 
@@ -22,15 +24,20 @@ pytest does not collect this file: its name does not start with ``test_``.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the tree copies, and so the mutants under test at once: each runs pytest in
+# its own process
+COPIES = 2
 
 # file under src/broadcast_control, the exact text, its replacement, and
 # the pytest node ids that must fail
@@ -44,6 +51,12 @@ _MARGIN = "margin = k_quad * quad + k_0"
 _NEAR_TIES = "tests/test_objectives.py::test_hard_coverage_near_ties_bit_for_bit"
 _ORACLE = "tests/test_oracle.py"
 _WORST_PAIR = f"{_ORACLE}::test_paired_oracles_fold_a_worst_pair_that_is_not_last"
+_VERIFY_GOLDEN = "tests/test_golden.py::test_verify_report_matches_golden"
+_FIVE_CHECKS = f"{_VERIFY_GOLDEN}[verify-five-checks]"
+_TWICE_SPEED_ROW = f"{_ORACLE}::test_twice_speed_row_fails_past_its_bound"
+_DISTANCE_ROW = f"{_ORACLE}::test_distance_row_fails_past_its_bound"
+_SLACK_ROW = f"{_ORACLE}::test_k_multistep_row_fails_past_its_slack"
+_DESCENT_ROW = f"{_ORACLE}::test_descent_row_fails_below_its_bound"
 
 MUTANTS = (
     Mutant(
@@ -185,37 +198,72 @@ MUTANTS = (
     Mutant(
         "the twice-speed bound at 1e-3",
         "verify.py",
-        "worst_x <= 1e-6 and worst_j <= 1e-6",
-        "worst_x <= 1e-3 and worst_j <= 1e-3",
-        (f"{_ORACLE}::test_twice_speed_row_fails_past_its_bound",),
+        "tol = 1e-6",
+        "tol = 1e-3",
+        (_TWICE_SPEED_ROW, _FIVE_CHECKS),
+    ),
+    Mutant(
+        "the twice-speed state deviation judged strictly",
+        "verify.py",
+        "worst_x <= tol",
+        "worst_x < tol",
+        (_TWICE_SPEED_ROW,),
+    ),
+    Mutant(
+        "the twice-speed objective deviation judged strictly",
+        "verify.py",
+        "worst_j <= tol",
+        "worst_j < tol",
+        (_TWICE_SPEED_ROW,),
     ),
     Mutant(
         "the distance bound at -1e-3",
         "verify.py",
-        "rep.min_margin >= -1e-9",
-        "rep.min_margin >= -1e-3",
-        (f"{_ORACLE}::test_distance_row_fails_past_its_bound",),
+        "floor = -1e-9",
+        "floor = -1e-3",
+        (_DISTANCE_ROW, _FIVE_CHECKS),
+    ),
+    Mutant(
+        "the distance margin judged strictly",
+        "verify.py",
+        "rep.min_margin >= floor",
+        "rep.min_margin > floor",
+        (_DISTANCE_ROW,),
     ),
     Mutant(
         "the estimator bound at 1e-9",
         "verify.py",
-        'passed=worst <= 1e-12,\n            note="100 enumerated',
-        'passed=worst <= 1e-9,\n            note="100 enumerated',
-        (f"{_ORACLE}::test_estimator_row_fails_past_its_bound",),
+        "tol, instances = 1e-12, 100",
+        "tol, instances = 1e-9, 100",
+        (f"{_ORACLE}::test_estimator_row_fails_past_its_bound", _FIVE_CHECKS),
     ),
     Mutant(
         "the k-multistep slack at 20%",
         "verify.py",
         "slack = 1.02",
         "slack = 1.2",
-        (f"{_ORACLE}::test_k_multistep_row_fails_past_its_slack[1.05-False]",),
+        (f"{_SLACK_ROW}[1.05-False]", f"{_VERIFY_GOLDEN}[verify-k-multistep]"),
+    ),
+    Mutant(
+        "the k-multistep means judged strictly",
+        "verify.py",
+        "v <= u * slack",
+        "v < u * slack",
+        (f"{_SLACK_ROW}[1.02-True]",),
     ),
     Mutant(
         "the descent bound at 90%",
         "verify.py",
-        "passed=frac >= 0.95",
-        "passed=frac >= 0.90",
-        (f"{_ORACLE}::test_descent_row_fails_below_its_bound",),
+        "least, window = 0.95,",
+        "least, window = 0.90,",
+        (_DESCENT_ROW,),
+    ),
+    Mutant(
+        "the descent fraction judged strictly",
+        "verify.py",
+        "passed=frac >= least",
+        "passed=frac > least",
+        (_DESCENT_ROW,),
     ),
     Mutant(
         "the descent windows of 10 steps",
@@ -236,7 +284,7 @@ MUTANTS = (
         "verify.py",
         "worst = max(worst, float(np.abs(varK - var[0] / K).max()))",
         "worst = float(np.abs(varK - var[0] / K).max())",
-        ("tests/test_golden.py::test_verify_report_matches_golden[verify-five-checks]",),
+        (_FIVE_CHECKS,),
     ),
     Mutant(
         "k-multistep over every trial, not the common ones",
@@ -287,19 +335,33 @@ def check(mutant: Mutant, copy: Path) -> list:
     return [f"survived {test}" for test in mutant.tests if test not in failed]
 
 
+def _timed_check(mutant: Mutant, copies: queue.Queue):
+    """``check`` on a copy taken from ``copies`` and put back after: its
+    problems and its wall time."""
+    copy = copies.get()
+    try:
+        begun = time.perf_counter()
+        return check(mutant, copy), time.perf_counter() - begun
+    finally:
+        copies.put(copy)
+
+
 def main() -> int:
     start, survivors = time.perf_counter(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        _copy(copy)
-        for mutant in MUTANTS:
-            begun = time.perf_counter()
-            problems = check(mutant, copy)
-            verdict = "caught" if not problems else "FAIL"
-            print(f"{verdict:6} {time.perf_counter() - begun:6.1f} s  {mutant.name}", flush=True)
-            for problem in problems:
-                print(f"       {problem}")
-            survivors += bool(problems)
+        copies: queue.Queue = queue.Queue()
+        for i in range(COPIES):
+            copy = Path(tmp) / str(i)
+            _copy(copy)
+            copies.put(copy)
+        with ThreadPoolExecutor(COPIES) as pool:
+            outcomes = pool.map(lambda mutant: _timed_check(mutant, copies), MUTANTS)
+            for mutant, (problems, seconds) in zip(MUTANTS, outcomes):
+                verdict = "caught" if not problems else "FAIL"
+                print(f"{verdict:6} {seconds:6.1f} s  {mutant.name}", flush=True)
+                for problem in problems:
+                    print(f"       {problem}")
+                survivors += bool(problems)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught, "
           f"{time.perf_counter() - start:.1f} s wall")
     return 1 if survivors else 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import broadcast_control.controllers as controllers_mod
 import broadcast_control.engine as engine_mod
 import broadcast_control.objectives as objectives_mod
 import broadcast_control.state as state_mod
@@ -25,7 +26,6 @@ from broadcast_control.config import (
 from broadcast_control.controllers import gain_c
 from broadcast_control.engine import (
     DivergenceError,
-    moving_distance,
     run_monte_carlo,
     run_paired,
     run_trial,
@@ -38,20 +38,6 @@ def small_config(**kw) -> ExperimentConfig:
                 master_seed=7, formation_count=4)
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-def test_moving_distance_examples():
-    d = moving_distance(np.array([[3.0, 4.0]]), n=2)
-    assert np.array_equal(d, [0.0, 5.0])
-    d = moving_distance(np.zeros((4, 6)), n=2)
-    assert np.array_equal(d, np.zeros(5))
-    assert moving_distance(np.zeros((0, 4)), n=2).tolist() == [0.0]
-
-
-def test_moving_distance_non_decreasing(rng):
-    d = moving_distance(rng.normal(size=(30, 8)), n=2)
-    assert np.all(np.diff(d) >= 0)
-    assert d[0] == 0.0
 
 
 def test_bc_even_step_distance_increment():
@@ -130,6 +116,33 @@ def test_objective_evaluation_counts(monkeypatch):
     counts["n"] = 0
     run_trial(small_config(law="bc", steps=10), 0)
     assert counts["n"] == 10 + 1
+
+
+@pytest.mark.parametrize(
+    "law, steps, mode, reads",
+    [
+        ("bc", 5, "figure", [0, 2, 4]),
+        ("bc", 6, "figure", [0, 2, 4]),
+        ("bc", 3, "theorem", [0, 2, 4]),
+        ("paired", 4, "theorem", [0, 2, 4, 6]),
+    ],
+)
+def test_bc_reads_its_gains_once_a_pair(monkeypatch, law, steps, mode, reads):
+    # the two steps of a pair share the even step's gains, as they share its
+    # signs and objective value: ceil(T/2) reads over T steps, each at an even
+    # t, through the module as the engine reads them; a paired run's
+    # single-stage partner reads gain_a and gain_c instead
+    steps_read = []
+    bc_gains_at = controllers_mod.bc_gains_at
+
+    def counting(config, t):
+        steps_read.append(t)
+        return bc_gains_at(config, t)
+
+    monkeypatch.setattr(controllers_mod, "bc_gains_at", counting)
+    run = run_paired if law == "paired" else run_trial
+    run(small_config(law=law, steps=steps, mode=mode), 0)
+    assert steps_read == reads
 
 
 def test_run_paired_shares_initial_state_and_signs():

@@ -395,16 +395,19 @@ def test_distance_dominance_counts_a_tie_at_t_as_not_strict():
     assert check_distance_dominance(pairs).strict == 1
 
 
-# Each planted value below lies just past a row's bound, where a looser bound
-# would pass it; the value at the bound passes.
+# Each planted value below lies one binary64 step past a row's bound, where
+# a looser bound would pass it, or exactly at the bound, which passes: each
+# row judges at the very bound it prints, and neither a strict comparison nor
+# a bound moved by one step survives.
 def test_twice_speed_row_fails_past_its_bound():
-    for dev, j_dev in ((2e-6, 0.0), (0.0, 2e-6)):
+    past = np.nextafter(1e-6, 1.0)
+    for dev, j_dev in ((past, 0.0), (0.0, past)):
         assert not verify_mod._twice_speed_row([_planted_pair(dev, j_dev)]).passed
     assert verify_mod._twice_speed_row([_planted_pair(1e-6, 1e-6)]).passed
 
 
 def test_distance_row_fails_past_its_bound():
-    for least, passed in ((-2e-9, False), (-1e-9, True)):
+    for least, passed in ((np.nextafter(-1e-9, -1.0), False), (-1e-9, True)):
         pairs = [_planted_pair(margins=(0.0, least, 1.0))]
         assert verify_mod._distance_row(check_distance_dominance(pairs), 1).passed == passed
 
@@ -417,10 +420,13 @@ def test_estimator_row_fails_past_its_bound(monkeypatch):
     assert not unbiased.passed and decay.passed
 
 
-@pytest.mark.parametrize("ratio,passed", [(1.05, False), (1.01, True)])
+@pytest.mark.parametrize(
+    "ratio,passed",
+    [(1.05, False), (1.01, True), (1.02, True), (float(np.nextafter(1.02, 2.0)), False)],
+)
 def test_k_multistep_row_fails_past_its_slack(monkeypatch, ratio, passed):
     # each K's one trial ends at J(T) ``ratio`` times the one before; the
-    # slack is 2%
+    # slack is 2%, which a ratio of exactly 1.02 meets
     finals = {1: 1.0, 3: ratio, 10: ratio * ratio}
 
     def run(config):
@@ -435,11 +441,14 @@ def test_k_multistep_row_fails_past_its_slack(monkeypatch, ratio, passed):
     assert row.passed == passed
 
 
-def test_descent_row_fails_below_its_bound():
+def test_descent_row_fails_below_its_bound(monkeypatch):
     down, up = np.linspace(1.0, 0.0, 100), np.linspace(0.0, 1.0, 100)
     row = verify_mod._descent_row("rendezvous", np.array([down] * 93 + [up] * 7))
     assert (row.measured, row.passed) == ("93.00%", False)
     assert verify_mod._descent_row("rendezvous", np.array([down] * 95 + [up] * 5)).passed
+    # a fraction one step below 95%, which no whole count of 100 trials gives
+    monkeypatch.setattr(verify_mod, "descent_fraction", lambda _: np.nextafter(0.95, 0.0))
+    assert not verify_mod._descent_row("rendezvous", np.array([down])).passed
 
 
 def test_estimator_and_variance_enumerate_each_radius_and_k_once(monkeypatch):
