@@ -39,7 +39,6 @@ from .objectives import (
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
-    QuadraticPayload,
     circle_formation,
     freeze_assignment,
     unit_cube_grid,
@@ -308,16 +307,15 @@ class ExperimentConfig:
         """The flat, agent-major start state of length ``n*N``."""
         if self.x0 is not None:
             return np.asarray(self.x0, dtype=np.float64)
-        idx = np.arange(1, self.N + 1)
         if self.task == COVERAGE:
-            # ring of radius 0.2 around the workspace center
+            # the circle family's rotation 0 at radius 0.2 around the
+            # workspace center, on the first min(n, 2) axes
+            ring = circle_formation(self.N, 0.2, (0,)).positions[0, :, : self.n]
             pts = np.full((self.N, self.n), 0.5)
-            ang = 2.0 * np.pi * idx / self.N
-            pts[:, 0] += 0.2 * np.cos(ang)
-            if self.n >= 2:
-                pts[:, 1] += 0.2 * np.sin(ang)
+            pts[:, : ring.shape[1]] += ring
             return pts.ravel()
         # diagonal line: agent i at 0.9*(i/N) * ones
+        idx = np.arange(1, self.N + 1)
         pts = (0.9 * idx / self.N)[:, None] * np.ones(self.n)[None, :]
         return pts.ravel()
 
@@ -339,7 +337,7 @@ class ExperimentConfig:
             # stable at any nN (the per-step contraction depends on a * nN
             # times the curvature scale)
             d = self.n * self.N
-            payload = QuadraticPayload(H=np.eye(d) / d)
+            payload = np.eye(d) / d
         return ObjectiveSpec(payload, self.l1, self.l2, self.smooth_min_eps)
 
     # -- serialization -------------------------------------------------------

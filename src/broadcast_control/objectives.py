@@ -21,7 +21,8 @@ and with the epsilon it picks the one evaluator that is built and returned,
 wrapped in the barrier as ``J(x) -> float``.  An evaluation dispatches on
 nothing and checks nothing: ``ExperimentConfig`` has checked the barrier
 radii, the epsilon and the layout, and a state of the wrong length fails to
-reshape.
+reshape.  The other payloads check their arrays once, when built; the
+quadratic task's payload is its matrix ``H``, symmetric by construction.
 
 Hard-minimum coverage is ``_LabelledCoverage``, which keeps each grid
 point's nearest agent from its last full scan.  A call scans every agent
@@ -476,14 +477,6 @@ class AssignmentPayload:
             raise ValueError("assignment targets must be a non-empty (N, n) array")
         object.__setattr__(self, "targets", targets)
 
-    @property
-    def N(self) -> int:
-        return self.targets.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[1]
-
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment on a square cost matrix.
@@ -652,8 +645,8 @@ def _pairing(targets: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def assignment_objective(payload: AssignmentPayload, x: np.ndarray) -> float:
     """Total squared distance of agents to their targets: agent ``i`` to
     ``targets[i]`` when ``fixed``, else under the current optimal pairing."""
-    pts = x.reshape(payload.N, payload.n)
     targets = payload.targets
+    pts = x.reshape(targets.shape)
     if not payload.fixed:
         targets = targets[_pairing(targets, pts)]
     resid = pts - targets
@@ -670,25 +663,12 @@ def freeze_assignment(payload: AssignmentPayload, x0: np.ndarray) -> AssignmentP
 # quadratic test objective
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticPayload:
-    """Symmetric PSD form for the analytic test objective ``x' H x``."""
-
-    H: np.ndarray
-
-    def __post_init__(self) -> None:
-        H = np.asarray(self.H, dtype=np.float64)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError(f"H must be square, got shape {H.shape}")
-        if not np.array_equal(H, H.T):
-            raise ValueError("H must be symmetric")
-        object.__setattr__(self, "H", H)
-
-
-def quadratic_objective(payload: QuadraticPayload, x: np.ndarray) -> float:
-    """Exact quadratic form ``x' H x`` (gradient ``2 H x``)."""
+def quadratic_objective(H: np.ndarray, x: np.ndarray) -> float:
+    """Exact quadratic form ``x' H x``, whose gradient is ``2 H x`` for the
+    symmetric ``H`` that both builders make (the config's ``I/d`` and
+    ``oracle.random_spd_matrix``).  A non-square ``H`` fails in the product."""
     # the BLAS gemv and dot of ``x @ H @ x`` without matmul's dispatch
-    return float(x.dot(payload.H).dot(x))
+    return float(x.dot(H).dot(x))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +678,8 @@ def quadratic_objective(payload: QuadraticPayload, x: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """A task's payload plus the barrier parameters.  The payload's type
-    names the task.
+    names the task: a ``CoveragePayload``, a ``RendezvousPayload``, an
+    ``AssignmentPayload``, or the quadratic task's matrix ``H`` itself.
 
     ``smooth_min_epsilon`` of ``None`` keeps the hard inner minima; a
     negative value switches coverage and rendezvous to the log-sum-exp

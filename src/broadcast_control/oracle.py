@@ -84,11 +84,7 @@ def _enumerated_mean(g: np.ndarray, K: int, term):
     total = 0.0
     for start in range(0, count, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-        idx = np.empty((codes.shape[0], K), dtype=np.int64)
-        rem = codes
-        for k in range(K - 1, -1, -1):
-            idx[:, k] = rem % base
-            rem = rem // base
+        idx = np.stack(np.unravel_index(codes, (base,) * K), axis=1)
         total = total + term(g[idx].mean(axis=1))
     return total / count
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import LAW_PAIRED, LAW_PBC, ExperimentConfig
 from .engine import _aggregate, run_monte_carlo, run_paired
-from .objectives import QuadraticPayload, quadratic_objective
+from .objectives import quadratic_objective
 from .oracle import (
     _DESCENT_WINDOW,
     check_distance_dominance,
@@ -61,7 +61,7 @@ def _quadratic_instance(rng, d: int, log_c_min: float):
     probe radius ``c`` log-uniform in ``[10**log_c_min, 1]`` and ``J(v) = v.Hv``."""
     H = random_spd_matrix(rng, d)
     x, c = rng.uniform(-1.0, 1.0, size=d), 10.0 ** rng.uniform(log_c_min, 0)
-    return H, x, c, lambda v, P=QuadraticPayload(H): quadratic_objective(P, v)
+    return H, x, c, lambda v: quadratic_objective(H, v)
 
 
 def check_estimator(**_) -> list:

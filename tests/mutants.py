@@ -88,6 +88,13 @@ MUTANTS = (
         ("tests/test_objectives.py::test_hungarian_certificate_against_runner_up_solves",),
     ),
     Mutant(
+        "hungarian certificate without its overflow guard",
+        "objectives.py",
+        "if not M < 2.0**500:",
+        "if not M < math.inf:",
+        ("tests/test_objectives.py::test_hungarian_certificate_stops_at_its_overflow_guard[at]",),
+    ),
+    Mutant(
         "rendezvous certificate with a zero margin",
         "objectives.py",
         "scores <= scores[best] + margin",
@@ -278,6 +285,13 @@ MUTANTS = (
         "v <= u + 1e-12 * (1 + abs(u))",
         "v <= u + 1e-3 * (1 + abs(u))",
         (f"{_ORACLE}::test_k_step_fails_on_a_growing_kappa1_power[convex]",),
+    ),
+    Mutant(
+        "the k-step costs within 1e-3",
+        "verify.py",
+        "abs(v - e) <= 1e-12",
+        "abs(v - e) <= 1e-3",
+        (f"{_ORACLE}::test_k_step_fails_a_cost_past_its_tolerance",),
     ),
     Mutant(
         "the variance check keeping only the last K",

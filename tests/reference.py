@@ -196,7 +196,7 @@ def objective(config):
             perm = pairing(targets, config.initial_state())
         task = lambda x: assignment(targets, x, perm)
     else:
-        task = lambda x: float(x @ payload.H @ x)
+        task = lambda x: float(x @ payload @ x)
     return lambda x: evaluate(config, task, x)
 
 

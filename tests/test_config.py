@@ -569,7 +569,7 @@ def test_objective_spec_building():
     assert cov.objective_spec().payload.grid.shape == (9, 2)
 
     quad = dataclasses.replace(config, task="quadratic")
-    H = quad.objective_spec().payload.H
+    H = quad.objective_spec().payload
     # dimension-normalized identity keeps the standard gains stable
     assert np.array_equal(H, np.eye(8) / 8)
 

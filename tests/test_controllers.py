@@ -18,7 +18,6 @@ from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
-    QuadraticPayload,
     circle_formation,
     make_objective_fn,
     unit_cube_grid,
@@ -318,7 +317,7 @@ def test_one_step_equivalence(name, rng):
 def test_quadratic_enumeration_equivalence():
     # every probe sign on a small quadratic instance, exact agreement
     H = np.diag([1.0, 4.0])
-    spec = ObjectiveSpec(QuadraticPayload(H), 100.0, 101.0)
+    spec = ObjectiveSpec(H, 100.0, 101.0)
     J = make_objective_fn(spec)
     a, c = 0.1, 0.5
     for s0 in (1.0, -1.0):

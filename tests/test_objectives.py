@@ -15,7 +15,6 @@ from broadcast_control.objectives import (
     AssignmentPayload,
     CoveragePayload,
     ObjectiveSpec,
-    QuadraticPayload,
     RendezvousPayload,
     _certified_rendezvous,
     _formation_sq_errors,
@@ -84,7 +83,7 @@ def test_barrier_weight_interior_curvature():
 
 def _quad_spec(n=1, N=2, l1=1.0, l2=2.0):
     H = np.eye(n * N) * 0.25
-    return ObjectiveSpec(QuadraticPayload(H), l1=l1, l2=l2)
+    return ObjectiveSpec(H, l1=l1, l2=l2)
 
 
 def test_evaluate_branches_bit_exact():
@@ -215,6 +214,23 @@ def test_coverage_payload_validation():
         grid[3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             CoveragePayload(grid=grid)
+
+
+def test_rendezvous_payload_validation():
+    for bad in (np.zeros((0, 3, 2)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="non-empty"):
+            RendezvousPayload(positions=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        pos = np.zeros((2, 3, 2))
+        pos[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RendezvousPayload(positions=pos)
+
+
+def test_assignment_payload_validation():
+    for bad in (np.zeros((0, 2)), np.zeros(4), np.zeros((1, 3, 2))):
+        with pytest.raises(ValueError, match="non-empty"):
+            AssignmentPayload(targets=bad)
 
 
 @st.composite
@@ -713,6 +729,20 @@ def test_hungarian_refinement_solves_through_the_loader(monkeypatch):
     assert calls == [(3, 3), (2, 2), (1, 1), (0, 0)]
 
 
+@pytest.mark.parametrize(
+    "M, solves",
+    [(np.nextafter(2.0**500, 0), [(2, 2)]), (2.0**500, [(2, 2), (1, 1), (0, 0)])],
+    ids=["below", "at"],
+)
+def test_hungarian_certificate_stops_at_its_overflow_guard(M, solves, monkeypatch):
+    # the one rival costs 2M more: below 2**500 the certificate proves it
+    # after the one solve; from 2**500, where a cycle sum could overflow, it
+    # certifies nothing and the refinement solves each row's completion
+    calls, _ = _counting_solver(monkeypatch)
+    assert hungarian(np.array([[0.0, M], [M, 0.0]])).tolist() == [0, 1]
+    assert calls == solves
+
+
 def test_assignment_solver_gives_scipy_optimize_results(rng, monkeypatch):
     # the solver loaded from scipy's extension file alone returns, array for
     # array, what scipy.optimize.linear_sum_assignment does: on generic
@@ -855,12 +885,12 @@ def test_smooth_min_rejects_bad_args():
 
 
 def test_quadratic_examples():
-    eye = QuadraticPayload(np.eye(2))
+    eye = np.eye(2)
     assert quadratic_objective(eye, np.array([1.0, 1.0])) == 2.0
     assert quadratic_objective(eye, np.zeros(2)) == 0.0
-    diag = QuadraticPayload(np.diag([1.0, 4.0]))
+    diag = np.diag([1.0, 4.0])
     assert quadratic_objective(diag, np.array([1.0, 1.0])) == 5.0
-    assert quadratic_objective(QuadraticPayload([[0.5]]), np.array([2.0])) == 2.0
+    assert quadratic_objective(np.array([[0.5]]), np.array([2.0])) == 2.0
 
 
 @given(
@@ -875,11 +905,15 @@ def test_quadratic_objective_has_the_bits_of_matmul(d, seed, log_scale, strided)
     H = random_spd_matrix(rng, d) * 10.0**log_scale
     x = rng.normal(scale=10.0**-log_scale, size=2 * d)
     x = x[::2] if strided else x[:d]
-    assert quadratic_objective(QuadraticPayload(H), x).hex() == float(x @ H @ x).hex()
+    assert quadratic_objective(H, x).hex() == float(x @ H @ x).hex()
 
 
-def test_quadratic_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadraticPayload(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="square"):
-        QuadraticPayload(np.ones((2, 3)))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_spd_matrix_is_symmetric_bit_for_bit(seed):
+    # quadratic_objective's gradient is 2Hx only for a symmetric H, and no
+    # payload checks it: 0.5 * (H + H.T) is symmetric because IEEE addition
+    # commutes
+    rng = np.random.default_rng(seed)
+    for d in range(1, 31):
+        H = random_spd_matrix(rng, d)
+        assert H.tobytes() == H.T.tobytes()

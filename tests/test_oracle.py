@@ -13,7 +13,6 @@ from broadcast_control.engine import MonteCarloResult, TrialRecord, run_paired
 from broadcast_control.objectives import (
     CoveragePayload,
     ObjectiveSpec,
-    QuadraticPayload,
     make_objective_fn,
     quadratic_objective,
 )
@@ -43,9 +42,8 @@ SQUARE = lambda v: float(v[0] ** 2)
 
 
 def quadratic(H):
-    """``J(v) = v' H v`` with the form validated once."""
-    payload = QuadraticPayload(H)
-    return lambda v: quadratic_objective(payload, v)
+    """``J(v) = v' H v`` for a symmetric float ``H``."""
+    return lambda v: quadratic_objective(H, v)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +608,38 @@ def test_k_step_fails_on_a_cost_out_of_order(monkeypatch, concave):
     step = -1e-6 if concave else 1e-6
     plant = lambda rep: dataclasses.replace(rep, cost_values=_last_moved(rep.cost_values, step))
     assert not _k_step_passes(monkeypatch, concave, plant)
+
+
+def _cost_planted(i, cost):
+    """A plant that sets the report's ``i``-th cost to ``cost``."""
+
+    def plant(rep):
+        costs = rep.cost_values[:i] + (cost,) + rep.cost_values[i + 1 :]
+        return dataclasses.replace(rep, cost_values=costs)
+
+    return plant
+
+
+def _farthest_within(e, tol, toward):
+    """The float farthest from ``e`` toward ``toward`` whose computed
+    distance ``abs(v - e)`` from ``e`` is at most ``tol``."""
+    v = e + math.copysign(tol, toward)  # within a few steps of the edge
+    while abs(v - e) > tol:
+        v = math.nextafter(v, e)
+    while abs(math.nextafter(v, toward) - e) <= tol:
+        v = math.nextafter(v, toward)
+    return v
+
+
+def test_k_step_fails_a_cost_past_its_tolerance(monkeypatch):
+    # the convex instance's costs are judged against their exact values
+    # within 1e-12: a cost planted at the farthest float within that passes,
+    # and one binary64 step farther fails, on either side of either value
+    for i, exact in enumerate((0.6425, 0.64125)):
+        for toward in (-math.inf, math.inf):
+            edge = _farthest_within(exact, 1e-12, toward)
+            for cost, passes in ((edge, True), (math.nextafter(edge, toward), False)):
+                assert _k_step_passes(monkeypatch, False, _cost_planted(i, cost)) == passes
 
 
 def test_worked_single_step_distance_margin():
