@@ -20,12 +20,14 @@ a, c = 0.1, 0.5
 convex = lambda v: float(v[0] ** 2)
 concave = lambda v: 10.0 - float(v[0] ** 2)
 Ks = (1, 2, 3, 4)
-vex = check_k_monotonicity(x, a, c, Ks, convex)
-cave = check_k_monotonicity(x, a, c, Ks, concave)
+# each call gives (costs, abs_sums, square_sums): per K, the expected next
+# cost and the expected sums of |u_i| and u_i**2 over the step's entries
+vex_costs, _, vex_squares = check_k_monotonicity(x, a, c, Ks, convex)
+cave_costs, _, _ = check_k_monotonicity(x, a, c, Ks, concave)
 
 print("scalar instance: x = 1, a = 0.1, c = 0.5, all expectations exact\n")
 print(f"{'K':>3} {'E[J next] convex':>18} {'E[J next] concave':>18} {'E[|u|^2]':>12}")
-for K, ec, eg, ed in zip(Ks, vex.cost_values, cave.cost_values, vex.distance_values[2.0]):
+for K, ec, eg, ed in zip(Ks, vex_costs, cave_costs, vex_squares):
     print(f"{K:>3} {ec:>18.10f} {eg:>18.10f} {ed:>12.8f}")
 
 print("\nvariance of the K-probe mean estimate (component 0):")

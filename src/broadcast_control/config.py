@@ -297,6 +297,14 @@ class ExperimentConfig:
                 "smooth_min_eps applies to the coverage and rendezvous tasks only, "
                 f"got task = {self.task!r}"
             )
+        # only the assignment objective reads its targets and when it pairs
+        # them; off their defaults, both would shape nothing on another task
+        if "task" in valid and self.task != ASSIGNMENT:
+            out += [
+                f"{name} applies to the assignment task only, got task = {self.task!r}"
+                for name in ("targets", "reassignment")
+                if name in typed and getattr(self, name) != _FIELDS[name].default
+            ]
         if out:
             raise ConfigError(out)
         return self

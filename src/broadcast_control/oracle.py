@@ -14,8 +14,6 @@ oracles only measure: ``verify`` holds every claim's bound and judges it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ENUMERATION_CAP = 22  # outcome space 2**(nN*K); beyond this we refuse, never sample
@@ -103,15 +101,6 @@ def enumerate_estimator_variance(x: np.ndarray, c: float, K: int, J) -> np.ndarr
 # paired-run checks
 
 
-@dataclass
-class TwiceSpeedReport:
-    """Worst deviation over the pairs between the single-stage run at t and
-    the two-stage run at 2t."""
-
-    max_state_deviation: float
-    max_objective_deviation: float  # relative: |dJ| / (1 + J)
-
-
 def _paired_horizon(rec_bc, rec_pbc) -> int:
     """The single-stage horizon ``T``; the two-stage record must hold ``2T`` steps."""
     T = rec_pbc.steps
@@ -122,10 +111,10 @@ def _paired_horizon(rec_bc, rec_pbc) -> int:
     return T
 
 
-def check_twice_speed(pairs) -> TwiceSpeedReport:
-    """Measure ``sup_t |x_pbc(t) - x_bc(2t)|_inf`` and the matching
-    objective deviation over each ``(rec_bc, rec_pbc)`` pair's horizon,
-    worst over the pairs (0 for none; a NaN deviation is kept)."""
+def check_twice_speed(pairs) -> tuple:
+    """``(state, objective)``: the worst ``sup_t |x_pbc(t) - x_bc(2t)|_inf``
+    and the worst relative objective deviation ``|dJ| / (1 + J)`` over each
+    ``(rec_bc, rec_pbc)`` pair's horizon (0 for no pairs; a NaN is kept)."""
     dev = j_dev = 0.0
     for rec_bc, rec_pbc in pairs:
         T = _paired_horizon(rec_bc, rec_pbc)
@@ -133,42 +122,32 @@ def check_twice_speed(pairs) -> TwiceSpeedReport:
         dev = np.abs(rec_pbc.states - x_bc).max(initial=dev)
         j_bc, j_pbc = rec_bc.j_trace[0 : 2 * T + 1 : 2], rec_pbc.j_trace
         j_dev = (np.abs(j_pbc - j_bc) / (1.0 + j_pbc)).max(initial=j_dev)
-    return TwiceSpeedReport(float(dev), float(j_dev))
+    return float(dev), float(j_dev)
 
 
-@dataclass
-class DistanceDominanceReport:
-    min_margin: float  # least D_bc(2t) - D_pbc(t) over t = 0..T and the pairs
-    strict: int  # pairs whose margin at T is positive
-
-
-def check_distance_dominance(pairs) -> DistanceDominanceReport:
-    """Path-wise distance comparison ``D_bc(2t) - D_pbc(t)`` over each
-    ``(rec_bc, rec_pbc)`` pair (``min_margin`` is ``inf`` for none)."""
+def check_distance_dominance(pairs) -> tuple:
+    """``(least, strict)``: the least margin ``D_bc(2t) - D_pbc(t)`` over
+    ``t = 0..T`` and each ``(rec_bc, rec_pbc)`` pair (``inf`` for no pairs),
+    and the number of pairs whose margin at ``T`` is positive."""
     least, strict = np.inf, 0
     for rec_bc, rec_pbc in pairs:
         T = _paired_horizon(rec_bc, rec_pbc)
         margins = rec_bc.d_trace[0 : 2 * T + 1 : 2] - rec_pbc.d_trace
         least = margins.min(initial=least)
         strict += bool(margins[-1] > 0)
-    return DistanceDominanceReport(min_margin=float(least), strict=strict)
+    return float(least), strict
 
 
 # ---------------------------------------------------------------------------
 # probe-count ordering
 
 
-@dataclass
-class KMonotonicityReport:
-    cost_values: tuple  # one per entry of K_list, in its order
-    distance_values: dict  # kappa -> tuple of values
-
-
-def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> KMonotonicityReport:
-    """Enumerate, at each probe count of ``K_list``, the exact expected next
-    cost ``E[J(x - a * mean_k g(sigma_k))]`` and the expected per-step
-    distance powers ``E[sum_i |u_i|**kappa]`` over the entries ``u_i`` of the
-    flat input, for ``kappa`` 1 and 2, in one pass over the outcomes per K."""
+def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> tuple:
+    """``(costs, abs_sums, square_sums)``, one entry per probe count of
+    ``K_list`` in each, in its order: the exact expected next cost
+    ``E[J(x - a * mean_k g(sigma_k))]`` and the expected per-step distance
+    powers ``E[sum_i |u_i|]`` and ``E[sum_i u_i**2]`` over the entries
+    ``u_i`` of the flat input, in one pass over the outcomes per K."""
     K_list = tuple(int(k) for k in K_list)
     x = np.asarray(x, dtype=np.float64)
     # one enumeration of the single-probe estimates serves every sum
@@ -181,8 +160,7 @@ def check_k_monotonicity(x: np.ndarray, a: float, c: float, K_list, J) -> KMonot
         return np.array([cost, step.sum(), (step * step).sum()])
 
     means = [_enumerated_mean(g, k, term).tolist() for k in K_list]
-    cost, d1, d2 = (tuple(m[i] for m in means) for i in range(3))
-    return KMonotonicityReport(cost_values=cost, distance_values={1.0: d1, 2.0: d2})
+    return tuple(tuple(m[i] for m in means) for i in range(3))
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

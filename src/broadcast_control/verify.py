@@ -125,8 +125,7 @@ def check_variance(**_) -> list:
 
 def _twice_speed_row(pairs) -> CheckResult:
     """Judge the twice-speed claim on a list of ``(rec_bc, rec_pbc)`` pairs."""
-    rep = check_twice_speed(pairs)
-    worst_x, worst_j = rep.max_state_deviation, rep.max_objective_deviation
+    worst_x, worst_j = check_twice_speed(pairs)
     tol = 1e-6
     return CheckResult(
         name="twice-speed",
@@ -140,14 +139,14 @@ def _twice_speed_row(pairs) -> CheckResult:
     )
 
 
-def _distance_row(rep, pairs: int) -> CheckResult:
-    """Judge distance dominance on its report over ``pairs`` paired runs."""
+def _distance_row(least: float, strict: int, pairs: int) -> CheckResult:
+    """Judge distance dominance on the least margin and strict count of ``pairs`` runs."""
     floor = -1e-9
     return CheckResult(
         name="distance-dominance",
         bound=f"min_t (D_bc(2t) - D_pbc(t)) >= {_sci(floor)}",
-        measured=f"min margin {rep.min_margin:.3e}, strict at T {rep.strict}/{pairs}",
-        passed=pairs > 0 and rep.min_margin >= floor,
+        measured=f"min margin {least:.3e}, strict at T {strict}/{pairs}",
+        passed=pairs > 0 and least >= floor,
         note="path-wise comparison on shared sample paths" if pairs else _NO_EVIDENCE,
     )
 
@@ -173,7 +172,7 @@ def check_twice_speed_runs(*, seeds: int, **_) -> list:
 def check_distance_runs(*, seeds: int, **_) -> list:
     """Paired runs: the two-stage law never travels less, on any sample path."""
     pairs = _pairs(seeds)
-    return [_distance_row(check_distance_dominance(pairs), len(pairs))]
+    return [_distance_row(*check_distance_dominance(pairs), len(pairs))]
 
 
 # the scalar enumeration instance under each curvature: its objective, the
@@ -203,8 +202,7 @@ def check_k_step(concave: bool = False, **_) -> list:
     cost strictly ordered in K by curvature, and the move never longer."""
     J, sign, exact, strict_d2, bound, note = _K_STEP[concave]
     x, a, c = 1.0, 0.1, 0.5
-    rep = check_k_monotonicity(np.array([x]), a, c, (1, 2, 3), J)
-    costs, d1, d2 = rep.cost_values, rep.distance_values[1.0], rep.distance_values[2.0]
+    costs, d1, d2 = check_k_monotonicity(np.array([x]), a, c, (1, 2, 3), J)
     passed = (
         all(abs(v - e) <= 1e-12 for v, e in zip(costs, exact))
         and _rises(costs, sign)

@@ -4,15 +4,16 @@ gain wiring, run statistic or judge.
 Each text below is a fast path exact only by a rounding argument, the
 arithmetic both step laws share, the engine's reading of the gains, which
 only whole-trial tests see, the one path of a run statistic, or a judge of
-a claim: an oracle's fold over pairs or a bound of ``verify``, which a
-real run passes by a wide margin.  A wrong version of any of them can still
-pass most tests.  Each mutant replaces one exact text of one source file, in
-one of two copies of ``src/`` and ``tests/`` made once, and runs the tests
-named for it there under the ``ci`` hypothesis profile; the file is restored
-before that copy takes the next mutant.  The two copies run one mutant each
-at a time, and the results print in the order of ``MUTANTS``.  Every named
-test must fail.  The gate fails (exit 1) when a named test passes, or when a
-mutant's text does not occur exactly once.
+a claim: an oracle's fold over pairs, the order of the numbers it returns,
+or a bound of ``verify``, which a real run passes by a wide margin.  A
+wrong version of any of them can still pass most tests.  Each mutant
+replaces one exact text of one source file, in one of two copies of
+``src/`` and ``tests/`` made once, and runs the tests named for it there
+under the ``ci`` hypothesis profile; the file is restored before that copy
+takes the next mutant.  The two copies run one mutant each at a time, and
+the results print in the order of ``MUTANTS``.  Every named test must fail.
+The gate fails (exit 1) when a named test passes, or when a mutant's text
+does not occur exactly once.
 
 Run from anywhere, outside tier-1, since every mutant reruns tests::
 
@@ -196,6 +197,13 @@ MUTANTS = (
         (_WORST_PAIR,),
     ),
     Mutant(
+        "the twice-speed deviations returned swapped",
+        "oracle.py",
+        "return float(dev), float(j_dev)",
+        "return float(j_dev), float(dev)",
+        (_WORST_PAIR,),
+    ),
+    Mutant(
         "distance dominance counting a tie at T as strict",
         "oracle.py",
         "strict += bool(margins[-1] > 0)",
@@ -233,8 +241,8 @@ MUTANTS = (
     Mutant(
         "the distance margin judged strictly",
         "verify.py",
-        "rep.min_margin >= floor",
-        "rep.min_margin > floor",
+        "least >= floor",
+        "least > floor",
         (_DISTANCE_ROW,),
     ),
     Mutant(
@@ -312,6 +320,13 @@ MUTANTS = (
         "oracle.py",
         "step.sum(), (step * step).sum()",
         "(step * step).sum(), step.sum()",
+        ("tests/test_oracle.py::test_expected_distance_power_quadratic_strict_decrease",),
+    ),
+    Mutant(
+        "the probe-count distance powers returned swapped",
+        "oracle.py",
+        "for i in range(3))",
+        "for i in (0, 2, 1))",
         ("tests/test_oracle.py::test_expected_distance_power_quadratic_strict_decrease",),
     ),
 )

@@ -152,6 +152,26 @@ def test_smooth_min_eps_on_a_task_without_a_minimum_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_assignment_setting_on_another_task_exits_2(tmp_path, capsys):
+    # each wrote the plain rendezvous run's summary bytes under a manifest
+    # that echoed it; from a config line, and from --task over an assignment
+    # file alike, nothing is written
+    out = tmp_path / "out"
+    targets = _write_config(tmp_path, f"steps = 20\ntrials = 2\ntargets = {'0 ' * 30}\n", "t.cfg")
+    frozen = _write_config(tmp_path, "task = assignment\nreassignment = once-at-start\n", "r.cfg")
+    cases = (
+        (["--config", targets], "targets", "rendezvous"),
+        (["--config", frozen, "--task", "coverage"], "reassignment", "coverage"),
+    )
+    for argv, name, task in cases:
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration:",
+            f"  - {name} applies to the assignment task only, got task = {task!r}",
+        ]
+    assert not out.exists()
+
+
 def test_repeated_rendezvous_formation_exits_2(tmp_path, capsys):
     # at N = 10 the default 15 rotations repeat formations: from a config
     # line, and from --task over a file of another task, nothing is written
@@ -424,13 +444,13 @@ def _small_runs(draw):
         mode=draw(st.sampled_from(MODES)),
         grid_spacing=0.25,
         formation_count=draw(st.integers(1, N)),
-        reassignment=draw(st.sampled_from(("every-step", "once-at-start"))),
         retain_trajectories=draw(st.sampled_from(RETAIN)),
     )
     if task in ("coverage", "rendezvous"):  # the tasks that take a smooth minimum
         fields["smooth_min_eps"] = draw(st.none() | st.floats(-100.0, -0.5))
-    if task == "assignment":
+    if task == "assignment":  # the one task that reads when it pairs
         fields["a0"] = 0.2
+        fields["reassignment"] = draw(st.sampled_from(("every-step", "once-at-start")))
     if draw(st.booleans()):
         fields["x0"] = (draw(st.sampled_from((0.3, 1e200))),) * (2 * N)
     return ExperimentConfig(**fields)

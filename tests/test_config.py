@@ -73,11 +73,20 @@ def test_bc_requires_k1_in_a_config_line():
         (dict(law="bc", K="3"), "K must be an integer, got '3'"),
         (dict(task="rendezvous", n="2"), "n must be an integer, got '2'"),
         (dict(task="assignment", n="2"), "n must be an integer, got '2'"),
+        (dict(task="rendezvous", targets="abc"), "targets must be a sequence of floats, got 'abc'"),
+        (
+            dict(task="quadratic", reassignment=3),
+            f"reassignment must be {EVERY_STEP!r} or {ONCE_AT_START!r}, got 3",
+        ),
     ],
-    ids=["paired-K-float", "bc-K-string", "rendezvous-n-string", "assignment-n-string"],
+    ids=[
+        "paired-K-float", "bc-K-string", "rendezvous-n-string", "assignment-n-string",
+        "rendezvous-targets-string", "quadratic-reassignment-int",
+    ],
 )
 def test_rules_across_fields_skip_a_field_of_the_wrong_type(fields, violation):
-    # the K rule and both n rules read a K or n only of its own type
+    # the K rule, both n rules and the assignment-only rule read a field only
+    # of its own type
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**fields)
     assert err.value.violations == [violation]
@@ -243,6 +252,38 @@ def test_smooth_min_eps_only_on_tasks_that_take_a_minimum():
         ExperimentConfig(task=task)
     for task in ("coverage", "rendezvous"):
         assert ExperimentConfig(task=task, smooth_min_eps=-5.0).smooth_min_eps == -5.0
+
+
+@pytest.mark.parametrize("task", ["coverage", "rendezvous", "quadratic"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("targets", tuple(map(float, range(30)))), ("reassignment", ONCE_AT_START)],
+    ids=["targets", "reassignment"],
+)
+def test_assignment_settings_only_on_the_assignment_task(task, field, value):
+    # another task would run the same with the setting and without it, while
+    # the manifest echoed it
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(task=task, **{field: value})
+    assert err.value.violations == [
+        f"{field} applies to the assignment task only, got task = {task!r}"
+    ]
+    assert getattr(ExperimentConfig(task="assignment", **{field: value}), field) == value
+    # a default reads as unset
+    ExperimentConfig(task=task, targets=None, reassignment=EVERY_STEP)
+
+
+def test_assignment_settings_listed_in_field_order_on_a_valid_task():
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"task = coverage\nreassignment = {ONCE_AT_START}\ntargets = {'0 ' * 30}\n")
+    assert err.value.violations == [
+        "targets applies to the assignment task only, got task = 'coverage'",
+        "reassignment applies to the assignment task only, got task = 'coverage'",
+    ]
+    # a task that broke its own rule is reported by that rule alone
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(task="flocking", targets=(0.0,) * 30, reassignment=ONCE_AT_START)
+    assert err.value.violations == [f"task must be one of {TASKS}, got 'flocking'"]
 
 
 def test_rendezvous_family_holds_no_repeated_formation():
@@ -517,8 +558,14 @@ def _random_config(rng) -> ExperimentConfig:
         formation_radius=float(10 ** rng.uniform(-2, 1)),
         # a rendezvous family holds at most N distinct rotations
         formation_count=int(rng.integers(1, N + 1 if task == "rendezvous" else 30)),
-        targets=tuple(rng.normal(size=2 * N)) if rng.random() < 0.3 else None,
-        reassignment=str(rng.choice(["every-step", "once-at-start"])),
+        # only the assignment task reads its targets and when it pairs them
+        targets=(
+            tuple(rng.normal(size=2 * N)) if task == "assignment" and rng.random() < 0.3 else None
+        ),
+        reassignment=(
+            str(rng.choice(["every-step", "once-at-start"]))
+            if task == "assignment" else "every-step"
+        ),
         # only the coverage and rendezvous tasks take a smooth minimum
         smooth_min_eps=(
             float(-(10 ** rng.uniform(-2, 3)))

@@ -171,7 +171,8 @@ def test_run_paired_figure_mode_same_horizon():
 
 def test_twice_speed_small():
     config = small_config(law="paired", mode="theorem", steps=30)
-    assert check_twice_speed([run_paired(config, 0)]).max_state_deviation <= 1e-9
+    state, _ = check_twice_speed([run_paired(config, 0)])
+    assert state <= 1e-9
 
 
 def test_single_trial_sd_zero():
@@ -414,7 +415,6 @@ def _small_configs(draw):
         steps=draw(st.integers(0, 3)),
         mode=draw(st.sampled_from(MODES)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
-        reassignment=draw(st.sampled_from((EVERY_STEP, ONCE_AT_START))),
         grid_spacing=draw(st.sampled_from((0.25, 0.1))),
         formation_count=draw(st.integers(1, N)),
         # step sizes that overflow the objective, or the state itself, within
@@ -423,6 +423,8 @@ def _small_configs(draw):
     )
     if task in ("coverage", "rendezvous"):  # the tasks that take a smooth minimum
         fields["smooth_min_eps"] = draw(st.sampled_from((None, -10.0, -1e3)))
+    if task == "assignment":  # the one task that reads when it pairs
+        fields["reassignment"] = draw(st.sampled_from((EVERY_STEP, ONCE_AT_START)))
     if draw(st.booleans()):
         # a drawn start, which with the radii below may sit in the barrier's
         # blend or beyond it

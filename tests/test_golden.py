@@ -5,6 +5,14 @@ workers 1 and 2, and the hashes must equal ``golden_outputs.json``.  The
 manifest is hashed without its ``workers`` line, the one value that must
 not change output bytes.  Three ``verify`` reports are hashed as well.
 
+The hashes hold for the BLAS kernels and numpy loops of the host that
+recorded them (x86-64 with AVX-512, numpy's bundled OpenBLAS).  Three sites
+take their bits from kernels chosen at run time: the BLAS products in
+``quadratic_objective`` and ``random_spd_matrix``, and the ``exp`` and
+``log`` in ``smooth_min``.  On a host with other kernels the ``quadratic-*``
+runs, the ``coverage-smooth-min`` cases and ``verify-five-checks`` may fail
+with no change to the code; ROADMAP item 1 makes those bits host-stable.
+
 The hashes change only when output bytes change on purpose; such a change
 bumps ``package_version``.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``.

@@ -19,9 +19,7 @@ from broadcast_control.objectives import (
 from broadcast_control import oracle as oracle_mod
 from broadcast_control import verify as verify_mod
 from broadcast_control.oracle import (
-    DistanceDominanceReport,
     EnumerationTooLarge,
-    TwiceSpeedReport,
     _estimates,
     _outcomes,
     check_distance_dominance,
@@ -190,14 +188,14 @@ def test_finite_difference_matches_coverage_piecewise_gradient():
 def test_expected_next_cost_hand_enumeration():
     # scalar instance x=1, a=0.1, c=0.5: outcomes {0.5625, 0.7225} for K=1
     # and {0.5625, 0.64, 0.64, 0.7225} for K=2
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE)
-    assert rep.cost_values[0] == pytest.approx(0.6425, abs=1e-12)
-    assert rep.cost_values[1] == pytest.approx(0.64125, abs=1e-12)
+    costs, _, _ = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2), SQUARE)
+    assert costs[0] == pytest.approx(0.6425, abs=1e-12)
+    assert costs[1] == pytest.approx(0.64125, abs=1e-12)
 
 
 def test_expected_next_cost_zero_step():
-    rep = check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (1, 2, 3), SQUARE)
-    for value in rep.cost_values:
+    costs, _, _ = check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (1, 2, 3), SQUARE)
+    for value in costs:
         assert value == pytest.approx(1.0, abs=1e-15)
 
 
@@ -205,15 +203,13 @@ def test_expected_distance_power_linear_tie_at_kappa_one():
     # linear J on one coordinate: g(sigma) = g for every sigma, so |u| is
     # outcome-independent and all K tie exactly at kappa = 1
     J = lambda v: float(1.7 * v[0])
-    rep = check_k_monotonicity(np.array([0.3]), 0.1, 0.5, (1, 2, 3), J)
-    vals = rep.distance_values[1.0]
+    _, vals, _ = check_k_monotonicity(np.array([0.3]), 0.1, 0.5, (1, 2, 3), J)
     assert vals[0] == pytest.approx(vals[1], rel=1e-14)
     assert vals[1] == pytest.approx(vals[2], rel=1e-14)
 
 
 def test_expected_distance_power_quadratic_strict_decrease():
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
-    vals = rep.distance_values[2.0]
+    _, _, vals = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
     # K=1: 0.01 * (6.25 + 2.25)/2 = 0.0425; K=2: 0.01 * 4.125 = 0.04125
     assert vals[0] == pytest.approx(0.0425, abs=1e-15)
     assert vals[1] == pytest.approx(0.04125, abs=1e-15)
@@ -221,8 +217,7 @@ def test_expected_distance_power_quadratic_strict_decrease():
 
 
 def test_expected_distance_power_zero_step():
-    rep = check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (2,), SQUARE)
-    assert rep.distance_values[2.0] == (0.0,)
+    assert check_k_monotonicity(np.array([1.0]), 0.0, 0.5, (2,), SQUARE)[2] == (0.0,)
 
 
 def test_variance_scaling_identity(rng):
@@ -239,43 +234,38 @@ def test_variance_scaling_identity(rng):
 
 def test_check_k_monotonicity_convex_values():
     # the K = 1, 2 values by hand are the tests above; K = 3 keeps their order
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
-    assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
-    d1, d2 = rep.distance_values[1.0], rep.distance_values[2.0]
+    costs, d1, d2 = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), SQUARE)
+    assert costs[0] > costs[1] > costs[2]
     assert d1[0] >= d1[1] >= d1[2] and d2[0] > d2[1] > d2[2]
 
 
 def test_check_k_monotonicity_equal_k():
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (2, 2), SQUARE)
-    assert rep.cost_values[0] == rep.cost_values[1]
-    for kappa in (1.0, 2.0):
-        assert rep.distance_values[kappa][0] == rep.distance_values[kappa][1]
+    for values in check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (2, 2), SQUARE):
+        assert values[0] == values[1]
 
 
 def test_check_k_monotonicity_diag_quadratic():
     J = quadratic(np.diag([1.0, 4.0]))
     x = np.array([1.0, -0.5])
-    rep = check_k_monotonicity(x, 0.05, 0.3, (1, 2, 3), J)
-    assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
-    for kappa in (1.0, 2.0):
-        d = rep.distance_values[kappa]
+    costs, d1, d2 = sums = check_k_monotonicity(x, 0.05, 0.3, (1, 2, 3), J)
+    assert costs[0] > costs[1] > costs[2]
+    for d in (d1, d2):
         assert d[0] >= d[1] >= d[2]
     # a one-K call equals that K's entry of the (1, 2, 3) call
     for i, K in enumerate((1, 2, 3)):
         one = check_k_monotonicity(x, 0.05, 0.3, (K,), J)
-        assert one.cost_values == (rep.cost_values[i],)
-        for kappa in (1.0, 2.0):
-            assert one.distance_values[kappa] == (rep.distance_values[kappa][i],)
+        assert one == tuple((values[i],) for values in sums)
+    # and an empty K_list gives an empty tuple of each
+    assert check_k_monotonicity(x, 0.05, 0.3, (), J) == ((), (), ())
 
 
 def test_check_k_monotonicity_concave_reversal():
     # shifted concave bowl: larger K averages the probes and lands nearer
     # the flat top, so K=1 descends further
     J = lambda v: 10.0 - float(v[0] ** 2)
-    rep = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J)
-    assert rep.cost_values[0] < rep.cost_values[1] < rep.cost_values[2]
-    for kappa in (1.0, 2.0):
-        d = rep.distance_values[kappa]
+    costs, d1, d2 = check_k_monotonicity(np.array([1.0]), 0.1, 0.5, (1, 2, 3), J)
+    assert costs[0] < costs[1] < costs[2]
+    for d in (d1, d2):
         assert d[0] >= d[1] >= d[2]
 
 
@@ -296,13 +286,13 @@ def test_check_k_monotonicity_enumerates_once(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_estimates", counted)
     monkeypatch.setattr(oracle_mod, "_enumerated_mean", counted_pass)
     J = quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))
-    rep = check_k_monotonicity(np.array([0.5, -1.0, 0.25, 1.0]), 0.05, 0.3, (1, 2, 3), J)
+    x = np.array([0.5, -1.0, 0.25, 1.0])
+    costs, d1, d2 = check_k_monotonicity(x, 0.05, 0.3, (1, 2, 3), J)
     assert calls == [3]
     assert passes == [1, 2, 3]
     # and the 4-D convex instance keeps the orderings the scalar ones show
-    assert rep.cost_values[0] > rep.cost_values[1] > rep.cost_values[2]
-    for kappa in (1.0, 2.0):
-        d = rep.distance_values[kappa]
+    assert costs[0] > costs[1] > costs[2]
+    for d in (d1, d2):
         assert d[0] >= d[1] >= d[2]
 
 
@@ -315,16 +305,15 @@ def _paired_records(steps=40, seed=0):
 
 def test_check_twice_speed_report():
     (rec_bc, rec_pbc), _ = _paired_records()
-    rep = check_twice_speed([(rec_bc, rec_pbc)])
+    state, objective = check_twice_speed([(rec_bc, rec_pbc)])
     assert (rec_pbc.steps, rec_bc.steps) == (40, 80)
-    assert rep.max_state_deviation <= 1e-9
-    assert rep.max_objective_deviation <= 1e-9
-    assert rep.max_state_deviation >= 0.0
+    assert 0.0 <= state <= 1e-9
+    assert objective <= 1e-9
 
 
 def test_check_twice_speed_t0_exact():
-    rep = check_twice_speed([_paired_records(steps=0)[0]])
-    assert rep.max_state_deviation == 0.0
+    state, _ = check_twice_speed([_paired_records(steps=0)[0]])
+    assert state == 0.0
 
 
 def test_check_twice_speed_rejects_short_record():
@@ -337,31 +326,28 @@ def test_check_twice_speed_rejects_short_record():
 
 def test_check_distance_dominance_report():
     pairs = [_paired_records(seed=seed)[0] for seed in (0, 1)]
-    rep = check_distance_dominance(pairs)
-    assert rep.min_margin >= -1e-9
+    least, strict = check_distance_dominance(pairs)
     # the margin is 0 at t = 0, so no pair can push the least margin above it
-    assert rep.min_margin <= 0.0
+    assert -1e-9 <= least <= 0.0
     margins_T = [rec_bc.d_trace[80] - rec_pbc.d_trace[40] for rec_bc, rec_pbc in pairs]
-    assert rep.strict == sum(m > 0 for m in margins_T)
+    assert strict == sum(m > 0 for m in margins_T)
 
 
 def test_paired_oracles_fold_to_the_worst_pair():
     pairs = [_paired_records(seed=seed)[0] for seed in (0, 1, 2)]
     speed = [check_twice_speed([p]) for p in pairs]
     dist = [check_distance_dominance([p]) for p in pairs]
-    both = check_twice_speed(pairs)
-    assert both.max_state_deviation == max(r.max_state_deviation for r in speed)
-    assert both.max_objective_deviation == max(r.max_objective_deviation for r in speed)
-    folded = check_distance_dominance(pairs)
-    assert folded.min_margin == min(r.min_margin for r in dist)
-    assert folded.strict == sum(r.strict for r in dist)
-    assert check_twice_speed([]) == TwiceSpeedReport(0.0, 0.0)
-    assert check_distance_dominance([]) == DistanceDominanceReport(math.inf, 0)
+    states, objectives = zip(*speed)
+    assert check_twice_speed(pairs) == (max(states), max(objectives))
+    least, strict = zip(*dist)
+    assert check_distance_dominance(pairs) == (min(least), sum(strict))
+    assert check_twice_speed([]) == (0.0, 0.0)
+    assert check_distance_dominance([]) == (math.inf, 0)
     # a NaN in one pair is not lost to the pairs after it, as Python's max would lose it
     rec_bc, rec_pbc = pairs[0]
     nan_pbc = dataclasses.replace(rec_pbc, j_trace=np.full_like(rec_pbc.j_trace, np.nan))
-    rep = check_twice_speed([(rec_bc, nan_pbc)] + pairs[1:])
-    assert math.isnan(rep.max_objective_deviation)
+    _, objective = check_twice_speed([(rec_bc, nan_pbc)] + pairs[1:])
+    assert math.isnan(objective)
 
 
 def _planted_pair(dev=0.0, j_dev=0.0, margins=(0.0, 1.0, 1.0)):
@@ -383,14 +369,14 @@ def _planted_pair(dev=0.0, j_dev=0.0, margins=(0.0, 1.0, 1.0)):
 def test_paired_oracles_fold_a_worst_pair_that_is_not_last():
     worst = _planted_pair(dev=3e-7, j_dev=2e-7, margins=(0.0, -5e-10, 1.0))
     pairs = [worst, _planted_pair(dev=1e-7, j_dev=1e-7)]
-    assert check_twice_speed(pairs) == TwiceSpeedReport(3e-7, 2e-7)
-    assert check_distance_dominance(pairs) == DistanceDominanceReport(-5e-10, 2)
+    assert check_twice_speed(pairs) == (3e-7, 2e-7)
+    assert check_distance_dominance(pairs) == (-5e-10, 2)
 
 
 def test_distance_dominance_counts_a_tie_at_t_as_not_strict():
     # a margin of exactly 0 at T is a tie; the least positive one is strict
     pairs = [_planted_pair(margins=(0.0, 1.0, 0.0)), _planted_pair(margins=(0.0, 1.0, 5e-324))]
-    assert check_distance_dominance(pairs).strict == 1
+    assert check_distance_dominance(pairs) == (0.0, 1)
 
 
 # Each planted value below lies one binary64 step past a row's bound, where
@@ -407,7 +393,7 @@ def test_twice_speed_row_fails_past_its_bound():
 def test_distance_row_fails_past_its_bound():
     for least, passed in ((np.nextafter(-1e-9, -1.0), False), (-1e-9, True)):
         pairs = [_planted_pair(margins=(0.0, least, 1.0))]
-        assert verify_mod._distance_row(check_distance_dominance(pairs), 1).passed == passed
+        assert verify_mod._distance_row(*check_distance_dominance(pairs), 1).passed == passed
 
 
 def test_estimator_row_fails_past_its_bound(monkeypatch):
@@ -558,8 +544,8 @@ def test_k_multistep_compares_the_trials_finished_at_every_k(data):
 
 
 def _k_step_passes(monkeypatch, concave, plant):
-    """Whether ``check_k_step``'s row passes when its enumerated report goes
-    through ``plant`` first."""
+    """Whether ``check_k_step``'s row passes when its enumerated
+    ``(costs, abs_sums, square_sums)`` go through ``plant`` first."""
     real = oracle_mod.check_k_monotonicity
     monkeypatch.setattr(verify_mod, "check_k_monotonicity", lambda *args: plant(real(*args)))
     (row,) = verify_mod.check_k_step(concave=concave)
@@ -571,34 +557,31 @@ def _last_moved(values, step):
     return values[:-1] + (values[-2] + step,)
 
 
-def _power_moved(kappa, step):
-    def plant(rep):
-        dists = dict(rep.distance_values)
-        dists[kappa] = _last_moved(dists[kappa], step)
-        return dataclasses.replace(rep, distance_values=dists)
-
-    return plant
+def _moved(i, step):
+    """A plant that moves the last entry of the ``i``-th enumerated values:
+    0 the costs, 1 and 2 the distance powers ``kappa`` = 1 and 2."""
+    return lambda sums: sums[:i] + (_last_moved(sums[i], step),) + sums[i + 1 :]
 
 
-# Each planted report breaks one ordering that check_k_step states, and the
+# Each plant breaks one ordering that check_k_step states, and the
 # comment names the test in check_k_step that alone catches it there.
 @pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
 def test_k_step_fails_on_a_growing_kappa1_power(monkeypatch, concave):
     # _non_increasing(d1), on both instances
-    assert _k_step_passes(monkeypatch, concave, lambda rep: rep)
-    assert not _k_step_passes(monkeypatch, concave, _power_moved(1.0, 1e-6))
+    assert _k_step_passes(monkeypatch, concave, lambda sums: sums)
+    assert not _k_step_passes(monkeypatch, concave, _moved(1, 1e-6))
 
 
 @pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
 def test_k_step_fails_on_a_growing_kappa2_power(monkeypatch, concave):
     # _non_increasing(d2) on the concave instance; the convex instance's
     # strict kappa = 2 order catches it as well
-    assert not _k_step_passes(monkeypatch, concave, _power_moved(2.0, 1e-6))
+    assert not _k_step_passes(monkeypatch, concave, _moved(2, 1e-6))
 
 
 def test_k_step_fails_on_a_flat_kappa2_power_on_the_convex_instance(monkeypatch):
     # _rises(d2, -1.0): flat is non-increasing, but not strictly decreasing
-    assert not _k_step_passes(monkeypatch, False, _power_moved(2.0, 0.0))
+    assert not _k_step_passes(monkeypatch, False, _moved(2, 0.0))
 
 
 @pytest.mark.parametrize("concave", [False, True], ids=["convex", "concave"])
@@ -606,16 +589,15 @@ def test_k_step_fails_on_a_cost_out_of_order(monkeypatch, concave):
     # _rises(costs, sign): the K = 3 cost steps back against the curvature's
     # order, which the exact K = 1, 2 values do not cover
     step = -1e-6 if concave else 1e-6
-    plant = lambda rep: dataclasses.replace(rep, cost_values=_last_moved(rep.cost_values, step))
-    assert not _k_step_passes(monkeypatch, concave, plant)
+    assert not _k_step_passes(monkeypatch, concave, _moved(0, step))
 
 
 def _cost_planted(i, cost):
-    """A plant that sets the report's ``i``-th cost to ``cost``."""
+    """A plant that sets the ``i``-th enumerated cost to ``cost``."""
 
-    def plant(rep):
-        costs = rep.cost_values[:i] + (cost,) + rep.cost_values[i + 1 :]
-        return dataclasses.replace(rep, cost_values=costs)
+    def plant(sums):
+        costs, d1, d2 = sums
+        return costs[:i] + (cost,) + costs[i + 1 :], d1, d2
 
     return plant
 
@@ -666,11 +648,10 @@ def test_paired_identities_hold_on_other_tasks(task, a0):
         task=task, law="paired", mode="theorem", steps=50, master_seed=11, a0=a0
     )
     pairs = [run_paired(config, 0)]
-    speed = check_twice_speed(pairs)
-    dist = check_distance_dominance(pairs)
-    assert speed.max_state_deviation <= 1e-6
-    assert speed.max_objective_deviation <= 1e-6
-    assert dist.min_margin >= -1e-9
+    state, objective = check_twice_speed(pairs)
+    least, _ = check_distance_dominance(pairs)
+    assert state <= 1e-6 and objective <= 1e-6
+    assert least >= -1e-9
 
 
 def test_engine_sampling_matches_enumerated_expectation():
@@ -679,7 +660,7 @@ def test_engine_sampling_matches_enumerated_expectation():
     J = quadratic(np.diag([1.0, 2.0]))
     x0 = np.array([0.8, -0.6])
     a, c = 0.1, 0.3
-    (expected,) = check_k_monotonicity(x0, a, c, (1,), J).cost_values
+    ((expected,), _, _) = check_k_monotonicity(x0, a, c, (1,), J)
     j0 = J(x0)
     samples = np.empty(10**5)
     for i in range(samples.shape[0]):
